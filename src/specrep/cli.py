@@ -46,6 +46,11 @@ def _require_keys(data: dict, allowed: set[str], where: str) -> None:
         raise InputError(f"unknown field {unknown[0]!r} in {where}")
 
 
+def _is_int(value) -> bool:
+    """A JSON integer; bool is an int subclass in Python but not a number here."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 def _string_list(value, field: str) -> list[str]:
     if not isinstance(value, list) or not all(isinstance(x, str) for x in value):
         raise InputError(f"field {field!r} must be a list of strings")
@@ -78,7 +83,7 @@ def parse_instance(data, cap_ring: int = DEFAULT_CAP_RING) -> Instance:
             raise InputError("field 'ring' must hold exactly one of 'zmod' or 'tables'")
         if "zmod" in spec:
             n = spec["zmod"]
-            if not isinstance(n, int):
+            if not _is_int(n):
                 raise InputError("field 'ring.zmod' must be an integer")
             ring = rings.FiniteRing.zmod(n)
         elif "tables" in spec:
@@ -86,7 +91,10 @@ def parse_instance(data, cap_ring: int = DEFAULT_CAP_RING) -> Instance:
             if not isinstance(tables, dict):
                 raise InputError("field 'ring.tables' must be an object")
             _require_keys(tables, {"add", "mul"}, "ring.tables")
-            ring = rings.FiniteRing.from_tables(tables.get("add", []), tables.get("mul", []))
+            ring = rings.FiniteRing.from_tables(
+                _int_lists(tables.get("add", []), "ring.tables.add"),
+                _int_lists(tables.get("mul", []), "ring.tables.mul"),
+            )
         else:
             raise InputError("field 'ring' must hold exactly one of 'zmod' or 'tables'")
         ideal = None
@@ -109,9 +117,7 @@ def parse_instance(data, cap_ring: int = DEFAULT_CAP_RING) -> Instance:
             raise InputError("fields 'zr.target', 'zr.C' and 'zr.members' come together")
         target = zrdesk.OverringSpec.of(pool, _int_list(zr["target"], "zr.target"))
         fixed = zrdesk.OverringSpec.of(pool, _int_list(zr["C"], "zr.C"))
-        members = [
-            zrdesk.OverringSpec.of(pool, _int_list(m, "zr.members[]")) for m in zr["members"]
-        ]
+        members = [zrdesk.OverringSpec.of(pool, m) for m in _int_lists(zr["members"], "zr.members")]
         family = zrdesk.encode(pool, target, fixed, members)
         return Instance(kind="zr", pool=pool, family=family, zr_parts=(target, fixed, members))
 
@@ -121,18 +127,26 @@ def parse_instance(data, cap_ring: int = DEFAULT_CAP_RING) -> Instance:
 
 
 def _int_list(value, field: str) -> list[int]:
-    if not isinstance(value, list) or not all(isinstance(x, int) for x in value):
+    if not isinstance(value, list) or not all(_is_int(x) for x in value):
         raise InputError(f"field {field!r} must be a list of integers")
+    return value
+
+
+def _int_lists(value, field: str) -> list[list[int]]:
+    if not isinstance(value, list) or not all(
+        isinstance(row, list) and all(_is_int(x) for x in row) for row in value
+    ):
+        raise InputError(f"field {field!r} must be a list of integer lists")
     return value
 
 
 def parse_ideal(ring: rings.FiniteRing, raw) -> rings.RingIdeal:
     if ring.kind == "zmod":
-        if not isinstance(raw, int):
-            raise InputError("zmod ideals are named by an integer generator")
+        if not _is_int(raw):
+            raise InputError("field 'ideal': zmod ideals are named by an integer generator")
         return rings.zmod_ideal(ring, raw)
-    if not isinstance(raw, list) or not all(isinstance(x, int) for x in raw):
-        raise InputError("table-ring ideals are named by their element list")
+    if not isinstance(raw, list) or not all(_is_int(x) for x in raw):
+        raise InputError("field 'ideal': table-ring ideals are named by their element list")
     return rings.table_ideal(ring, raw)
 
 
@@ -351,14 +365,15 @@ class _Parser(argparse.ArgumentParser):
 
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="specrep", description=__doc__.splitlines()[0])
-    default_cap = int(os.environ.get(ENV_CAP_POINTS, engine.DEFAULT_POINT_CAP))
     sub = parser.add_subparsers(dest="command", required=True)
 
     def common(p, needs_input=True):
         if needs_input:
             p.add_argument("input", nargs="?", help="path to a JSON instance file")
         p.add_argument("--format", choices=("json", "text", "dot"), default="json")
-        p.add_argument("--cap-points", type=int, default=default_cap, metavar="N")
+        p.add_argument("--cap-points", type=int, metavar="N",
+                       help=f"exhaustive-enumeration cap (default {engine.DEFAULT_POINT_CAP} or ${ENV_CAP_POINTS}, "
+                            f"at most {engine.POINT_CAP_CEILING})")
         p.add_argument("--cap-ring", type=int, default=DEFAULT_CAP_RING, metavar="N")
         p.add_argument("--oracle", action="store_true", help="force brute-force cross-checks")
         p.add_argument("--dot", metavar="PATH", help="also write the Hasse diagram to PATH")
@@ -373,6 +388,28 @@ def build_parser() -> argparse.ArgumentParser:
     common(zrp)
     zrp.add_argument("--pool", metavar="P,Q,...", help="inline comma-separated prime pool")
     return parser
+
+
+def _cap_points(args) -> int:
+    """--cap-points, else $SPECREP_CAP_POINTS, else the default; at most the ceiling."""
+    value, source = args.cap_points, "--cap-points"
+    if value is None:
+        raw = os.environ.get(ENV_CAP_POINTS)
+        if raw is None:
+            return engine.DEFAULT_POINT_CAP
+        source = ENV_CAP_POINTS
+        try:
+            value = int(raw)
+        except ValueError:
+            raise InputError(f"{source} must be an integer, got {raw!r}") from None
+    if value <= 0:
+        raise InputError(f"caps must be positive ({source} is {value})")
+    if value > engine.POINT_CAP_CEILING:
+        raise InputError(
+            f"{source} {value} exceeds the ceiling of {engine.POINT_CAP_CEILING}: exhaustive routes hold "
+            f"up to 2^N up-sets or table entries of about {engine.BYTES_PER_ENTRY} bytes each"
+        )
+    return value
 
 
 def _instance_from_args(args) -> Instance:
@@ -415,7 +452,8 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return exc.code or 0
     try:
-        if args.cap_points <= 0 or args.cap_ring <= 0:
+        args.cap_points = _cap_points(args)
+        if args.cap_ring <= 0:
             raise InputError("caps must be positive")
         instance = _instance_from_args(args)
         payload = _HANDLERS[args.command](instance, args)
@@ -437,8 +475,12 @@ def main(argv=None) -> int:
 
     dot = payload.pop("_dot", None)
     if args.dot and dot is not None:
-        with open(args.dot, "w", encoding="utf-8") as fh:
-            fh.write(dot)
+        try:
+            with open(args.dot, "w", encoding="utf-8") as fh:
+                fh.write(dot)
+        except OSError as exc:
+            print(f"error: cannot write {args.dot}: {exc.strerror}", file=sys.stderr)
+            return 1
     if args.format == "dot":
         if dot is None:
             print("error: dot output only applies to analyze", file=sys.stderr)

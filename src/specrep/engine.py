@@ -35,13 +35,20 @@ from .topology import (
     SPECTRAL,
     SpecSpace,
     _bits,
-    down_mask,
     indices_of,
     min_mask,
-    up_mask,
 )
 
 DEFAULT_POINT_CAP = 20
+
+# The exhaustive routes hold up to 2^n up-sets or intersection-table entries
+# for n points, each about BYTES_PER_ENTRY bytes in CPython (an 8-byte list
+# slot plus an int object of about 32 bytes).  POINT_CAP_CEILING is the
+# largest point cap whose 2^n entries fit ENUMERATION_BUDGET: 24 points,
+# about 670 MB for one table.
+BYTES_PER_ENTRY = 40
+ENUMERATION_BUDGET = 1 << 30
+POINT_CAP_CEILING = (ENUMERATION_BUDGET // BYTES_PER_ENTRY).bit_length() - 1
 
 
 def _require_cap(n: int, cap: int, what: str) -> None:
@@ -49,28 +56,44 @@ def _require_cap(n: int, cap: int, what: str) -> None:
         raise CapExceeded(f"{what} over {n} points exceeds the cap of {cap}")
 
 
+@lru_cache(maxsize=64)
+def _linear_extension(up: tuple[int, ...]) -> tuple[int, ...]:
+    """Point indices, every point after all points strictly above it.
+
+    Memoised because bulk sweeps walk one order for many targets.
+    """
+    return tuple(sorted(range(len(up)), key=[u.bit_count() for u in up].__getitem__))
+
+
 @lru_cache(maxsize=8)
 def upset_masks(space: SpecSpace) -> tuple[int, ...]:
-    """All up-set masks of the space, ascending.  Exponential; cap before calling."""
-    out = []
-    for m in range(space.full_mask + 1):
-        for i in _bits(m):
-            if space.up[i] & ~m:
-                break
-        else:
-            out.append(m)
+    """All up-set masks of the space, ascending.
+
+    Grown point by point along a linear extension from the top: an up-set
+    of the points placed so far that holds every point above the next one
+    stays an up-set with it added, so every candidate is kept.  The cost is
+    about n steps per up-set found (2^n up-sets only for an antichain) plus
+    the final sort; cap before calling.
+    """
+    out = [0]
+    for p in _linear_extension(space.up):
+        bit = 1 << p
+        above = space.up[p] ^ bit
+        out += [y | bit for y in out if not above & ~y]
+    out.sort()
     return tuple(out)
 
 
+@lru_cache(maxsize=1)
 def intersection_table(family: PointFamily) -> list[int]:
-    """inter[s] = intersection of the members chosen by submask s (empty -> D)."""
-    n = len(family)
-    full = (1 << n) - 1
-    inter = [family.context.full_mask] * (full + 1)
-    members = family.members
-    for s in range(1, full + 1):
-        low = s & -s
-        inter[s] = inter[s ^ low] & members[low.bit_length() - 1]
+    """inter[s] = intersection of the members chosen by submask s (empty -> D).
+
+    Built by doubling, one member at a time.  Memoised for the last family so
+    that every analysis of one family shares one build; do not mutate it.
+    """
+    inter = [family.context.full_mask]
+    for m in family.members:
+        inter += [x & m for x in inter]
     return inter
 
 
@@ -180,85 +203,142 @@ def strongly_irredundant_oracle(family: PointFamily, zs, b: int, cap: int = DEFA
     return working == [cone]
 
 
-def minimal_closed_core(upsets, inter, down, fixed: int, target: int) -> list[int]:
-    """Minimal closed representations as masks, given precomputed tables.
+def minimal_closed_core(inter, up, down, fixed: int, target: int) -> list[int]:
+    """Minimal closed representations as masks, given the intersection table.
 
-    upsets lists the up-set masks of the space, inter the intersection of
-    each point submask.  An up-set is a minimal representation when dropping
-    any of its minimal points breaks representation; dropping non-minimal
-    points never preserves up-set-ness, so this local test decides global
-    minimality.
+    Walks the up-sets as upset_masks does and tests each grown up-set y as
+    it is produced.  If y represents, growth stops (its extensions contain
+    it), and y is kept when dropping any of its minimal points breaks
+    representation; dropping a non-minimal point leaves no up-set, so this
+    local test decides global minimality.  Otherwise y is dropped when no
+    extension can be a minimal representation:
+    * some point of y stays minimal whatever comes later (no point below it
+      is in y or still to come), yet dropping it leaves the intersection
+      inside C unchanged, and adding points never changes that;
+    * or y with every point still to come fails to represent.
     """
     out = []
-    for y in upsets:
-        if inter[y] & fixed != target:
-            continue
-        minimal = True
+    frontier = [0]
+    rest = (1 << len(up)) - 1
+    for p in _linear_extension(tuple(up)):
+        bit = 1 << p
+        rest ^= bit
+        above = up[p] ^ bit
+        kept = []
+        for y in frontier:
+            if inter[y | rest] & fixed == target:
+                kept.append(y)
+            if above & ~y:
+                continue
+            y |= bit
+            here = inter[y] & fixed
+            reach = y if here == target else y | rest
+            m = y
+            while m:
+                low = m & -m
+                if down[low.bit_length() - 1] & reach == low and inter[y ^ low] & fixed == here:
+                    break
+                m ^= low
+            else:
+                if here == target:
+                    out.append(y)
+                elif inter[reach] & fixed == target:
+                    kept.append(y)
+        frontier = kept
+    if not out:
+        raise ConsistencyError("a representation must contain a minimal closed one")
+    if len(out) > 1:
+        out.sort(key=indices_of)
+    return out
+
+
+def _minimal_points_checked(closed, inter, up, down, fixed: int, target: int) -> list[int]:
+    """The minimal points of each minimal closed representation, cross-checked.
+
+    Raises ConsistencyError unless, for each closed representation, its
+    minimal points regenerate it and represent, each of them is irredundant
+    iff strongly irredundant iff isolated, the isolated ones are dense, and
+    distinct closed representations give distinct antichains.
+    """
+    minreps = []
+    for y in closed:
+        z = 0
         m = y
         while m:
             low = m & -m
-            if down[low.bit_length() - 1] & y == low and inter[y ^ low] & fixed == target:
-                minimal = False
-                break
+            if down[low.bit_length() - 1] & y == low:
+                z |= low
             m ^= low
-        if minimal:
-            out.append(y)
-    if not out:
-        raise ConsistencyError("a representation must contain a minimal closed one")
-    return sorted(out, key=indices_of)
+        if inter[z] & fixed != target:
+            raise ConsistencyError("minimal points of a closed representation must represent")
+        regen = 0
+        isolated = 0
+        m = z
+        while m:
+            low = m & -m
+            b = low.bit_length() - 1
+            regen |= up[b]
+            irr = inter[z ^ low] & fixed != target
+            strong = inter[(z | up[b]) & ~low] & fixed != target
+            iso = down[b] & z == low
+            if not (irr == strong == iso):
+                raise ConsistencyError("irredundance and isolation disagree on a minimal representation")
+            if iso:
+                isolated |= low
+            m ^= low
+        if regen != y:
+            raise ConsistencyError("minimal points fail to regenerate their closed representation")
+        dense = 0
+        m = isolated
+        while m:
+            low = m & -m
+            dense |= up[low.bit_length() - 1]
+            m ^= low
+        if dense & z != z:
+            raise ConsistencyError("isolated points are not dense in a minimal representation")
+        minreps.append(z)
+    if len(set(minreps)) != len(minreps):
+        raise ConsistencyError("distinct closed representations produced equal minimal ones")
+    return minreps
 
 
-def _minimal_closed_masks(family: PointFamily, space: SpecSpace, cap: int) -> list[int]:
+@lru_cache(maxsize=8)
+def _minimal_closed(family: PointFamily) -> tuple[int, ...]:
+    """The one minimal-closed search of a family, shared by every caller."""
+    space = to_spec_space(family)
+    ctx = family.context
+    return tuple(
+        minimal_closed_core(intersection_table(family), space.up, space.down, ctx.fixed_mask, ctx.target_mask)
+    )
+
+
+def _minimal_closed_masks(family: PointFamily, cap: int) -> tuple[int, ...]:
     _require_cap(len(family), cap, "closed-representation enumeration")
     require_representation(family)
-    ctx = family.context
-    inter = intersection_table(family)
-    return minimal_closed_core(upset_masks(space), inter, space.down, ctx.fixed_mask, ctx.target_mask)
+    return _minimal_closed(family)
 
 
 def minimal_closed_representations(family: PointFamily, cap: int = DEFAULT_POINT_CAP) -> list[tuple[int, ...]]:
     """All inclusion-minimal up-sets that still represent, in canonical order."""
-    space = to_spec_space(family)
-    return [indices_of(y) for y in _minimal_closed_masks(family, space, cap)]
+    return [indices_of(y) for y in _minimal_closed_masks(family, cap)]
 
 
 def minimal_representations(family: PointFamily, cap: int = DEFAULT_POINT_CAP) -> list[tuple[int, ...]]:
     """Minimal representations: the minimal points of each minimal closed one.
 
-    Cross-checks the defining identities on the way out: the up-set of the
-    returned antichain recovers its closed representation, the patch closure
-    adds nothing, every member is irredundant (equivalently strongly
-    irredundant, equivalently isolated) in it, and the isolated points are
-    dense.  Distinct closed representations must yield distinct antichains.
+    Cross-checks the defining identities on the way out (see
+    _minimal_points_checked): the returned antichains regenerate their closed
+    representations and represent, every member is irredundant (equivalently
+    strongly irredundant, equivalently isolated), the isolated points are
+    dense, and distinct closed representations yield distinct antichains.
     """
+    closed = _minimal_closed_masks(family, cap)
     space = to_spec_space(family)
-    closed = _minimal_closed_masks(family, space, cap)
-    reps = []
-    for y in closed:
-        z = min_mask(space, y)
-        if up_mask(space, z) != y:
-            raise ConsistencyError("minimal points fail to regenerate their closed representation")
-        if not represents_mask(family, z):
-            raise ConsistencyError("minimal points of a closed representation must represent")
-        _check_minimal_rep_equivalences(family, space, z)
-        reps.append(z)
-    if len(set(reps)) != len(reps):
-        raise ConsistencyError("distinct closed representations produced equal minimal ones")
-    return sorted((indices_of(z) for z in reps), key=tuple)
-
-
-def _check_minimal_rep_equivalences(family: PointFamily, space: SpecSpace, zmask: int) -> None:
-    isolated = 0
-    for b in _bits(zmask):
-        cls = classify_member(family, indices_of(zmask), b, space=space)
-        if not (cls.irredundant == cls.strongly_irredundant == cls.isolated_spectral == cls.isolated_patch):
-            raise ConsistencyError(
-                f"irredundance and isolation disagree at point {family.names[b]!r} of a minimal representation"
-            )
-        if cls.isolated_spectral:
-            isolated |= 1 << b
-    if up_mask(space, isolated) & zmask != zmask:
-        raise ConsistencyError("isolated points are not dense in a minimal representation")
+    ctx = family.context
+    reps = _minimal_points_checked(
+        closed, intersection_table(family), space.up, space.down, ctx.fixed_mask, ctx.target_mask
+    )
+    return sorted(indices_of(z) for z in reps)
 
 
 def critical_mask(family: PointFamily, space: SpecSpace | None = None) -> int:
@@ -315,15 +395,15 @@ class UniqueMinimalAnalysis:
     strongly_irredundant_rep: tuple[int, ...] | None
 
 
-def analysis_core(inter, upsets, up, down, full_points: int, target: int, fixed: int):
+def analysis_core(inter, closed, up, down, full_points: int, target: int, fixed: int):
     """Mask-level uniqueness analysis shared by the object API and bulk sweeps.
 
-    Expects a validated representation.  Returns (critical mask, critical
-    core mask, core represents, unique, minimal representation masks,
-    strongly irredundant rep mask or None).  The cross-checks that come for
-    free on the way (core-represents matches the minimal-representation
-    count, members of minimal representations are irredundant iff strongly
-    irredundant iff isolated, isolated points are dense) raise
+    Expects a validated representation and its minimal closed
+    representation masks (minimal_closed_core).  Returns (critical mask,
+    critical core mask, core represents, unique, minimal representation
+    masks, strongly irredundant rep mask or None).  The cross-checks that
+    come for free on the way (those of _minimal_points_checked, and
+    core-represents matching the minimal-representation count) raise
     ConsistencyError when violated.
     """
     crit = 0
@@ -339,46 +419,7 @@ def analysis_core(inter, upsets, up, down, full_points: int, target: int, fixed:
         m ^= low
     cset_represents = inter[cset] & fixed == target
 
-    closed = minimal_closed_core(upsets, inter, down, fixed, target)
-    minreps = []
-    for y in closed:
-        z = 0
-        m = y
-        while m:
-            low = m & -m
-            if down[low.bit_length() - 1] & y == low:
-                z |= low
-            m ^= low
-        # regeneration, member equivalences, and density of isolated points
-        regen = 0
-        isolated = 0
-        m = z
-        while m:
-            low = m & -m
-            b = low.bit_length() - 1
-            regen |= up[b]
-            irr = inter[z ^ low] & fixed != target
-            strong = inter[(z | up[b]) & ~low] & fixed != target
-            iso = down[b] & z == low
-            if not (irr == strong == iso):
-                raise ConsistencyError("irredundance and isolation disagree on a minimal representation")
-            if iso:
-                isolated |= low
-            m ^= low
-        if regen != y:
-            raise ConsistencyError("minimal points fail to regenerate their closed representation")
-        dense = 0
-        m = isolated
-        while m:
-            low = m & -m
-            dense |= up[low.bit_length() - 1]
-            m ^= low
-        if dense & z != z:
-            raise ConsistencyError("isolated points are not dense in a minimal representation")
-        minreps.append(z)
-    if len(set(minreps)) != len(minreps):
-        raise ConsistencyError("distinct closed representations produced equal minimal ones")
-
+    minreps = _minimal_points_checked(closed, inter, up, down, fixed, target)
     unique = len(minreps) == 1
     if unique != cset_represents:
         raise ConsistencyError("critical-core representation does not match minimal-representation count")
@@ -395,7 +436,9 @@ def analysis_core(inter, upsets, up, down, full_points: int, target: int, fixed:
             m ^= low
         if inter[s] & fixed == target:
             srep = s
-    return crit, cset, cset_represents, unique, sorted(minreps, key=indices_of), srep
+    if len(minreps) > 1:
+        minreps.sort(key=indices_of)
+    return crit, cset, cset_represents, unique, minreps, srep
 
 
 def unique_minimal_analysis(family: PointFamily, cap: int = DEFAULT_POINT_CAP) -> UniqueMinimalAnalysis:
@@ -406,13 +449,12 @@ def unique_minimal_analysis(family: PointFamily, cap: int = DEFAULT_POINT_CAP) -
     the set of points strongly irredundant within the critical core, which
     is then the only possible strongly irredundant representation.
     """
+    closed = _minimal_closed_masks(family, cap)
     space = to_spec_space(family)
-    _require_cap(len(family), cap, "closed-representation enumeration")
-    require_representation(family)
     ctx = family.context
     crit, cset, cset_represents, unique, minreps, srep = analysis_core(
         intersection_table(family),
-        upset_masks(space),
+        closed,
         space.up,
         space.down,
         space.full_mask,

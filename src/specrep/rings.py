@@ -168,6 +168,9 @@ def table_ideal(ring: FiniteRing, elements) -> RingIdeal:
     elems = frozenset(elements)
     if not elems:
         raise InputError("an ideal contains at least the zero element")
+    for a in sorted(elems):
+        if not 0 <= a < ring.size:
+            raise InputError(f"ideal element {a} is not in the ring, whose elements are 0..{ring.size - 1}")
     for a in elems:
         for b in elems:
             if ring.add[a][b] not in elems:

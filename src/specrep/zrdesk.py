@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable
 
-from .engine import analysis_core
+from .engine import analysis_core, minimal_closed_core
 from .errors import CapExceeded, InputError, NotARepresentation
 from .setsystems import ContextTriple, PointFamily, require_representation
 
@@ -187,22 +187,9 @@ def pool_uniqueness_check(pool: PrimePool, cap: int = 20) -> PoolSweepReport:
                     d |= 1 << b
             up.append(u)
             down.append(d)
-        upsets = []
-        for s in range(full_pts + 1):
-            ok = True
-            ss = s
-            while ss:
-                low = ss & -ss
-                if up[low.bit_length() - 1] & ~s:
-                    ok = False
-                    break
-                ss ^= low
-            if ok:
-                upsets.append(s)
-        inter = [full] * (full_pts + 1)
-        for s in range(1, full_pts + 1):
-            low = s & -s
-            inter[s] = inter[s ^ low] & members[low.bit_length() - 1]
+        inter = [full]
+        for mem in members:
+            inter += [x & mem for x in inter]
         target = full ^ tmask
 
         def label(smask):
@@ -214,8 +201,9 @@ def pool_uniqueness_check(pool: PrimePool, cap: int = 20) -> PoolSweepReport:
         while True:  # all proper sub-pools S of T, including the empty one
             checks += 1
             fixed = full ^ smask
+            closed = minimal_closed_core(inter, up, down, fixed, target)
             crit, cset, cset_represents, unique, _minreps, srep = analysis_core(
-                inter, upsets, up, down, full_pts, target, fixed
+                inter, closed, up, down, full_pts, target, fixed
             )
             if not (unique and cset_represents):
                 failures.append(f"{label(smask)}: expected a unique minimal representation")

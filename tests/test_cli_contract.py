@@ -1,0 +1,85 @@
+"""Exit-code contract on malformed input: a field diagnostic and exit 1, never a traceback.
+
+Each case runs the CLI twice in a fresh interpreter and checks the exit
+code, that stderr carries no Python traceback, and that stdout is the same
+both times.
+"""
+
+import json
+import os
+import pathlib
+import subprocess
+import sys
+
+import pytest
+
+from specrep import engine
+
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+I1 = str(ROOT / "fixtures" / "i1.json")
+
+
+def _run_twice(argv, env_extra=None):
+    env = dict(os.environ)
+    env.pop("SPECREP_CAP_POINTS", None)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+    env.update(env_extra or {})
+    runs = [
+        subprocess.run([sys.executable, "-m", "specrep.cli", *argv], cwd=ROOT, env=env,
+                       capture_output=True, text=True)
+        for _ in range(2)
+    ]
+    assert runs[0].stdout == runs[1].stdout
+    assert runs[0].returncode == runs[1].returncode
+    for proc in runs:
+        assert "Traceback" not in proc.stderr
+    return runs[0]
+
+
+def _instance(tmp_path, obj):
+    path = tmp_path / "instance.json"
+    path.write_text(json.dumps(obj), encoding="utf-8")
+    return str(path)
+
+
+@pytest.mark.parametrize(
+    "command, instance, field",
+    [
+        ("analyze", {"zr": {"pool": [2, 3], "target": [2, 3], "C": [], "members": 5}}, "zr.members"),
+        ("decompose", {"ring": {"tables": {"add": 5, "mul": 5}}, "ideal": [0]}, "ring.tables.add"),
+        ("decompose", {"ring": {"tables": {"add": [[0]], "mul": [[0]]}}, "ideal": [5]}, "ideal element 5"),
+        ("decompose", {"ring": {"zmod": 12}, "ideal": True}, "field 'ideal'"),
+    ],
+    ids=["zr-members-not-a-list", "table-not-a-list", "ideal-element-out-of-range", "ideal-true"],
+)
+def test_malformed_instance_exits_one(tmp_path, command, instance, field):
+    proc = _run_twice([command, _instance(tmp_path, {"schema": 1, **instance})])
+    assert proc.returncode == 1
+    assert field in proc.stderr
+    assert proc.stdout == ""
+
+
+def test_dot_into_missing_directory_exits_one(tmp_path):
+    target = tmp_path / "missing" / "hasse.dot"
+    proc = _run_twice(["analyze", I1, "--dot", str(target)])
+    assert proc.returncode == 1
+    assert "cannot write" in proc.stderr
+    assert not target.exists()
+
+
+def test_cap_points_above_the_ceiling_exits_one():
+    over = str(engine.POINT_CAP_CEILING + 1)
+    proc = _run_twice(["analyze", I1, "--cap-points", over])
+    assert proc.returncode == 1
+    assert "ceiling" in proc.stderr
+    env = _run_twice(["analyze", I1], {"SPECREP_CAP_POINTS": over})
+    assert env.returncode == 1
+    assert "SPECREP_CAP_POINTS" in env.stderr and "ceiling" in env.stderr
+    at = _run_twice(["analyze", I1, "--cap-points", str(engine.POINT_CAP_CEILING)])
+    assert at.returncode == 0
+
+
+def test_non_integer_cap_points_variable_exits_one():
+    proc = _run_twice(["analyze", I1], {"SPECREP_CAP_POINTS": "abc"})
+    assert proc.returncode == 1
+    assert "SPECREP_CAP_POINTS" in proc.stderr
