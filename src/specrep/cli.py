@@ -91,10 +91,12 @@ def parse_instance(data, cap_ring: int = DEFAULT_CAP_RING) -> Instance:
             if not isinstance(tables, dict):
                 raise InputError("field 'ring.tables' must be an object")
             _require_keys(tables, {"add", "mul"}, "ring.tables")
-            ring = rings.FiniteRing.from_tables(
-                _int_lists(tables.get("add", []), "ring.tables.add"),
-                _int_lists(tables.get("mul", []), "ring.tables.mul"),
-            )
+            add = _int_lists(tables.get("add", []), "ring.tables.add")
+            mul = _int_lists(tables.get("mul", []), "ring.tables.mul")
+            try:
+                ring = rings.FiniteRing.from_tables(add, mul)
+            except InputError as exc:
+                raise InputError(f"field 'ring.tables': {exc}") from None
         else:
             raise InputError("field 'ring' must hold exactly one of 'zmod' or 'tables'")
         ideal = None

@@ -104,6 +104,8 @@ class FiniteRing:
                         raise InputError("tables fail ring axioms: multiplication not associative")
                     if mul[a][add[b][c]] != add[mul[a][b]][mul[a][c]]:
                         raise InputError("tables fail ring axioms: distributivity fails")
+        if one == zero:
+            raise InputError("tables describe the zero ring (0 = 1); a ring needs 0 != 1")
         return cls(size=size, kind="tables", zero=zero, one=one, add=add, mul=mul)
 
     def describe(self) -> str:
@@ -145,6 +147,15 @@ class RingIdeal:
                 raise CapExceeded("materializing elements of a huge zmod ideal")
             return frozenset(range(0, self.ring.size, self.generator))
         return self.elements
+
+    def element_mask(self) -> int:
+        """The element set as a bitmask, bit e standing for ring element e."""
+        if self.ring.kind == "zmod":
+            if self.ring.size > ZMOD_ELEMENT_CAP:
+                raise CapExceeded("materializing elements of a huge zmod ideal")
+            # (2^n - 1) / (2^g - 1) is the repunit with exactly the bits 0, g, 2g, ..., n - g
+            return ((1 << self.ring.size) - 1) // ((1 << self.generator) - 1)
+        return sum(1 << e for e in self.elements)
 
     def sort_key(self):
         if self.ring.kind == "zmod":
@@ -325,18 +336,44 @@ def _zmod_strongly_irreducible(n: int, d: int) -> bool:
     return True
 
 
+def _ideal_lattice(ring: FiniteRing) -> tuple[list[list[int]], list[list[int]]]:
+    """Meet and join index tables over the ideals of a table ring.
+
+    Indices follow `_all_table_ideals`, ordered by size.  The meet of two
+    ideals is their intersection; their join (the ideal sum) is the first
+    ideal in that order containing both element sets, which sits at or after
+    the larger of the two.
+    """
+    masks = [sum(1 << e for e in s) for s in _all_table_ideals(ring)]
+    pos = {m: i for i, m in enumerate(masks)}
+    n = len(masks)
+    meet = [[pos[a & b] for b in masks] for a in masks]
+    join = [[0] * n for _ in range(n)]
+    for i, a in enumerate(masks):
+        for j in range(i, n):
+            union = a | masks[j]
+            k = j
+            while union & ~masks[k]:
+                k += 1
+            join[i][j] = join[j][i] = k
+    return meet, join
+
+
+@lru_cache(maxsize=32)
 def is_arithmetical(ring: FiniteRing) -> bool:
-    """Distributivity of the ideal lattice, the finite commutative criterion."""
+    """Distributivity of the ideal lattice, the finite commutative criterion.
+
+    Decided once per ring on the meet/join index tables: for every i and j,
+    the row k -> i ∧ (j ∨ k) must equal the row k -> (i ∧ j) ∨ (i ∧ k).
+    """
     if ring.kind == "zmod":
         return True
-    ideals = [RingIdeal(ring=ring, elements=s) for s in _all_table_ideals(ring)]
-    for i in ideals:
-        for j in ideals:
-            for k in ideals:
-                left = ideal_meet(i, ideal_join(j, k))
-                right = ideal_join(ideal_meet(i, j), ideal_meet(i, k))
-                if left.elements != right.elements:
-                    return False
+    meet, join = _ideal_lattice(ring)
+    for mi in meet:
+        for j, jj in enumerate(join):
+            jm = join[mi[j]]
+            if list(map(mi.__getitem__, jj)) != list(map(jm.__getitem__, mi)):
+                return False
     return True
 
 
@@ -384,21 +421,15 @@ def build_irr_space(ring: FiniteRing, ideal: RingIdeal, points: str = "irreducib
     size = ring.size
     universe = tuple(str(i) for i in range(size))
 
-    def mask_of_ideal(i: RingIdeal) -> int:
-        m = 0
-        for e in i.element_set():
-            m |= 1 << e
-        return m
-
     context = ContextTriple(
         universe=universe,
         fixed_mask=(1 << size) - 1,
-        target_mask=mask_of_ideal(ideal),
+        target_mask=ideal.element_mask(),
     )
     return PointFamily(
         context=context,
         names=tuple(b.name for b in members),
-        members=tuple(mask_of_ideal(b) for b in members),
+        members=tuple(b.element_mask() for b in members),
     )
 
 

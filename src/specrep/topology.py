@@ -189,16 +189,25 @@ def _span_from_subbasis(seeds: Iterable[int], n: int) -> frozenset[int]:
 
 
 def spectral_subbasis(space: SpecSpace) -> list[int]:
-    """One subbasic open per universe element: the points not containing it."""
-    out = []
-    for d in range(space.universe_size):
-        bit = 1 << d
-        m = 0
-        for i, p in enumerate(space.points):
-            if not p & bit:
-                m |= 1 << i
-        out.append(m)
-    return out
+    """The distinct subbasic opens, in increasing order.
+
+    The subbasic open of a universe element is the set of points not
+    containing it.  Elements lying in exactly the same points give the same
+    open, so the universe mask is split by every point into element classes,
+    each carrying the points it missed so far: the loop runs once per class
+    and point, however many elements the universe has.
+    """
+    classes = [((1 << space.universe_size) - 1, 0)] if space.universe_size else []
+    for i, p in enumerate(space.points):
+        split = []
+        for b, column in classes:
+            inside = b & p
+            if inside:
+                split.append((inside, column))
+            if inside != b:
+                split.append((b ^ inside, column | 1 << i))
+        classes = split
+    return sorted({column for _, column in classes})
 
 
 def generate_topology(space: SpecSpace, kind: str, cap: int = DEFAULT_GENERATOR_CAP) -> Topology:

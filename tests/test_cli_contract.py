@@ -47,7 +47,8 @@ def _instance(tmp_path, obj):
     [
         ("analyze", {"zr": {"pool": [2, 3], "target": [2, 3], "C": [], "members": 5}}, "zr.members"),
         ("decompose", {"ring": {"tables": {"add": 5, "mul": 5}}, "ideal": [0]}, "ring.tables.add"),
-        ("decompose", {"ring": {"tables": {"add": [[0]], "mul": [[0]]}}, "ideal": [5]}, "ideal element 5"),
+        ("decompose", {"ring": {"tables": {"add": [[0, 1], [1, 0]], "mul": [[0, 0], [0, 1]]}}, "ideal": [5]},
+         "ideal element 5"),
         ("decompose", {"ring": {"zmod": 12}, "ideal": True}, "field 'ideal'"),
     ],
     ids=["zr-members-not-a-list", "table-not-a-list", "ideal-element-out-of-range", "ideal-true"],
@@ -83,3 +84,11 @@ def test_non_integer_cap_points_variable_exits_one():
     proc = _run_twice(["analyze", I1], {"SPECREP_CAP_POINTS": "abc"})
     assert proc.returncode == 1
     assert "SPECREP_CAP_POINTS" in proc.stderr
+
+
+def test_zero_ring_exits_one(tmp_path):
+    zero_ring = {"schema": 1, "ring": {"tables": {"add": [[0]], "mul": [[0]]}}}
+    proc = _run_twice(["check-theorems", _instance(tmp_path, zero_ring)])
+    assert proc.returncode == 1
+    assert "field 'ring.tables'" in proc.stderr and "zero ring" in proc.stderr
+    assert proc.stdout == ""

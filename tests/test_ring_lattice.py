@@ -1,0 +1,179 @@
+"""The bitmask fast paths of the ring layer against definition-level oracles.
+
+- `is_arithmetical` (meet/join index tables over ideal bitmasks) against a
+  triple loop over `ideal_meet` / `ideal_join` on element sets, written here;
+- `RingIdeal.element_mask` (a repunit quotient for zmod) against the mask of
+  `element_set()`, for every divisor of several moduli;
+- `spectral_subbasis` (one column per element class) against the set of
+  per-element columns;
+- a call-counting test that one table-ring request builds the lattice tables
+  once however often it asks whether the ring is arithmetical.
+"""
+
+import itertools
+import json
+import pathlib
+import random
+
+import pytest
+
+from helpers import random_spec_space
+from specrep import cli
+from specrep import rings as R
+from specrep.topology import SpecSpace, spectral_subbasis
+
+FIXTURES = pathlib.Path(__file__).resolve().parent.parent / "fixtures"
+
+
+def product_tables(moduli):
+    """Operation tables of Z/m1 x ... x Z/mk, elements numbered in mixed radix."""
+    elems = list(itertools.product(*(range(m) for m in moduli)))
+    index = {e: i for i, e in enumerate(elems)}
+
+    def table(op):
+        return [[index[tuple(op(x, y) % m for x, y, m in zip(a, b, moduli))] for b in elems] for a in elems]
+
+    return table(lambda x, y: x + y), table(lambda x, y: x * y)
+
+
+def z4x_tables():
+    """Z/4[x]/(2x, x^2): index a + 4b encodes a + b*x with a mod 4 and b mod 2."""
+    def split(i):
+        return i % 4, i // 4
+
+    def add(i, j):
+        (a, b), (c, d) = split(i), split(j)
+        return (a + c) % 4 + 4 * ((b + d) % 2)
+
+    def mul(i, j):
+        (a, b), (c, d) = split(i), split(j)
+        return a * c % 4 + 4 * ((a * d + b * c) % 2)
+
+    return [[add(i, j) for j in range(8)] for i in range(8)], [[mul(i, j) for j in range(8)] for i in range(8)]
+
+
+def f2xy_tables():
+    tables = json.loads((FIXTURES / "f2xy_tables.json").read_text())["ring"]["tables"]
+    return tables["add"], tables["mul"]
+
+
+def distributive_oracle(ring):
+    """The lattice definition, on element sets: i ∧ (j ∨ k) = (i ∧ j) ∨ (i ∧ k) for all ideals."""
+    ideals = [R.RingIdeal(ring=ring, elements=s) for s in R._all_table_ideals(ring)]
+    for i in ideals:
+        for j in ideals:
+            for k in ideals:
+                left = R.ideal_meet(i, R.ideal_join(j, k))
+                right = R.ideal_join(R.ideal_meet(i, j), R.ideal_meet(i, k))
+                if left.elements != right.elements:
+                    return False
+    return True
+
+
+ARITHMETICAL = [(2,), (6,), (8,), (9,), (2, 2), (4, 2), (2, 3), (4, 4), (2, 2, 2), (2, 2, 2, 2, 2), (4, 3, 5)]
+
+
+@pytest.mark.parametrize("moduli", ARITHMETICAL, ids=lambda m: "x".join(map(str, m)))
+def test_product_rings_are_arithmetical_by_both_routes(moduli):
+    ring = R.FiniteRing.from_tables(*product_tables(moduli))
+    assert R.is_arithmetical(ring) is True
+    assert distributive_oracle(ring) is True
+
+
+@pytest.mark.parametrize("tables", [f2xy_tables, z4x_tables], ids=["f2xy-fixture", "z4x-mod-2x-x2"])
+def test_non_arithmetical_rings_by_both_routes(tables):
+    ring = R.FiniteRing.from_tables(*tables())
+    assert R.is_arithmetical(ring) is False
+    assert distributive_oracle(ring) is False
+
+
+@pytest.mark.parametrize("tables", [lambda: product_tables((4, 2)), lambda: product_tables((2, 2, 2)),
+                                    f2xy_tables, z4x_tables], ids=["4x2", "2x2x2", "f2xy", "z4x"])
+def test_lattice_tables_are_intersection_and_sum(tables):
+    ring = R.FiniteRing.from_tables(*tables())
+    ideals = [R.RingIdeal(ring=ring, elements=s) for s in R._all_table_ideals(ring)]
+    meet, join = R._ideal_lattice(ring)
+    for a, i in enumerate(ideals):
+        for b, j in enumerate(ideals):
+            assert ideals[meet[a][b]].elements == R.ideal_meet(i, j).elements
+            assert ideals[join[a][b]].elements == R.ideal_join(i, j).elements
+
+
+@pytest.mark.parametrize("n", [2, 12, 30, 97, 360, 1024, 2310])
+def test_zmod_element_mask_is_the_element_set(n):
+    ring = R.FiniteRing.zmod(n)
+    for g in R.divisors_of(n):  # g = 1 is the whole ring, g = n the zero ideal
+        ideal = R.zmod_ideal(ring, g)
+        assert ideal.element_mask() == sum(1 << e for e in ideal.element_set()), (n, g)
+
+
+def test_irr_space_masks_are_the_element_sets():
+    for n in (12, 360, 2310):
+        ring = R.FiniteRing.zmod(n)
+        for g in R.divisors_of(n)[1:]:
+            ideal = R.zmod_ideal(ring, g)
+            family = R.build_irr_space(ring, ideal)
+            assert family.context.target_mask == sum(1 << e for e in ideal.element_set())
+            for b, mask in zip(R.irreducibles_over(ring, ideal), family.members):
+                assert mask == sum(1 << e for e in b.element_set())
+    table = R.FiniteRing.from_tables(*product_tables((4, 3)))
+    zero = R.table_ideal(table, [table.zero])
+    family = R.build_irr_space(table, zero)
+    for b, mask in zip(R.irreducibles_over(table, zero), family.members):
+        assert mask == sum(1 << e for e in b.elements)
+
+
+def test_huge_zmod_element_mask_is_capped():
+    ring = R.FiniteRing.zmod(R.ZMOD_ELEMENT_CAP + 1)
+    with pytest.raises(R.CapExceeded):
+        R.zmod_ideal(ring, 7).element_mask()
+
+
+def subbasis_oracle(space):
+    """One column per universe element: the points not containing it."""
+    return sorted({sum(1 << i for i, p in enumerate(space.points) if not p >> d & 1)
+                   for d in range(space.universe_size)})
+
+
+def test_spectral_subbasis_matches_per_element_columns():
+    rng = random.Random(4404)
+    for _ in range(300):
+        space = random_spec_space(rng, max_universe=rng.choice((3, 8, 40)), max_points=12)
+        assert spectral_subbasis(space) == subbasis_oracle(space)
+
+
+def test_spectral_subbasis_of_a_large_ring_universe():
+    # the universe of zmod(35000) over the ideal (35): the classes are the gcds with 35
+    ring = R.FiniteRing.zmod(35000)
+    family = R.build_irr_space(ring, R.zmod_ideal(ring, 35))
+    space = SpecSpace(points=family.members, universe_size=ring.size)
+    sub = spectral_subbasis(space)
+    assert sub == subbasis_oracle(space)
+    assert len(sub) == 4
+
+
+@pytest.mark.parametrize("command, calls", [("decompose", 2), ("check-theorems", 6)])
+def test_one_table_ring_request_builds_the_lattice_once(tmp_path, monkeypatch, capsys, command, calls):
+    add, mul = product_tables((2, 2, 2, 3))
+    path = tmp_path / "ring.json"
+    path.write_text(json.dumps({"schema": 1, "ring": {"tables": {"add": add, "mul": mul}}, "ideal": [0]}))
+
+    builds, asks = [], []
+    build = R._ideal_lattice
+    cached = R.is_arithmetical
+
+    def counting_build(ring):
+        builds.append(ring)
+        return build(ring)
+
+    def counting_ask(ring):
+        asks.append(ring)
+        return cached(ring)
+
+    cached.cache_clear()
+    monkeypatch.setattr(R, "_ideal_lattice", counting_build)
+    monkeypatch.setattr(R, "is_arithmetical", counting_ask)
+    assert cli.main([command, str(path)]) == 0
+    assert capsys.readouterr().out
+    assert len(asks) == calls
+    assert len(builds) == 1

@@ -55,6 +55,8 @@ def test_bad_tables_rejected():
         R.FiniteRing.from_tables([[0, 1], [1, 1]], [[0, 0], [0, 1]])
     with pytest.raises(InputError):
         R.FiniteRing.from_tables([[0]], [[0], [0]])
+    with pytest.raises(InputError, match="zero ring"):
+        R.FiniteRing.from_tables([[0]], [[0]])
 
 
 def test_table_cap():
