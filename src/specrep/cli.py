@@ -365,7 +365,7 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(1)
 
 
-def build_parser() -> argparse.ArgumentParser:
+def _new_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="specrep", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -390,6 +390,17 @@ def build_parser() -> argparse.ArgumentParser:
     common(zrp)
     zrp.add_argument("--pool", metavar="P,Q,...", help="inline comma-separated prime pool")
     return parser
+
+
+# Built once per process: parse_args keeps no state between calls (each call
+# fills a fresh namespace, and help width is read when help is formatted), so
+# main() can be called repeatedly without paying for the parser again.
+_PARSER = _new_parser()
+
+
+def build_parser() -> argparse.ArgumentParser:
+    """The process-wide parser that main() uses."""
+    return _PARSER
 
 
 def _cap_points(args) -> int:
@@ -448,9 +459,8 @@ _HANDLERS = {
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _PARSER.parse_args(argv)
     except SystemExit as exc:
         return exc.code or 0
     try:

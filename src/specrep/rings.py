@@ -14,6 +14,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
+from operator import itemgetter
 
 from .errors import CapExceeded, ConsistencyError, InputError
 from .setsystems import ContextTriple, PointFamily, represents_mask
@@ -47,6 +48,25 @@ def divisors_of(n: int) -> list[int]:
     for p, e in factorize(n).items():
         divs = [d * p ** k for d in divs for k in range(e + 1)]
     return sorted(divs)
+
+
+def _row_getter(row):
+    """t -> tuple(t[x] for x in row), also for a one-element row."""
+    if len(row) == 1:
+        return lambda t, x=row[0]: (t[x],)
+    return itemgetter(*row)
+
+
+def _triple_fault(add, mul, a: int, b: int) -> InputError:
+    """The first axiom that fails at some (a, b, c), in the order c = 0, 1, ..."""
+    for c in range(len(add)):
+        if add[add[a][b]][c] != add[a][add[b][c]]:
+            return InputError("tables fail ring axioms: addition not associative")
+        if mul[mul[a][b]][c] != mul[a][mul[b][c]]:
+            return InputError("tables fail ring axioms: multiplication not associative")
+        if mul[a][add[b][c]] != add[mul[a][b]][mul[a][c]]:
+            return InputError("tables fail ring axioms: distributivity fails")
+    raise ConsistencyError(f"row comparison flagged ({a}, {b}) but no triple fails")
 
 
 @dataclass(frozen=True)
@@ -85,25 +105,30 @@ class FiniteRing:
             if any(not 0 <= v < size for row in t for v in row):
                 raise InputError(f"{name} table has entries outside the element range")
         rng = range(size)
-        zero = next((e for e in rng if all(add[a][e] == a for a in rng)), None)
+        add_cols, mul_cols = tuple(zip(*add)), tuple(zip(*mul))
+        identity = tuple(rng)
+        zero = next((e for e in rng if add_cols[e] == identity), None)
         if zero is None:
             raise InputError("tables fail ring axioms: no additive identity")
-        one = next((e for e in rng if all(mul[a][e] == a for a in rng)), None)
+        one = next((e for e in rng if mul_cols[e] == identity), None)
         if one is None:
             raise InputError("tables fail ring axioms: no multiplicative identity")
+        # Each (a, b) compares whole rows over c, each row gathered by one
+        # itemgetter call; a row that differs is walked c by c, so the first
+        # fault reported is the one a plain triple loop meets first.
+        add_at = [_row_getter(row) for row in add]
+        mul_at = [_row_getter(row) for row in mul]
         for a in rng:
-            if all(add[a][b] != zero for b in rng):
+            if zero not in add[a]:
                 raise InputError("tables fail ring axioms: missing additive inverse")
+            commutes = add[a] == add_cols[a] and mul[a] == mul_cols[a]
             for b in rng:
-                if add[a][b] != add[b][a] or mul[a][b] != mul[b][a]:
+                if not commutes and (add[a][b] != add[b][a] or mul[a][b] != mul[b][a]):
                     raise InputError("tables fail ring axioms: operation not commutative")
-                for c in rng:
-                    if add[add[a][b]][c] != add[a][add[b][c]]:
-                        raise InputError("tables fail ring axioms: addition not associative")
-                    if mul[mul[a][b]][c] != mul[a][mul[b][c]]:
-                        raise InputError("tables fail ring axioms: multiplication not associative")
-                    if mul[a][add[b][c]] != add[mul[a][b]][mul[a][c]]:
-                        raise InputError("tables fail ring axioms: distributivity fails")
+                if (add[add[a][b]] != add_at[b](add[a])
+                        or mul[mul[a][b]] != mul_at[b](mul[a])
+                        or add_at[b](mul[a]) != mul_at[a](add[mul[a][b]])):
+                    raise _triple_fault(add, mul, a, b)
         if one == zero:
             raise InputError("tables describe the zero ring (0 = 1); a ring needs 0 != 1")
         return cls(size=size, kind="tables", zero=zero, one=one, add=add, mul=mul)
@@ -419,10 +444,9 @@ def build_irr_space(ring: FiniteRing, ideal: RingIdeal, points: str = "irreducib
         raise ConsistencyError("a proper ideal always sits under an irreducible one")
 
     size = ring.size
-    universe = tuple(str(i) for i in range(size))
-
     context = ContextTriple(
-        universe=universe,
+        # decimal labels; repr of an int is its str, and the quicker call in bulk
+        universe=tuple(map(repr, range(size))),
         fixed_mask=(1 << size) - 1,
         target_mask=ideal.element_mask(),
     )

@@ -25,7 +25,8 @@ class ContextTriple:
     _index: dict = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
-        if len(set(self.universe)) != len(self.universe):
+        index = dict(zip(self.universe, range(len(self.universe))))
+        if len(index) != len(self.universe):
             raise InputError("universe labels must be distinct")
         full = self.full_mask
         if not 0 <= self.fixed_mask <= full:
@@ -34,7 +35,7 @@ class ContextTriple:
             raise InputError("A must be a subset of C")
         if self.target_mask == self.fixed_mask:
             raise InputError("A must be a proper subset of C")
-        object.__setattr__(self, "_index", {lab: i for i, lab in enumerate(self.universe)})
+        object.__setattr__(self, "_index", index)
 
     @classmethod
     def from_labels(cls, universe: Iterable[str], fixed: Iterable[str], target: Iterable[str]) -> "ContextTriple":

@@ -325,36 +325,44 @@ def run_zr_suite(pool: zrdesk.PrimePool, family: PointFamily | None,
     subsets = [frozenset(c) for r in range(k + 1) for c in combinations(pool.primes, r)]
     if len(subsets) > 64:
         subsets = subsets[:32] + subsets[-32:]
+    # the 1/p probes come first, so bit i < k of a probe vector is membership of 1/p_i
     probes = [Fraction(1, p) for p in pool.primes] + [Fraction(1, pool.primes[0] * pool.primes[-1]), Fraction(3)]
-    bad = None
-    full = (1 << k) - 1
+    low = (1 << k) - 1
     index = {p: i for i, p in enumerate(pool.primes)}
 
-    def enc(t):
+    def probe_vector(spec):
+        v = 0
+        for i, q in enumerate(probes):
+            if zrdesk.membership(spec, q):
+                v |= 1 << i
+        return v
+
+    # per ring, not per pair: its spec, its encoded mask and its probe vector;
+    # meets go in a dict keyed by mask (e1 & e2 is the mask of t1 | t2), since
+    # a truncated list may lack them
+    rings_of = []
+    for t in subsets:
+        spec = zrdesk.OverringSpec(pool, t)
         m = 0
         for p in t:
             m |= 1 << index[p]
-        return full ^ m
-
-    for t1 in subsets:
-        r1 = zrdesk.OverringSpec(pool, t1)
-        for t2 in subsets:
-            r2 = zrdesk.OverringSpec(pool, t2)
+        rings_of.append((t, spec, low ^ m, probe_vector(spec)))
+    meets: dict[int, int] = {}
+    bad = None
+    for t1, r1, e1, v1 in rings_of:
+        for t2, r2, e2, v2 in rings_of:
             # ring inclusion probed by membership alone: r1 inside r2 when no
             # inverted prime of r1 escapes r2
-            ring_le = all(
-                zrdesk.membership(r2, Fraction(1, p)) or not zrdesk.membership(r1, Fraction(1, p))
-                for p in pool.primes
-            )
-            if ring_le != (enc(t1) & ~enc(t2) == 0):
+            ring_le = v1 & ~v2 & low == 0
+            if ring_le != (e1 & ~e2 == 0):
                 bad = f"inclusion mismatch between {r1.name} and {r2.name}"
                 break
-            meet = zrdesk.OverringSpec(pool, t1 | t2)
-            for q in probes:
-                if (zrdesk.membership(r1, q) and zrdesk.membership(r2, q)) != zrdesk.membership(meet, q):
-                    bad = f"intersection mismatch at probe {q}"
-                    break
-            if bad:
+            meet = meets.get(e1 & e2)
+            if meet is None:
+                meet = meets[e1 & e2] = probe_vector(zrdesk.OverringSpec(pool, t1 | t2))
+            wrong = (v1 & v2) ^ meet
+            if wrong:
+                bad = f"intersection mismatch at probe {probes[(wrong & -wrong).bit_length() - 1]}"
                 break
         if bad:
             break

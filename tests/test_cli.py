@@ -213,3 +213,41 @@ def test_usage_error_exits_one(capsys):
     code = cli.main(["analyze", "--format", "yaml"])
     captured = capsys.readouterr()
     assert code == 1
+
+
+GOLDEN = pathlib.Path(__file__).resolve().parent / "golden"
+
+
+def test_main_builds_no_parser(capsys, monkeypatch):
+    """The parser is built once, at import; main() only parses."""
+    import argparse
+
+    built = []
+    real_init = argparse.ArgumentParser.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        real_init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+    assert run(capsys, "analyze", str(FIXTURES / "i1.json"))[0] == 0
+    assert run(capsys, "decompose", "--ring", "zmod:12", "--ideal", "6")[0] == 0
+    assert run(capsys, "zr-check", "--pool", "2,3,5", "--format", "text")[0] == 0
+    assert run(capsys, "analyze", "--format", "yaml")[0] == 1
+    assert built == []
+    assert cli.build_parser() is cli.build_parser()
+
+
+def test_repeated_calls_share_no_state(capsys):
+    """Flags, usage errors and --help leave nothing behind for the next call."""
+    want = (GOLDEN / "i1_analyze.json").read_text(encoding="utf-8")
+    i1 = str(FIXTURES / "i1.json")
+    code, out, _ = run(capsys, "analyze", i1, "--format", "text", "--oracle", "--cap-points", "3")
+    assert code == 0 and out.startswith("B1: ")
+    assert run(capsys, "analyze", i1) == (0, want, "")
+
+    code, out, err = run(capsys, "analyze", "--format", "yaml")
+    assert code == 1 and out == "" and "usage:" in err
+    code, out, _ = run(capsys, "analyze", "--help")
+    assert code == 0 and "--cap-points" in out
+    assert run(capsys, "analyze", i1) == (0, want, "")

@@ -7,7 +7,9 @@
 - `spectral_subbasis` (one column per element class) against the set of
   per-element columns;
 - a call-counting test that one table-ring request builds the lattice tables
-  once however often it asks whether the ring is arithmetical.
+  once however often it asks whether the ring is arithmetical;
+- the row-wise ring-axiom check of `FiniteRing.from_tables` against a plain
+  triple loop, on product rings with one fault each: same first diagnostic.
 """
 
 import itertools
@@ -177,3 +179,67 @@ def test_one_table_ring_request_builds_the_lattice_once(tmp_path, monkeypatch, c
     assert capsys.readouterr().out
     assert len(asks) == calls
     assert len(builds) == 1
+
+
+# ------------------------------------------------------------- ring axioms
+
+def axiom_fault_oracle(add, mul):
+    """The first ring-axiom fault of square in-range tables, from a plain loop over all triples."""
+    rng = range(len(add))
+    zero = next((e for e in rng if all(add[a][e] == a for a in rng)), None)
+    if zero is None:
+        return "no additive identity"
+    if next((e for e in rng if all(mul[a][e] == a for a in rng)), None) is None:
+        return "no multiplicative identity"
+    for a in rng:
+        if all(add[a][b] != zero for b in rng):
+            return "missing additive inverse"
+        for b in rng:
+            if add[a][b] != add[b][a] or mul[a][b] != mul[b][a]:
+                return "operation not commutative"
+            for c in rng:
+                if add[add[a][b]][c] != add[a][add[b][c]]:
+                    return "addition not associative"
+                if mul[mul[a][b]][c] != mul[a][mul[b][c]]:
+                    return "multiplication not associative"
+                if mul[a][add[b][c]] != add[mul[a][b]][mul[a][c]]:
+                    return "distributivity fails"
+    return None
+
+
+def broken_tables(rng, moduli):
+    """Product-ring tables with one fault: an entry, a symmetric pair, a lost inverse or a relabelled table."""
+    add, mul = product_tables(moduli)
+    n = len(add)
+    way = rng.randrange(5)
+    table = rng.choice((add, mul))
+    a, b, v = rng.randrange(n), rng.randrange(n), rng.randrange(n)
+    if way == 0:
+        table[a][b] = v
+    elif way == 1:
+        table[a][b] = table[b][a] = v
+    elif way == 2:  # element 0 is the zero; 1 + (-1) becomes nonzero
+        add[1][add[1].index(0)] = rng.randrange(1, n)
+    else:  # swap two labels in one table only: still a commutative monoid, unrelated to the other
+        swap = list(range(n))
+        swap[a], swap[b] = b, a
+        relabelled = [[swap[table[swap[i]][swap[j]]] for j in range(n)] for i in range(n)]
+        table[:] = relabelled
+    return add, mul
+
+
+def test_table_axioms_report_the_first_fault_of_a_triple_loop():
+    rng = random.Random(5081)
+    seen = set()
+    for moduli in [(2, 3), (4, 3), (2, 2, 3), (2, 2, 2, 2)] * 60 + [(4, 3, 5)] * 10:
+        add, mul = broken_tables(rng, moduli)
+        want = axiom_fault_oracle(add, mul)
+        if want is None:
+            R.FiniteRing.from_tables(add, mul)
+            continue
+        seen.add(want)
+        with pytest.raises(R.InputError) as info:
+            R.FiniteRing.from_tables(add, mul)
+        assert str(info.value) == f"tables fail ring axioms: {want}"
+    assert seen >= {"missing additive inverse", "operation not commutative", "addition not associative",
+                    "multiplication not associative", "distributivity fails"}

@@ -37,6 +37,8 @@ def test_unknown_label_rejected():
 def test_duplicate_universe_rejected():
     with pytest.raises(InputError):
         ContextTriple.from_labels("aba", "a", "")
+    with pytest.raises(InputError, match="universe labels must be distinct"):
+        ContextTriple(("a", "b", "a"), 0b111, 0)
 
 
 def test_duplicate_members_rejected():
