@@ -57,7 +57,7 @@ def _string_list(value, field: str) -> list[str]:
     return value
 
 
-def parse_instance(data, cap_ring: int = DEFAULT_CAP_RING) -> Instance:
+def parse_instance(data) -> Instance:
     if not isinstance(data, dict):
         raise InputError("instance must be a JSON object")
     if data.get("schema") != SCHEMA_VERSION:
@@ -152,7 +152,7 @@ def parse_ideal(ring: rings.FiniteRing, raw) -> rings.RingIdeal:
     return rings.table_ideal(ring, raw)
 
 
-def load_instance(path: str, cap_ring: int) -> Instance:
+def load_instance(path: str) -> Instance:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             data = json.load(fh)
@@ -160,7 +160,7 @@ def load_instance(path: str, cap_ring: int) -> Instance:
         raise InputError(f"cannot read {path}: {exc.strerror}") from None
     except json.JSONDecodeError as exc:
         raise InputError(f"{path}: invalid JSON at line {exc.lineno}, column {exc.colno}") from None
-    return parse_instance(data, cap_ring)
+    return parse_instance(data)
 
 
 def _family_of(instance: Instance, cap_ring: int) -> PointFamily:
@@ -445,7 +445,7 @@ def _instance_from_args(args) -> Instance:
         return Instance(kind="zr", pool=zrdesk.PrimePool.of(primes))
     if not args.input:
         raise InputError("an instance file is required")
-    return load_instance(args.input, args.cap_ring)
+    return load_instance(args.input)
 
 
 _HANDLERS = {

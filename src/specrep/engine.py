@@ -395,7 +395,7 @@ class UniqueMinimalAnalysis:
     strongly_irredundant_rep: tuple[int, ...] | None
 
 
-def analysis_core(inter, closed, up, down, full_points: int, target: int, fixed: int):
+def analysis_core(inter, closed, up, down, fixed: int, target: int):
     """Mask-level uniqueness analysis shared by the object API and bulk sweeps.
 
     Expects a validated representation and its minimal closed
@@ -406,6 +406,7 @@ def analysis_core(inter, closed, up, down, full_points: int, target: int, fixed:
     core-represents matching the minimal-representation count) raise
     ConsistencyError when violated.
     """
+    full_points = (1 << len(down)) - 1
     crit = 0
     for b, d in enumerate(down):
         if inter[full_points ^ d] & fixed != target:
@@ -453,13 +454,7 @@ def unique_minimal_analysis(family: PointFamily, cap: int = DEFAULT_POINT_CAP) -
     space = to_spec_space(family)
     ctx = family.context
     crit, cset, cset_represents, unique, minreps, srep = analysis_core(
-        intersection_table(family),
-        closed,
-        space.up,
-        space.down,
-        space.full_mask,
-        ctx.target_mask,
-        ctx.fixed_mask,
+        intersection_table(family), closed, space.up, space.down, ctx.fixed_mask, ctx.target_mask
     )
     if crit != critical_mask(family, space):
         raise ConsistencyError("criticality routes disagree")

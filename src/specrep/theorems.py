@@ -44,16 +44,11 @@ def _skip(name, detail):
     return CheckResult(name, "skip", detail)
 
 
-def _representation_masks(family: PointFamily) -> list[int]:
-    full = (1 << len(family)) - 1
-    return [z for z in range(1, full + 1) if represents_mask(family, z)]
-
-
-def run_family_suite(family: PointFamily, cap: int = engine.DEFAULT_POINT_CAP,
-                     generator_cap: int = topology.DEFAULT_GENERATOR_CAP) -> list[CheckResult]:
+def run_family_suite(family: PointFamily, cap: int = engine.DEFAULT_POINT_CAP) -> list[CheckResult]:
     out: list[CheckResult] = []
     space = to_spec_space(family)
     n = len(space)
+    generator_cap = topology.DEFAULT_GENERATOR_CAP
 
     ok, witness = validate_representation(family)
     out.append(_ok("family-represents-target") if ok else _bad(
@@ -130,19 +125,28 @@ def run_family_suite(family: PointFamily, cap: int = engine.DEFAULT_POINT_CAP,
     held, _ = topology.noetherian_trace_holds(space, topology.max_elements(space, range(n)))
     out.append(_ok(name) if held else _bad(name, "trace criterion failed on the maximal points"))
 
-    # engine-side checks on the full family plus every sub-representation we can afford
-    if n <= EXHAUSTIVE_SUBFAMILY_CAP:
-        zmasks = _representation_masks(family)
+    # engine-side checks on the full family plus every sub-representation we
+    # can afford: one scan finds them, and each (representation, member) pair
+    # is classified once; the all-strong and the all-tight representations
+    # are kept apart, so that a strong/tight split shows in both checks below
+    exhaustive = n <= EXHAUSTIVE_SUBFAMILY_CAP
+    if exhaustive:
+        zmasks = [z for z in range(1, space.full_mask + 1) if represents_mask(family, z)]
     else:
         zmasks = [space.full_mask]
-    crit_mask = space.point_mask(engine.critical_points(family))
+    crit = engine.critical_points(family)
+    crit_mask = space.point_mask(crit)
 
     hier = iso = corr = removal = None
+    strong_reps, tight_reps = [], []
     for zmask in zmasks:
         zs = indices_of(zmask)
         upz = topology.up_mask(space, zmask)
+        all_strong = all_tight = True
         for b in zs:
             cls = engine.classify_member(family, zs, b, space=space)
+            all_strong = all_strong and cls.strongly_irredundant
+            all_tight = all_tight and cls.tightly_irredundant
             if (cls.strongly_irredundant and not cls.irredundant) or (
                 cls.strongly_irredundant != cls.tightly_irredundant
             ):
@@ -155,6 +159,10 @@ def run_family_suite(family: PointFamily, cap: int = engine.DEFAULT_POINT_CAP,
                 in_up = engine.classify_member(family, indices_of(upz), b, space=space)
                 if cls.tightly_irredundant != in_up.irredundant:
                     removal = removal or (b, zmask)
+        if all_strong:
+            strong_reps.append(zmask)
+        if all_tight:
+            tight_reps.append(zmask)
     out.append(_bad("irredundance-flag-hierarchy", f"violated at point {hier[0]} in {hier[1]:b}") if hier
                else _ok("irredundance-flag-hierarchy"))
     out.append(_bad("irredundant-implies-isolated", f"violated at point {iso[0]} in {iso[1]:b}") if iso
@@ -166,10 +174,9 @@ def run_family_suite(family: PointFamily, cap: int = engine.DEFAULT_POINT_CAP,
 
     name = "critical-fast-path-vs-oracle"
     if n <= cap:
-        fast = engine.critical_points(family)
         slow = engine.critical_points_oracle(family, cap)
-        out.append(_ok(name) if fast == slow else _bad(
-            name, f"fast {fast} vs oracle {slow}"))
+        out.append(_ok(name) if crit == slow else _bad(
+            name, f"fast {crit} vs oracle {slow}"))
     else:
         out.append(_skip(name, f"{n} points exceeds the cap of {cap}"))
 
@@ -204,12 +211,7 @@ def run_family_suite(family: PointFamily, cap: int = engine.DEFAULT_POINT_CAP,
         out.append(_skip(name, str(exc)))
 
     name = "at-most-one-strongly-irredundant-representation"
-    if analysis is not None and n <= EXHAUSTIVE_SUBFAMILY_CAP:
-        strong_reps = []
-        for zmask in _representation_masks(family):
-            zs = indices_of(zmask)
-            if all(engine.classify_member(family, zs, b, space=space).strongly_irredundant for b in zs):
-                strong_reps.append(zmask)
+    if analysis is not None and exhaustive:
         if analysis.cset_represents:
             expect = None if analysis.strongly_irredundant_rep is None else space.point_mask(
                 analysis.strongly_irredundant_rep)
@@ -223,15 +225,10 @@ def run_family_suite(family: PointFamily, cap: int = engine.DEFAULT_POINT_CAP,
         out.append(_skip(name, "exhaustive sub-family search out of reach"))
 
     name = "tight-reps-in-distinct-minimal-reps"
-    if minreps is not None and n <= EXHAUSTIVE_SUBFAMILY_CAP:
+    if minreps is not None and exhaustive:
         min_masks = [space.point_mask(z) for z in minreps]
-        containers = {}
-        for zmask in _representation_masks(family):
-            zs = indices_of(zmask)
-            if all(engine.classify_member(family, zs, b, space=space).tightly_irredundant for b in zs):
-                containers[zmask] = frozenset(m for m in min_masks if zmask & ~m == 0)
+        items = [(z, frozenset(m for m in min_masks if z & ~m == 0)) for z in tight_reps]
         bad = None
-        items = list(containers.items())
         for i, (za, ca) in enumerate(items):
             if not ca:
                 bad = f"tight representation {za:b} lies in no minimal representation"

@@ -36,13 +36,6 @@ def _bits(mask: int):
         mask ^= low
 
 
-def mask_of(indices: Iterable[int]) -> int:
-    m = 0
-    for i in indices:
-        m |= 1 << i
-    return m
-
-
 def indices_of(mask: int) -> tuple[int, ...]:
     return tuple(_bits(mask))
 
@@ -124,13 +117,6 @@ class Topology:
     origin: str
     opens: frozenset[int]
 
-    def is_open(self, mask: int) -> bool:
-        return mask in self.opens
-
-    def closed_sets(self) -> frozenset[int]:
-        full = (1 << self.size) - 1
-        return frozenset(full ^ o for o in self.opens)
-
     def closure_of(self, ymask: int) -> int:
         """Smallest closed superset: complement of the largest open avoiding Y."""
         full = (1 << self.size) - 1
@@ -146,14 +132,18 @@ class Topology:
 
 
 def family_is_topology(opens: Iterable[int], size: int) -> bool:
-    """Check closure under binary union/intersection plus empty and full set."""
+    """Check closure under binary union/intersection plus empty and full set.
+
+    Union and meet are symmetric and idempotent, so each unordered pair of
+    distinct sets is tested once.
+    """
     fam = set(opens)
     full = (1 << size) - 1
     if 0 not in fam or full not in fam:
         return False
     items = sorted(fam)
-    for a in items:
-        for b in items:
+    for i, a in enumerate(items):
+        for b in items[i + 1:]:
             if a | b not in fam or a & b not in fam:
                 return False
     return True

@@ -203,7 +203,7 @@ def pool_uniqueness_check(pool: PrimePool, cap: int = 20) -> PoolSweepReport:
             fixed = full ^ smask
             closed = minimal_closed_core(inter, up, down, fixed, target)
             crit, cset, cset_represents, unique, _minreps, srep = analysis_core(
-                inter, closed, up, down, full_pts, target, fixed
+                inter, closed, up, down, fixed, target
             )
             if not (unique and cset_represents):
                 failures.append(f"{label(smask)}: expected a unique minimal representation")

@@ -350,6 +350,10 @@ def test_acceptance_9_cli_golden_bytes():
         (("decompose", "fixtures/zmod12.json", "--format", "text"), "zmod12_decompose.txt"),
         (("zr-check", "fixtures/zr_pool235.json"), "zr_pool235_zrcheck.json"),
         (("analyze", "fixtures/zr_pool235.json"), "zr_pool235_analyze.json"),
+        (("check-theorems", "fixtures/i1.json"), "i1_theorems.json"),
+        (("check-theorems", "fixtures/zmod12.json"), "zmod12_theorems.json"),
+        (("check-theorems", "fixtures/zr_pool235.json"), "zr_pool235_theorems.json"),
+        (("check-theorems", "fixtures/f2xy_tables.json"), "f2xy_tables_theorems.json"),
     ]
     bad = []
     for argv, golden_name in cases:

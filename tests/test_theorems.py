@@ -1,14 +1,20 @@
 """The invariant suite must pass on fixtures and randomized instances."""
 
 import random
+from collections import Counter
+from dataclasses import replace
 from fractions import Fraction
 from itertools import combinations
 
 import pytest
 
+from specrep import engine as E
 from specrep import rings as R
 from specrep import theorems
+from specrep import topology as T
 from specrep import zrdesk as Z
+from specrep.setsystems import represents_mask, to_spec_space
+from specrep.topology import indices_of
 
 from helpers import family_from, i1_family, random_representation_family
 
@@ -146,3 +152,174 @@ def test_encoding_faithfulness_catches_a_faulty_membership(monkeypatch, primes, 
     if fault == "meets-misread-composite-probes":  # both probes fail at once; the first one is named
         assert want == f"intersection mismatch at probe 1/{primes[0] * primes[-1]}"
     assert faithfulness(pool) == theorems.CheckResult("encoding-faithfulness", "fail", want)
+
+
+# --- the engine-side half of run_family_suite against its per-check loops
+
+CLASSIFIED_CHECKS = (
+    "irredundance-flag-hierarchy",
+    "irredundant-implies-isolated",
+    "critical-irredundant-implies-strongly",
+    "tight-equals-irredundant-in-up-closure",
+    "at-most-one-strongly-irredundant-representation",
+    "tight-reps-in-distinct-minimal-reps",
+)
+
+
+def _rep_masks(family):
+    return [z for z in range(1, 1 << len(family)) if represents_mask(family, z)]
+
+
+def reference_classified_checks(family):
+    """The checks that read classify_member, one loop per check, each rescanning
+    and reclassifying; for families within the exhaustive sub-family cap."""
+    space = to_spec_space(family)
+    crit_mask = space.point_mask(E.critical_points(family))
+    out = []
+
+    hier = iso = corr = removal = None
+    for zmask in _rep_masks(family):
+        zs = indices_of(zmask)
+        upz = T.up_mask(space, zmask)
+        for b in zs:
+            cls = E.classify_member(family, zs, b, space=space)
+            if (cls.strongly_irredundant and not cls.irredundant) or (
+                    cls.strongly_irredundant != cls.tightly_irredundant):
+                hier = hier or (b, zmask)
+            if cls.irredundant and not (cls.isolated_spectral and cls.isolated_patch):
+                iso = iso or (b, zmask)
+            if crit_mask >> b & 1 and cls.irredundant and not cls.strongly_irredundant:
+                corr = corr or (b, zmask)
+            if upz != zmask:
+                in_up = E.classify_member(family, indices_of(upz), b, space=space)
+                if cls.tightly_irredundant != in_up.irredundant:
+                    removal = removal or (b, zmask)
+    for name, hit in zip(CLASSIFIED_CHECKS, (hier, iso, corr, removal)):
+        out.append((name, "fail", f"violated at point {hit[0]} in {hit[1]:b}") if hit else (name, "pass", ""))
+
+    name = CLASSIFIED_CHECKS[4]
+    analysis = E.unique_minimal_analysis(family)
+    strong_reps = []
+    for zmask in _rep_masks(family):
+        zs = indices_of(zmask)
+        if all(E.classify_member(family, zs, b, space=space).strongly_irredundant for b in zs):
+            strong_reps.append(zmask)
+    if not analysis.cset_represents:
+        out.append((name, "pass", "no uniqueness claim without a represented critical core"))
+    elif analysis.strongly_irredundant_rep is None or strong_reps != [
+            space.point_mask(analysis.strongly_irredundant_rep)]:
+        out.append((name, "fail", "strongly irredundant representations are not the predicted set"))
+    else:
+        out.append((name, "pass", ""))
+
+    name = CLASSIFIED_CHECKS[5]
+    min_masks = [space.point_mask(z) for z in E.minimal_representations(family)]
+    containers = {}
+    for zmask in _rep_masks(family):
+        zs = indices_of(zmask)
+        if all(E.classify_member(family, zs, b, space=space).tightly_irredundant for b in zs):
+            containers[zmask] = frozenset(m for m in min_masks if zmask & ~m == 0)
+    bad = None
+    items = list(containers.items())
+    for i, (za, ca) in enumerate(items):
+        if not ca:
+            bad = f"tight representation {za:b} lies in no minimal representation"
+            break
+        for zb, cb in items[i + 1:]:
+            if ca & cb:
+                bad = f"tight representations {za:b} and {zb:b} share a minimal representation"
+                break
+        if bad:
+            break
+    out.append((name, "fail", bad) if bad else (name, "pass", ""))
+    return out
+
+
+def _fault_families():
+    rng = random.Random(60223)
+    return [
+        i1_family(),
+        family_from("abcd", "abc", "a", {"B1": "ab", "B2": "ac", "V": "ad"}),
+        family_from("abcde", "abcde", "a", {"B1": "abd", "B2": "ace", "P": "ade"}),
+    ] + [random_representation_family(rng, max_points=7) for _ in range(12)]
+
+
+def _fault_plan(family, fault):
+    """(representation mask or None, member or None for all of them, flag, forced value or None to flip)."""
+    space = to_spec_space(family)
+    minimal = sorted(space.point_mask(z) for z in E.minimal_representations(family))
+    reps = _rep_masks(family)
+    non_minimal = [z for z in reps if z not in minimal] + [None]
+    if fault == "strong-on-in-a-non-minimal-rep":
+        return non_minimal[0], None, "strongly_irredundant", True
+    if fault == "tight-on-in-a-non-minimal-rep":
+        return non_minimal[0], None, "tightly_irredundant", True
+    if fault == "tight-flipped-on-one-member":
+        return reps[-1], indices_of(reps[-1])[-1], "tightly_irredundant", None
+    if fault == "strong-off-on-one-member-of-a-minimal-rep":
+        return minimal[0], indices_of(minimal[0])[0], "strongly_irredundant", False
+    raise AssertionError(fault)
+
+
+# each fault, and the check over the collected representations that it must reach
+FAULT_REACHES = {
+    "strong-on-in-a-non-minimal-rep": "at-most-one-strongly-irredundant-representation",
+    "tight-on-in-a-non-minimal-rep": "tight-reps-in-distinct-minimal-reps",
+    "tight-flipped-on-one-member": "tight-reps-in-distinct-minimal-reps",
+    "strong-off-on-one-member-of-a-minimal-rep": "at-most-one-strongly-irredundant-representation",
+}
+
+
+@pytest.mark.parametrize("fault", FAULT_REACHES)
+def test_family_suite_matches_per_check_loops_under_a_faulty_classification(monkeypatch, fault):
+    real = E.classify_member
+    failed = set()
+    for family in _fault_families():
+        zmask, member, field, value = _fault_plan(family, fault)
+        if zmask is None:
+            continue
+
+        def faulty(fam, zs, b, space=None):
+            cls = real(fam, zs, b, space=space)
+            if fam is family and sum(1 << i for i in zs) == zmask and member in (None, b):
+                return replace(cls, **{field: not getattr(cls, field) if value is None else value})
+            return cls
+
+        clean = theorems.run_family_suite(family)
+        monkeypatch.setattr(E, "classify_member", faulty)
+        got = [(r.name, r.status, r.detail) for r in theorems.run_family_suite(family)]
+        want = {name: (name, status, detail) for name, status, detail in reference_classified_checks(family)}
+        monkeypatch.setattr(E, "classify_member", real)
+        assert got == [want.get(r.name, (r.name, r.status, r.detail)) for r in clean], family
+        failed |= {name for name, status, _ in got if status == "fail"}
+    assert {"irredundance-flag-hierarchy", FAULT_REACHES[fault]} <= failed
+
+
+def test_family_suite_scans_once_and_classifies_each_pair_once(monkeypatch):
+    rng = random.Random(60224)
+    families = [random_representation_family(rng, max_points=9) for _ in range(30)]
+    families = [i1_family()] + [f for f in families if len(f) >= 5][:3]
+    assert len(families) == 4
+    counts = Counter()
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            counts[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    for family in families:
+        space = to_spec_space(family)
+        reps = _rep_masks(family)
+        counts.clear()
+        with monkeypatch.context() as m:
+            m.setattr(theorems, "represents_mask", counted("scan", theorems.represents_mask))
+            m.setattr(E, "classify_member", counted("classify", E.classify_member))
+            m.setattr(E, "critical_points", counted("critical", E.critical_points))
+            results = theorems.run_family_suite(family)
+        assert_no_failures(results)
+        assert counts["scan"] == (1 << len(family)) - 1
+        # each (representation, member) once, plus once in the up-closure of a non-closed one
+        assert counts["classify"] == sum(
+            len(indices_of(z)) * (1 + (T.up_mask(space, z) != z)) for z in reps)
+        assert counts["critical"] == 1

@@ -116,6 +116,16 @@ def test_generator_matches_fast_paths_random():
             assert T.family_is_topology(top.opens, len(space))
 
 
+def test_family_missing_a_union_meet_or_bound_is_not_a_topology():
+    top = T.generate_topology(T.SpecSpace(points=(0b01, 0b10, 0b11), universe_size=2), "spectral")
+    opens = set(top.opens)
+    assert opens == {0b000, 0b001, 0b010, 0b011, 0b111}
+    assert T.family_is_topology(opens, 3)
+    for missing in (0b011, 0b000, 0b111):  # the union of 0b001 and 0b010, the empty set, the full set
+        assert not T.family_is_topology(opens - {missing}, 3)
+    assert not T.family_is_topology({0b000, 0b011, 0b110, 0b111}, 3)  # 0b011 & 0b110 is missing
+
+
 def test_specialization_order_matches_inclusion_random():
     rng = random.Random(20240812)
     for _ in range(40):
