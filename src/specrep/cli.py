@@ -221,7 +221,7 @@ def _payload_minimal(instance: Instance, args) -> dict:
 def _payload_critical(instance: Instance, args) -> dict:
     family = _family_of(instance, args.cap_ring)
     analysis = engine.unique_minimal_analysis(family, args.cap_points)
-    crit = engine.critical_points(family)
+    crit = analysis.critical
     if args.oracle:
         if engine.critical_points_oracle(family, args.cap_points) != crit:
             raise ConsistencyError("critical fast path disagrees with the exhaustive oracle")

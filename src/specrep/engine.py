@@ -22,22 +22,8 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from .errors import CapExceeded, ConsistencyError, NotARepresentation
-from .setsystems import (
-    PointFamily,
-    intersection_mask,
-    represents_mask,
-    require_representation,
-    to_spec_space,
-)
-from .topology import (
-    INVERSE,
-    PATCH,
-    SPECTRAL,
-    SpecSpace,
-    _bits,
-    indices_of,
-    min_mask,
-)
+from .setsystems import PointFamily, intersection_mask, represents_mask, require_representation
+from .topology import INVERSE, PATCH, SPECTRAL, SpecSpace, _bits, indices_of, min_mask
 
 DEFAULT_POINT_CAP = 20
 
@@ -84,17 +70,25 @@ def upset_masks(space: SpecSpace) -> tuple[int, ...]:
     return tuple(out)
 
 
-@lru_cache(maxsize=1)
-def intersection_table(family: PointFamily) -> list[int]:
-    """inter[s] = intersection of the members chosen by submask s (empty -> D).
+def subset_intersections(full: int, members) -> list[int]:
+    """inter[s] = intersection of the members chosen by submask s (empty -> full).
 
-    Built by doubling, one member at a time.  Memoised for the last family so
-    that every analysis of one family shares one build; do not mutate it.
+    Built by doubling, one member at a time.
     """
-    inter = [family.context.full_mask]
-    for m in family.members:
+    inter = [full]
+    for m in members:
         inter += [x & m for x in inter]
     return inter
+
+
+@lru_cache(maxsize=1)
+def intersection_table(family: PointFamily) -> list[int]:
+    """The family's subset_intersections over D.
+
+    Memoised for the last family so that every analysis of one family shares
+    one build; do not mutate it.
+    """
+    return subset_intersections(family.context.full_mask, family.members)
 
 
 @dataclass(frozen=True)
@@ -119,7 +113,7 @@ def _least_witness(family: PointFamily, gained: int) -> str | None:
     return family.context.universe[low]
 
 
-def classify_member(family: PointFamily, zs, b: int, space: SpecSpace | None = None) -> MemberClassification:
+def classify_member(family: PointFamily, zs, b: int) -> MemberClassification:
     """Classify member b inside the representation Z.
 
     Irredundance drops b and looks at what the intersection gains inside C;
@@ -129,7 +123,7 @@ def classify_member(family: PointFamily, zs, b: int, space: SpecSpace | None = N
     still represents.  Isolation flags are taken in the subspace topologies
     on Z (patch is discrete, so patch isolation always holds here).
     """
-    space = space or to_spec_space(family)
+    space = family.space
     ctx = family.context
     zmask = space.point_mask(zs)
     bit = 1 << b
@@ -172,7 +166,7 @@ def strongly_irredundant_oracle(family: PointFamily, zs, b: int, cap: int = DEFA
     full cone is the only Y that works.  Intersections are recomputed from
     the raw members so this stays independent of the fast path.
     """
-    space = to_spec_space(family)
+    space = family.space
     ctx = family.context
     zmask = space.point_mask(zs)
     bit = 1 << b
@@ -305,7 +299,7 @@ def _minimal_points_checked(closed, inter, up, down, fixed: int, target: int) ->
 @lru_cache(maxsize=8)
 def _minimal_closed(family: PointFamily) -> tuple[int, ...]:
     """The one minimal-closed search of a family, shared by every caller."""
-    space = to_spec_space(family)
+    space = family.space
     ctx = family.context
     return tuple(
         minimal_closed_core(intersection_table(family), space.up, space.down, ctx.fixed_mask, ctx.target_mask)
@@ -333,7 +327,7 @@ def minimal_representations(family: PointFamily, cap: int = DEFAULT_POINT_CAP) -
     dense, and distinct closed representations yield distinct antichains.
     """
     closed = _minimal_closed_masks(family, cap)
-    space = to_spec_space(family)
+    space = family.space
     ctx = family.context
     reps = _minimal_points_checked(
         closed, intersection_table(family), space.up, space.down, ctx.fixed_mask, ctx.target_mask
@@ -341,10 +335,10 @@ def minimal_representations(family: PointFamily, cap: int = DEFAULT_POINT_CAP) -
     return sorted(indices_of(z) for z in reps)
 
 
-def critical_mask(family: PointFamily, space: SpecSpace | None = None) -> int:
+def critical_mask(family: PointFamily) -> int:
     """Members of every closed representation, by the maximal-avoiding-up-set test."""
-    space = space or to_spec_space(family)
     require_representation(family)
+    space = family.space
     full = space.full_mask
     crit = 0
     for b in range(len(family)):
@@ -359,9 +353,9 @@ def critical_points(family: PointFamily) -> tuple[int, ...]:
 
 def critical_points_oracle(family: PointFamily, cap: int = DEFAULT_POINT_CAP) -> tuple[int, ...]:
     """Intersect every closed representation, recomputed from raw members."""
-    space = to_spec_space(family)
     _require_cap(len(family), cap, "closed-representation enumeration")
     require_representation(family)
+    space = family.space
     ctx = family.context
     acc = space.full_mask
     for y in range(space.full_mask + 1):
@@ -380,31 +374,33 @@ def critical_points_oracle(family: PointFamily, cap: int = DEFAULT_POINT_CAP) ->
     return indices_of(acc)
 
 
-def critical_core(family: PointFamily, space: SpecSpace | None = None) -> tuple[int, ...]:
-    """Minimal critical points; the canonical candidate representation."""
-    space = space or to_spec_space(family)
-    return indices_of(min_mask(space, critical_mask(family, space)))
-
-
 @dataclass(frozen=True)
 class UniqueMinimalAnalysis:
-    unique: bool
-    cset_represents: bool
+    """The family-level analysis: everything that does not depend on a chosen subfamily.
+
+    Point indices throughout: critical holds the points of every closed
+    representation and cset (the critical core) the minimal ones among them;
+    unique says there is exactly one minimal representation, which holds iff
+    the critical core represents.
+    """
+
+    critical: tuple[int, ...]
     cset: tuple[int, ...]
+    cset_represents: bool
+    unique: bool
+    minimal_closed: tuple[tuple[int, ...], ...]
     minimal_representations: tuple[tuple[int, ...], ...]
     strongly_irredundant_rep: tuple[int, ...] | None
 
 
-def analysis_core(inter, closed, up, down, fixed: int, target: int):
-    """Mask-level uniqueness analysis shared by the object API and bulk sweeps.
+def analysis_core(inter, minimal_count: int, up, down, fixed: int, target: int):
+    """Mask-level criticality and uniqueness, shared by the object API and bulk sweeps.
 
-    Expects a validated representation and its minimal closed
-    representation masks (minimal_closed_core).  Returns (critical mask,
-    critical core mask, core represents, unique, minimal representation
-    masks, strongly irredundant rep mask or None).  The cross-checks that
-    come for free on the way (those of _minimal_points_checked, and
-    core-represents matching the minimal-representation count) raise
-    ConsistencyError when violated.
+    Expects a validated representation and its number of minimal
+    representations (_minimal_points_checked).  Returns (critical mask,
+    critical core mask, core represents, strongly irredundant rep mask or
+    None).  Raises ConsistencyError unless the core represents exactly when
+    there is one minimal representation.
     """
     full_points = (1 << len(down)) - 1
     crit = 0
@@ -419,10 +415,7 @@ def analysis_core(inter, closed, up, down, fixed: int, target: int):
             cset |= low
         m ^= low
     cset_represents = inter[cset] & fixed == target
-
-    minreps = _minimal_points_checked(closed, inter, up, down, fixed, target)
-    unique = len(minreps) == 1
-    if unique != cset_represents:
+    if (minimal_count == 1) != cset_represents:
         raise ConsistencyError("critical-core representation does not match minimal-representation count")
 
     srep = None
@@ -437,32 +430,36 @@ def analysis_core(inter, closed, up, down, fixed: int, target: int):
             m ^= low
         if inter[s] & fixed == target:
             srep = s
-    if len(minreps) > 1:
-        minreps.sort(key=indices_of)
-    return crit, cset, cset_represents, unique, minreps, srep
+    return crit, cset, cset_represents, srep
 
 
 def unique_minimal_analysis(family: PointFamily, cap: int = DEFAULT_POINT_CAP) -> UniqueMinimalAnalysis:
-    """Uniqueness analysis around the minimal critical points.
+    """The family's analysis, from three stages that each read the intersection table once.
 
-    Checks whether they represent, verifies this is equivalent to having
+    The minimal-closed search, the minimal representations with their
+    cross-checks, and analysis_core around the minimal critical points: it
+    checks whether they represent, verifies this is equivalent to having
     exactly one minimal representation, and in the affirmative case returns
     the set of points strongly irredundant within the critical core, which
-    is then the only possible strongly irredundant representation.
+    is then the only possible strongly irredundant representation.  The
+    critical mask is cross-checked against critical_mask.
     """
-    closed = _minimal_closed_masks(family, cap)
-    space = to_spec_space(family)
+    minimal_closed = minimal_closed_representations(family, cap)
+    minimal = minimal_representations(family, cap)
+    space = family.space
     ctx = family.context
-    crit, cset, cset_represents, unique, minreps, srep = analysis_core(
-        intersection_table(family), closed, space.up, space.down, ctx.fixed_mask, ctx.target_mask
+    crit, cset, cset_represents, srep = analysis_core(
+        intersection_table(family), len(minimal), space.up, space.down, ctx.fixed_mask, ctx.target_mask
     )
-    if crit != critical_mask(family, space):
+    if crit != critical_mask(family):
         raise ConsistencyError("criticality routes disagree")
     return UniqueMinimalAnalysis(
-        unique=unique,
-        cset_represents=cset_represents,
+        critical=indices_of(crit),
         cset=indices_of(cset),
-        minimal_representations=tuple(indices_of(z) for z in minreps),
+        cset_represents=cset_represents,
+        unique=len(minimal) == 1,
+        minimal_closed=tuple(minimal_closed),
+        minimal_representations=tuple(minimal),
         strongly_irredundant_rep=None if srep is None else indices_of(srep),
     )
 
@@ -474,7 +471,7 @@ def isolated_points(family: PointFamily, zs, kind: str = SPECTRAL) -> tuple[int,
     isolation mirrors it above; the patch subspace is discrete, so there the
     answer is all of Z.
     """
-    space = to_spec_space(family)
+    space = family.space
     zmask = space.point_mask(zs)
     if kind == PATCH:
         return indices_of(zmask)
@@ -498,7 +495,7 @@ def strongly_irredundant_representation(family: PointFamily, cap: int = DEFAULT_
     canonical order is returned after verifying each member survives the
     replacement test.
     """
-    space = to_spec_space(family)
+    space = family.space
     rep = minimal_representations(family, cap)[0]
     zmask = space.point_mask(rep)
     for b in rep:
@@ -517,11 +514,7 @@ class RepresentationReport:
     classifications: tuple[MemberClassification, ...]
     critical: tuple[int, ...]
     cset: tuple[int, ...]
-    minimal_closed: tuple[tuple[int, ...], ...] | None
-    minimal: tuple[tuple[int, ...], ...] | None
-    unique_minimal: bool | None
-    cset_represents: bool | None
-    strongly_irredundant_rep: tuple[int, ...] | None
+    analysis: UniqueMinimalAnalysis | None  # None when the exhaustive parts exceed the cap
     notices: tuple[str, ...]
 
 
@@ -532,27 +525,20 @@ def build_report(family: PointFamily, zs=None, cap: int = DEFAULT_POINT_CAP, ora
     and a notice records that.  With oracle=True the brute-force routes are
     run next to each fast path and any disagreement raises ConsistencyError.
     """
-    space = to_spec_space(family)
     require_representation(family)
+    space = family.space
     zmask = space.full_mask if zs is None else space.point_mask(zs)
     if not represents_mask(family, zmask):
         raise NotARepresentation("the chosen subfamily is not a representation")
     chosen = indices_of(zmask)
-    classifications = tuple(classify_member(family, chosen, b, space=space) for b in chosen)
-    crit = critical_points(family)
-    cset = critical_core(family, space)
+    classifications = tuple(classify_member(family, chosen, b) for b in chosen)
+    crit_mask = critical_mask(family)
+    crit = indices_of(crit_mask)
     notices: list[str] = []
 
-    minimal_closed = minimal = None
-    unique = cset_represents = None
-    srep = None
+    analysis = None
     try:
-        minimal_closed = tuple(minimal_closed_representations(family, cap))
-        minimal = tuple(minimal_representations(family, cap))
         analysis = unique_minimal_analysis(family, cap)
-        unique = analysis.unique
-        cset_represents = analysis.cset_represents
-        srep = analysis.strongly_irredundant_rep
     except CapExceeded:
         notices.append(
             f"exhaustive enumeration skipped: {len(family)} points exceeds the cap of {cap}"
@@ -573,12 +559,8 @@ def build_report(family: PointFamily, zs=None, cap: int = DEFAULT_POINT_CAP, ora
         chosen=chosen,
         classifications=classifications,
         critical=crit,
-        cset=cset,
-        minimal_closed=minimal_closed,
-        minimal=minimal,
-        unique_minimal=unique,
-        cset_represents=cset_represents,
-        strongly_irredundant_rep=srep,
+        cset=indices_of(min_mask(space, crit_mask)),
+        analysis=analysis,
         notices=tuple(notices),
     )
 
@@ -614,13 +596,14 @@ def report_to_dict(report: RepresentationReport) -> dict:
         "critical_core": _names(fam, report.cset),
         "notices": list(report.notices),
     }
-    if report.minimal_closed is not None:
-        out["minimal_closed_representations"] = sorted(_names(fam, y) for y in report.minimal_closed)
-        out["minimal_representations"] = sorted(_names(fam, z) for z in report.minimal)
-        out["unique_minimal"] = report.unique_minimal
-        out["critical_core_represents"] = report.cset_represents
+    analysis = report.analysis
+    if analysis is not None:
+        out["minimal_closed_representations"] = sorted(_names(fam, y) for y in analysis.minimal_closed)
+        out["minimal_representations"] = sorted(_names(fam, z) for z in analysis.minimal_representations)
+        out["unique_minimal"] = analysis.unique
+        out["critical_core_represents"] = analysis.cset_represents
         out["strongly_irredundant_representation"] = (
-            None if report.strongly_irredundant_rep is None else _names(fam, report.strongly_irredundant_rep)
+            None if analysis.strongly_irredundant_rep is None else _names(fam, analysis.strongly_irredundant_rep)
         )
     return out
 
@@ -634,10 +617,15 @@ _FLAG_SHORT = (
 )
 
 
+def _dot_quote(text: str) -> str:
+    """text as one DOT quoted string: backslash, double quote and newline escaped."""
+    return '"' + text.replace("\\", "\\\\").replace('"', '\\"').replace("\n", "\\n") + '"'
+
+
 def report_to_dot(report: RepresentationReport) -> str:
     """Hasse diagram of the point order with per-point flag decoration."""
     fam = report.family
-    space = to_spec_space(fam)
+    space = fam.space
     by_point = {cls.point: cls for cls in report.classifications}
     lines = ["digraph representation {", "  rankdir=BT;", '  node [shape=box, fontname="monospace"];']
     order = sorted(range(len(fam)), key=lambda i: fam.names[i])
@@ -648,8 +636,8 @@ def report_to_dot(report: RepresentationReport) -> str:
             tags = [short for attr, short in _FLAG_SHORT if getattr(cls, attr)]
         if i in report.critical:
             tags.append("critical")
-        label = fam.names[i] if not tags else fam.names[i] + "\\n" + ",".join(tags)
-        lines.append(f'  "{fam.names[i]}" [label="{label}"];')
+        label = fam.names[i] if not tags else fam.names[i] + "\n" + ",".join(tags)
+        lines.append(f"  {_dot_quote(fam.names[i])} [label={_dot_quote(label)}];")
     covers = []
     for i in range(len(fam)):
         for j in range(len(fam)):
@@ -659,6 +647,6 @@ def report_to_dot(report: RepresentationReport) -> str:
             if between == 0:
                 covers.append((fam.names[i], fam.names[j]))
     for a, b in sorted(covers):
-        lines.append(f'  "{a}" -> "{b}";')
+        lines.append(f"  {_dot_quote(a)} -> {_dot_quote(b)};")
     lines.append("}")
     return "\n".join(lines) + "\n"

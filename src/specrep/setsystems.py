@@ -9,6 +9,7 @@ on index bitmasks.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Iterable, Mapping
 
 from .errors import InputError, NotARepresentation
@@ -102,6 +103,15 @@ class PointFamily:
     def __len__(self) -> int:
         return len(self.members)
 
+    @cached_property
+    def space(self) -> SpecSpace:
+        """The members ordered by inclusion, built on first use and kept.
+
+        Not a field: equality, hashing and repr still see only the three
+        fields above.
+        """
+        return to_spec_space(self)
+
     def member_labels(self, i: int) -> tuple[str, ...]:
         return self.context.labels_of(self.members[i])
 
@@ -166,5 +176,5 @@ def hull_kernel_sets(family: PointFamily, f_labels: Iterable[str]) -> tuple[tupl
 
 
 def to_spec_space(family: PointFamily) -> SpecSpace:
-    """View the members as a spectral space ordered by inclusion."""
+    """View the members as a spectral space ordered by inclusion (cached as family.space)."""
     return SpecSpace(points=family.members, universe_size=len(family.context.universe))

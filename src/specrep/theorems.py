@@ -14,12 +14,7 @@ from itertools import combinations
 
 from . import engine, rings, topology, zrdesk
 from .errors import ConsistencyError, SpecrepError
-from .setsystems import (
-    PointFamily,
-    represents_mask,
-    validate_representation,
-)
-from .setsystems import to_spec_space
+from .setsystems import PointFamily, represents_mask, validate_representation
 from .topology import indices_of
 
 EXHAUSTIVE_SUBFAMILY_CAP = 12
@@ -46,7 +41,7 @@ def _skip(name, detail):
 
 def run_family_suite(family: PointFamily, cap: int = engine.DEFAULT_POINT_CAP) -> list[CheckResult]:
     out: list[CheckResult] = []
-    space = to_spec_space(family)
+    space = family.space
     n = len(space)
     generator_cap = topology.DEFAULT_GENERATOR_CAP
 
@@ -144,7 +139,7 @@ def run_family_suite(family: PointFamily, cap: int = engine.DEFAULT_POINT_CAP) -
         upz = topology.up_mask(space, zmask)
         all_strong = all_tight = True
         for b in zs:
-            cls = engine.classify_member(family, zs, b, space=space)
+            cls = engine.classify_member(family, zs, b)
             all_strong = all_strong and cls.strongly_irredundant
             all_tight = all_tight and cls.tightly_irredundant
             if (cls.strongly_irredundant and not cls.irredundant) or (
@@ -156,7 +151,7 @@ def run_family_suite(family: PointFamily, cap: int = engine.DEFAULT_POINT_CAP) -
             if crit_mask >> b & 1 and cls.irredundant and not cls.strongly_irredundant:
                 corr = corr or (b, zmask)
             if upz != zmask:
-                in_up = engine.classify_member(family, indices_of(upz), b, space=space)
+                in_up = engine.classify_member(family, indices_of(upz), b)
                 if cls.tightly_irredundant != in_up.irredundant:
                     removal = removal or (b, zmask)
         if all_strong:
@@ -372,12 +367,11 @@ def run_zr_suite(pool: zrdesk.PrimePool, family: PointFamily | None,
 
     name = "canonical-members-witnessed-by-own-primes"
     if family is not None and members is not None and all(len(m.retained) == 1 for m in members):
-        space = to_spec_space(family)
         zs = tuple(range(len(family)))
         bad = None
         for i, spec in enumerate(members):
             (p,) = spec.retained
-            cls = engine.classify_member(family, zs, i, space=space)
+            cls = engine.classify_member(family, zs, i)
             others = {q for j, other in enumerate(members) if j != i for q in other.retained}
             expected_irr = p in target.retained and p not in fixed.retained and p not in others
             if expected_irr and not (cls.irredundant and cls.strongly_irredundant

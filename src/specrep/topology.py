@@ -40,15 +40,35 @@ def indices_of(mask: int) -> tuple[int, ...]:
     return tuple(_bits(mask))
 
 
+def inclusion_order(points) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """(up, down) of element-bitmask points under inclusion.
+
+    up[i] / down[i] are the point-index bitmasks of the points containing /
+    contained in point i, itself included.
+    """
+    up = []
+    down = []
+    for pi in points:
+        u = d = 0
+        for j, pj in enumerate(points):
+            if pi & ~pj == 0:
+                u |= 1 << j
+            if pj & ~pi == 0:
+                d |= 1 << j
+        up.append(u)
+        down.append(d)
+    return tuple(up), tuple(down)
+
+
 @dataclass(frozen=True)
 class SpecSpace:
     """A finite family of distinct point-sets with its inclusion order.
 
-    points holds one element-bitmask per point, in input order after
-    deduplication; universe_size bounds the element indices.  The derived
-    fields up[i] / down[i] are point-index bitmasks of the points above /
-    below point i (inclusive), which realize the specialization order of the
-    spectral topology.
+    points holds one element-bitmask per point, in input order; equal
+    point-sets are rejected, not merged.  universe_size bounds the element
+    indices.  The derived fields up[i] / down[i] are point-index bitmasks of
+    the points above / below point i (inclusive), which realize the
+    specialization order of the spectral topology.
     """
 
     points: tuple[int, ...]
@@ -68,20 +88,9 @@ class SpecSpace:
             if p in seen:
                 raise InputError("points must be pairwise distinct as sets")
             seen.add(p)
-        up = []
-        down = []
-        pts = self.points
-        for i, pi in enumerate(pts):
-            u = d = 0
-            for j, pj in enumerate(pts):
-                if pi & ~pj == 0:
-                    u |= 1 << j
-                if pj & ~pi == 0:
-                    d |= 1 << j
-            up.append(u)
-            down.append(d)
-        object.__setattr__(self, "up", tuple(up))
-        object.__setattr__(self, "down", tuple(down))
+        up, down = inclusion_order(self.points)
+        object.__setattr__(self, "up", up)
+        object.__setattr__(self, "down", down)
 
     def __len__(self) -> int:
         return len(self.points)

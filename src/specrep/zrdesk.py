@@ -19,9 +19,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable
 
-from .engine import analysis_core, minimal_closed_core
+from .engine import _minimal_points_checked, analysis_core, minimal_closed_core, subset_intersections
 from .errors import CapExceeded, InputError, NotARepresentation
 from .setsystems import ContextTriple, PointFamily, require_representation
+from .topology import inclusion_order
 
 
 def _is_prime(n: int) -> bool:
@@ -176,20 +177,8 @@ def pool_uniqueness_check(pool: PrimePool, cap: int = 20) -> PoolSweepReport:
         full_pts = (1 << m) - 1
         # localizations at the primes of T, encoded as co-singleton point-sets
         members = [full ^ (1 << i) for i in t_bits]
-        up = []
-        down = []
-        for a in range(m):
-            u = d = 0
-            for b in range(m):
-                if members[a] & ~members[b] == 0:
-                    u |= 1 << b
-                if members[b] & ~members[a] == 0:
-                    d |= 1 << b
-            up.append(u)
-            down.append(d)
-        inter = [full]
-        for mem in members:
-            inter += [x & mem for x in inter]
+        up, down = inclusion_order(members)
+        inter = subset_intersections(full, members)
         target = full ^ tmask
 
         def label(smask):
@@ -202,10 +191,9 @@ def pool_uniqueness_check(pool: PrimePool, cap: int = 20) -> PoolSweepReport:
             checks += 1
             fixed = full ^ smask
             closed = minimal_closed_core(inter, up, down, fixed, target)
-            crit, cset, cset_represents, unique, _minreps, srep = analysis_core(
-                inter, closed, up, down, fixed, target
-            )
-            if not (unique and cset_represents):
+            minreps = _minimal_points_checked(closed, inter, up, down, fixed, target)
+            crit, cset, cset_represents, srep = analysis_core(inter, len(minreps), up, down, fixed, target)
+            if not (len(minreps) == 1 and cset_represents):
                 failures.append(f"{label(smask)}: expected a unique minimal representation")
             expect = 0
             for j, i in enumerate(t_bits):

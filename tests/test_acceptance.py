@@ -68,13 +68,13 @@ def test_acceptance_2_irredundance_isolation_suite():
         for zmask in zmasks:
             zs = indices_of(zmask)
             for b in zs:
-                cls = E.classify_member(fam, zs, b, space=space)
+                cls = E.classify_member(fam, zs, b)
                 if cls.irredundant and not (cls.isolated_spectral and cls.isolated_patch):
                     exceptions += 1
         for rep in E.minimal_representations(fam):
             iso = set(E.isolated_points(fam, rep, "spectral"))
             for b in rep:
-                cls = E.classify_member(fam, rep, b, space=space)
+                cls = E.classify_member(fam, rep, b)
                 if not (cls.irredundant == cls.strongly_irredundant == (b in iso)):
                     exceptions += 1
 
@@ -110,7 +110,7 @@ def test_acceptance_3_criticality():
         for zmask in zmasks:
             zs = indices_of(zmask)
             for b in zs:
-                cls = E.classify_member(fam, zs, b, space=space)
+                cls = E.classify_member(fam, zs, b)
                 if b in crit and cls.irredundant and not cls.strongly_irredundant:
                     cor_exceptions += 1
     ok = disagreements == 0 and cor_exceptions == 0
@@ -140,7 +140,7 @@ def test_acceptance_4_unique_minimal_criterion():
             if not represents_mask(fam, zmask):
                 continue
             zs = indices_of(zmask)
-            if all(E.classify_member(fam, zs, b, space=space).strongly_irredundant for b in zs):
+            if all(E.classify_member(fam, zs, b).strongly_irredundant for b in zs):
                 strong_reps.append(zmask)
         if analysis.cset_represents:
             expected = space.point_mask(analysis.strongly_irredundant_rep or ())
@@ -322,7 +322,7 @@ def test_acceptance_8_strongly_irredundant_existence():
             failures += 1
             continue
         for b in rep:
-            if not E.classify_member(fam, rep, b, space=space).strongly_irredundant:
+            if not E.classify_member(fam, rep, b).strongly_irredundant:
                 failures += 1
                 break
     ok = failures == 0

@@ -1,9 +1,10 @@
 """CLI behavior: schemas, exit codes, determinism, output formats."""
 
+import collections
 import json
 import pathlib
 
-from specrep import cli, theorems
+from specrep import cli, engine, rings, setsystems, theorems, zrdesk
 
 FIXTURES = pathlib.Path(__file__).resolve().parent.parent / "fixtures"
 
@@ -251,3 +252,43 @@ def test_repeated_calls_share_no_state(capsys):
     code, out, _ = run(capsys, "analyze", "--help")
     assert code == 0 and "--cap-points" in out
     assert run(capsys, "analyze", i1) == (0, want, "")
+
+
+def test_one_order_and_one_analysis_per_family(capsys, monkeypatch):
+    """Each family builds its inclusion order once and checks its minimal points once.
+
+    Builds are counted wherever a specrep module holds `to_spec_space`;
+    `intersection_table` calls are counted with cache hits, three per
+    analyze (search, minimal representations, analysis core).
+    """
+    calls = collections.Counter()
+
+    def counting(key, real):
+        def wrapper(*args):
+            calls[key] += 1
+            return real(*args)
+        return wrapper
+
+    build = setsystems.to_spec_space
+    for module in (setsystems, engine, theorems, rings, zrdesk):
+        if hasattr(module, "to_spec_space"):
+            monkeypatch.setattr(module, "to_spec_space", counting("order", build))
+    table = engine.intersection_table
+    monkeypatch.setattr(engine, "intersection_table", counting("table", table))
+    monkeypatch.setattr(engine, "_minimal_points_checked", counting("minimal", engine._minimal_points_checked))
+
+    def counts(*argv):
+        table.cache_clear()
+        engine._minimal_closed.cache_clear()
+        calls.clear()
+        code, out, _ = run(capsys, *argv)
+        assert code == 0, argv
+        return dict(calls), json.loads(out)
+
+    i1 = str(FIXTURES / "i1.json")
+    assert counts("analyze", i1)[0] == {"order": 1, "table": 3, "minimal": 1}
+    assert counts("analyze", i1, "--oracle")[0] == {"order": 1, "table": 3, "minimal": 1}
+    assert counts("critical", i1)[0] == {"order": 1, "table": 3, "minimal": 1}
+    got, payload = counts("decompose", str(FIXTURES / "zmod12.json"))
+    assert payload["verified"] and got == {"order": 1}
+    assert counts("check-theorems", str(FIXTURES / "zmod12.json"))[0]["order"] == 3

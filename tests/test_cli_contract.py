@@ -92,3 +92,12 @@ def test_zero_ring_exits_one(tmp_path):
     assert proc.returncode == 1
     assert "field 'ring.tables'" in proc.stderr and "zero ring" in proc.stderr
     assert proc.stdout == ""
+
+
+def test_zr_family_without_members_is_not_a_representation(tmp_path):
+    """The inclusion order is built on first use, after the representation test."""
+    empty = {"schema": 1, "zr": {"pool": [2, 3], "target": [2, 3], "C": [], "members": []}}
+    proc = _run_twice(["analyze", _instance(tmp_path, empty)])
+    assert proc.returncode == 2
+    assert "witness 1/2" in proc.stderr
+    assert proc.stdout == ""

@@ -5,7 +5,9 @@ oracles (exhaustive up-set and sub-family enumeration) before being asserted
 against the fast paths.
 """
 
+import dataclasses
 import random
+import re
 
 import pytest
 
@@ -148,7 +150,9 @@ def test_minimal_closed_cap(i1):
 def test_i1_critical(i1):
     assert E.critical_points(i1) == (0, 1, 2)
     assert E.critical_points_oracle(i1) == (0, 1, 2)
-    assert E.critical_core(i1) == (0, 1)
+    analysis = E.unique_minimal_analysis(i1)
+    assert analysis.critical == (0, 1, 2)
+    assert analysis.cset == (0, 1)
 
 
 def test_redundant_maximal_point_above_member_is_critical():
@@ -273,11 +277,10 @@ def test_minimal_rep_equivalences_random():
     rng = random.Random(2718)
     for _ in range(80):
         fam = random_representation_family(rng, max_points=7)
-        space = to_spec_space(fam)
         for rep in E.minimal_representations(fam):
             iso = E.isolated_points(fam, rep, "spectral")
             for b in rep:
-                cls = E.classify_member(fam, rep, b, space=space)
+                cls = E.classify_member(fam, rep, b)
                 assert cls.irredundant == cls.strongly_irredundant == (b in iso)
 
 
@@ -318,8 +321,8 @@ def test_tight_equals_irredundant_in_up_closure_random():
             zs = indices_of(zmask)
             ups = indices_of(up)
             for b in zs:
-                tight = E.classify_member(fam, zs, b, space=space).tightly_irredundant
-                in_up = E.classify_member(fam, ups, b, space=space).irredundant
+                tight = E.classify_member(fam, zs, b).tightly_irredundant
+                in_up = E.classify_member(fam, ups, b).irredundant
                 assert tight == in_up
 
 
@@ -343,7 +346,7 @@ def test_distinct_tight_reps_lie_in_distinct_minimal_reps_random():
         tights = []
         for zmask in all_representation_masks(fam):
             zs = indices_of(zmask)
-            if all(E.classify_member(fam, zs, b, space=space).tightly_irredundant for b in zs):
+            if all(E.classify_member(fam, zs, b).tightly_irredundant for b in zs):
                 tights.append(zmask)
         if len(tights) >= 2:
             seen_multi += 1
@@ -373,7 +376,7 @@ def test_build_report_and_dict(i1):
 
 def test_report_beyond_cap_carries_notice(i1):
     report = E.build_report(i1, cap=2)
-    assert report.minimal is None
+    assert report.analysis is None
     assert any("cap" in n for n in report.notices)
     payload = E.report_to_dict(report)
     assert "minimal_representations" not in payload
@@ -385,6 +388,34 @@ def test_report_dot_contains_cover_edges(i1):
     assert '"B2" -> "B3";' in dot
     assert '"B1" -> "B2"' not in dot
     assert dot.count("->") == 2
+
+
+_DOT_QUOTED = r'"((?:[^"\\\n]|\\.)*)"'
+_DOT_NODE = re.compile(rf"  {_DOT_QUOTED} \[label={_DOT_QUOTED}\];")
+_DOT_EDGE = re.compile(rf"  {_DOT_QUOTED} -> {_DOT_QUOTED};")
+_DOT_FIXED = {"digraph representation {", "  rankdir=BT;", '  node [shape=box, fontname="monospace"];', "}"}
+
+
+def _dot_unescape(text):
+    return re.sub(r"\\(.)", lambda m: "\n" if m.group(1) == "n" else m.group(1), text)
+
+
+def test_report_dot_escapes_point_names(i1):
+    names = ('x"];evil[label="', "y\\", "two words\nand a line")
+    fam = dataclasses.replace(i1, names=names)
+    lines = E.report_to_dot(E.build_report(fam)).splitlines()
+    nodes, edges = [], []
+    for line in lines:
+        node, edge = _DOT_NODE.fullmatch(line), _DOT_EDGE.fullmatch(line)
+        assert line in _DOT_FIXED or node or edge, line
+        if node:
+            nodes.append(_dot_unescape(node.group(1)))
+            label = _dot_unescape(node.group(2))
+            assert label == nodes[-1] or label.startswith(nodes[-1] + "\n"), label
+        if edge:
+            edges.append(tuple(map(_dot_unescape, edge.groups())))
+    assert sorted(nodes) == sorted(names)
+    assert sorted(edges) == sorted([(names[0], names[2]), (names[1], names[2])])
 
 
 def test_chosen_subfamily_must_represent(i1):

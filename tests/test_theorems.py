@@ -182,7 +182,7 @@ def reference_classified_checks(family):
         zs = indices_of(zmask)
         upz = T.up_mask(space, zmask)
         for b in zs:
-            cls = E.classify_member(family, zs, b, space=space)
+            cls = E.classify_member(family, zs, b)
             if (cls.strongly_irredundant and not cls.irredundant) or (
                     cls.strongly_irredundant != cls.tightly_irredundant):
                 hier = hier or (b, zmask)
@@ -191,7 +191,7 @@ def reference_classified_checks(family):
             if crit_mask >> b & 1 and cls.irredundant and not cls.strongly_irredundant:
                 corr = corr or (b, zmask)
             if upz != zmask:
-                in_up = E.classify_member(family, indices_of(upz), b, space=space)
+                in_up = E.classify_member(family, indices_of(upz), b)
                 if cls.tightly_irredundant != in_up.irredundant:
                     removal = removal or (b, zmask)
     for name, hit in zip(CLASSIFIED_CHECKS, (hier, iso, corr, removal)):
@@ -202,7 +202,7 @@ def reference_classified_checks(family):
     strong_reps = []
     for zmask in _rep_masks(family):
         zs = indices_of(zmask)
-        if all(E.classify_member(family, zs, b, space=space).strongly_irredundant for b in zs):
+        if all(E.classify_member(family, zs, b).strongly_irredundant for b in zs):
             strong_reps.append(zmask)
     if not analysis.cset_represents:
         out.append((name, "pass", "no uniqueness claim without a represented critical core"))
@@ -217,7 +217,7 @@ def reference_classified_checks(family):
     containers = {}
     for zmask in _rep_masks(family):
         zs = indices_of(zmask)
-        if all(E.classify_member(family, zs, b, space=space).tightly_irredundant for b in zs):
+        if all(E.classify_member(family, zs, b).tightly_irredundant for b in zs):
             containers[zmask] = frozenset(m for m in min_masks if zmask & ~m == 0)
     bad = None
     items = list(containers.items())
@@ -279,8 +279,8 @@ def test_family_suite_matches_per_check_loops_under_a_faulty_classification(monk
         if zmask is None:
             continue
 
-        def faulty(fam, zs, b, space=None):
-            cls = real(fam, zs, b, space=space)
+        def faulty(fam, zs, b):
+            cls = real(fam, zs, b)
             if fam is family and sum(1 << i for i in zs) == zmask and member in (None, b):
                 return replace(cls, **{field: not getattr(cls, field) if value is None else value})
             return cls

@@ -129,6 +129,8 @@ def test_critical_points_and_unique_minimal_analysis_match_definitions(family):
     cset_mask = sum(1 << i for i in cset)
     closed = brute.minimal_closed()
     analysis = E.unique_minimal_analysis(family)
+    assert analysis.critical == crit
+    assert list(analysis.minimal_closed) == closed
     assert analysis.unique == (len(closed) == 1)
     assert analysis.cset == cset
     assert analysis.cset_represents == brute.represents(cset_mask)
@@ -147,7 +149,7 @@ def test_critical_points_and_unique_minimal_analysis_match_definitions(family):
 def test_build_report_with_oracles_raises_nothing(family):
     _clear()
     report = E.build_report(family, oracle=True)
-    assert report.minimal_closed is not None
+    assert report.analysis is not None
 
 
 def test_analyze_builds_one_table_and_runs_one_search(tmp_path, monkeypatch, capsys):
