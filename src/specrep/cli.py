@@ -206,36 +206,32 @@ def _payload_analyze(instance: Instance, args) -> dict:
 
 def _payload_minimal(instance: Instance, args) -> dict:
     family = _family_of(instance, args.cap_ring)
-    closed = engine.minimal_closed_representations(family, args.cap_points)
-    minimal = engine.minimal_representations(family, args.cap_points)
-
-    def names(ixs):
-        return sorted(family.names[i] for i in ixs)
-
+    analysis = engine.unique_minimal_analysis(family, args.cap_points)
     return {
-        "minimal_closed_representations": sorted(names(y) for y in closed),
-        "minimal_representations": sorted(names(z) for z in minimal),
+        "minimal_closed_representations": sorted(engine._names(family, y) for y in analysis.minimal_closed),
+        "minimal_representations": sorted(engine._names(family, z) for z in analysis.minimal_representations),
     }
 
 
 def _payload_critical(instance: Instance, args) -> dict:
     family = _family_of(instance, args.cap_ring)
     analysis = engine.unique_minimal_analysis(family, args.cap_points)
-    crit = analysis.critical
-    if args.oracle:
-        if engine.critical_points_oracle(family, args.cap_points) != crit:
-            raise ConsistencyError("critical fast path disagrees with the exhaustive oracle")
-    return {
-        "critical": sorted(family.names[i] for i in crit),
-        "critical_core": sorted(family.names[i] for i in analysis.cset),
-        "critical_core_represents": analysis.cset_represents,
+    # the capped facts first: beyond the cap, CapExceeded comes before critical_mask's checks
+    payload = {
         "unique_minimal": analysis.unique,
+        "critical_core_represents": analysis.cset_represents,
         "strongly_irredundant_representation": (
             None
             if analysis.strongly_irredundant_rep is None
-            else sorted(family.names[i] for i in analysis.strongly_irredundant_rep)
+            else engine._names(family, analysis.strongly_irredundant_rep)
         ),
+        "critical": engine._names(family, analysis.critical),
+        "critical_core": engine._names(family, analysis.cset),
     }
+    if args.oracle:
+        if engine.critical_points_oracle(family, args.cap_points) != analysis.critical:
+            raise ConsistencyError("critical fast path disagrees with the exhaustive oracle")
+    return payload
 
 
 def _payload_decompose(instance: Instance, args) -> dict:
@@ -288,7 +284,7 @@ def _payload_check_theorems(instance: Instance, args) -> dict:
         if instance.zr_parts is not None:
             target, fixed, members = instance.zr_parts
         results += theorems.run_zr_suite(
-            instance.pool, instance.family, members, target, fixed
+            instance.pool, instance.family, members, target, fixed, cap=args.cap_points
         )
         if instance.family is not None:
             results += theorems.run_family_suite(instance.family, cap=args.cap_points)
@@ -467,6 +463,8 @@ def main(argv=None) -> int:
         args.cap_points = _cap_points(args)
         if args.cap_ring <= 0:
             raise InputError("caps must be positive")
+        if (args.dot or args.format == "dot") and args.command != "analyze":
+            raise InputError("dot output only applies to analyze")
         instance = _instance_from_args(args)
         payload = _HANDLERS[args.command](instance, args)
     except InputError as exc:
@@ -486,7 +484,7 @@ def main(argv=None) -> int:
         return 4
 
     dot = payload.pop("_dot", None)
-    if args.dot and dot is not None:
+    if args.dot:
         try:
             with open(args.dot, "w", encoding="utf-8") as fh:
                 fh.write(dot)
@@ -494,9 +492,6 @@ def main(argv=None) -> int:
             print(f"error: cannot write {args.dot}: {exc.strerror}", file=sys.stderr)
             return 1
     if args.format == "dot":
-        if dot is None:
-            print("error: dot output only applies to analyze", file=sys.stderr)
-            return 1
         sys.stdout.write(dot)
     elif args.format == "json":
         envelope = {"schema": SCHEMA_VERSION, "command": args.command, **payload}

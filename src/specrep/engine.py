@@ -19,7 +19,7 @@ subfamily can only shrink the intersection, never below the target):
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 from .errors import CapExceeded, ConsistencyError, NotARepresentation
 from .setsystems import PointFamily, intersection_mask, represents_mask, require_representation
@@ -296,45 +296,6 @@ def _minimal_points_checked(closed, inter, up, down, fixed: int, target: int) ->
     return minreps
 
 
-@lru_cache(maxsize=8)
-def _minimal_closed(family: PointFamily) -> tuple[int, ...]:
-    """The one minimal-closed search of a family, shared by every caller."""
-    space = family.space
-    ctx = family.context
-    return tuple(
-        minimal_closed_core(intersection_table(family), space.up, space.down, ctx.fixed_mask, ctx.target_mask)
-    )
-
-
-def _minimal_closed_masks(family: PointFamily, cap: int) -> tuple[int, ...]:
-    _require_cap(len(family), cap, "closed-representation enumeration")
-    require_representation(family)
-    return _minimal_closed(family)
-
-
-def minimal_closed_representations(family: PointFamily, cap: int = DEFAULT_POINT_CAP) -> list[tuple[int, ...]]:
-    """All inclusion-minimal up-sets that still represent, in canonical order."""
-    return [indices_of(y) for y in _minimal_closed_masks(family, cap)]
-
-
-def minimal_representations(family: PointFamily, cap: int = DEFAULT_POINT_CAP) -> list[tuple[int, ...]]:
-    """Minimal representations: the minimal points of each minimal closed one.
-
-    Cross-checks the defining identities on the way out (see
-    _minimal_points_checked): the returned antichains regenerate their closed
-    representations and represent, every member is irredundant (equivalently
-    strongly irredundant, equivalently isolated), the isolated points are
-    dense, and distinct closed representations yield distinct antichains.
-    """
-    closed = _minimal_closed_masks(family, cap)
-    space = family.space
-    ctx = family.context
-    reps = _minimal_points_checked(
-        closed, intersection_table(family), space.up, space.down, ctx.fixed_mask, ctx.target_mask
-    )
-    return sorted(indices_of(z) for z in reps)
-
-
 def critical_mask(family: PointFamily) -> int:
     """Members of every closed representation, by the maximal-avoiding-up-set test."""
     require_representation(family)
@@ -345,10 +306,6 @@ def critical_mask(family: PointFamily) -> int:
         if not represents_mask(family, full ^ space.down[b]):
             crit |= 1 << b
     return crit
-
-
-def critical_points(family: PointFamily) -> tuple[int, ...]:
-    return indices_of(critical_mask(family))
 
 
 def critical_points_oracle(family: PointFamily, cap: int = DEFAULT_POINT_CAP) -> tuple[int, ...]:
@@ -378,19 +335,79 @@ def critical_points_oracle(family: PointFamily, cap: int = DEFAULT_POINT_CAP) ->
 class UniqueMinimalAnalysis:
     """The family-level analysis: everything that does not depend on a chosen subfamily.
 
-    Point indices throughout: critical holds the points of every closed
-    representation and cset (the critical core) the minimal ones among them;
-    unique says there is exactly one minimal representation, which holds iff
-    the critical core represents.
+    Each fact is derived on first read and kept.  Point indices throughout:
+    critical holds the points of every closed representation and cset (the
+    critical core) the minimal ones among them; both come from critical_mask
+    and exist beyond the cap.  The rest come from three stages that each
+    read the intersection table once, and raise CapExceeded beyond the cap:
+    the minimal-closed search, the minimal representations with their
+    cross-checks (_minimal_points_checked), and analysis_core, whose critical
+    mask must agree with critical_mask.  unique says there is exactly one
+    minimal representation, which holds iff the critical core represents; in
+    that case strongly_irredundant_rep is the set of points strongly
+    irredundant within the core, the only possible strongly irredundant
+    representation.
     """
 
-    critical: tuple[int, ...]
-    cset: tuple[int, ...]
-    cset_represents: bool
-    unique: bool
-    minimal_closed: tuple[tuple[int, ...], ...]
-    minimal_representations: tuple[tuple[int, ...], ...]
-    strongly_irredundant_rep: tuple[int, ...] | None
+    family: PointFamily
+    cap: int
+
+    @cached_property
+    def _critical_mask(self) -> int:
+        return critical_mask(self.family)
+
+    @cached_property
+    def critical(self) -> tuple[int, ...]:
+        return indices_of(self._critical_mask)
+
+    @cached_property
+    def cset(self) -> tuple[int, ...]:
+        return indices_of(min_mask(self.family.space, self._critical_mask))
+
+    def _table(self) -> tuple:
+        """What each table stage reads: (intersection table, up, down, fixed, target)."""
+        space = self.family.space
+        ctx = self.family.context
+        return intersection_table(self.family), space.up, space.down, ctx.fixed_mask, ctx.target_mask
+
+    @cached_property
+    def _closed_masks(self) -> tuple[int, ...]:
+        _require_cap(len(self.family), self.cap, "closed-representation enumeration")
+        require_representation(self.family)
+        return tuple(minimal_closed_core(*self._table()))
+
+    @cached_property
+    def minimal_closed(self) -> tuple[tuple[int, ...], ...]:
+        """All inclusion-minimal up-sets that still represent, in canonical order."""
+        return tuple(indices_of(y) for y in self._closed_masks)
+
+    @cached_property
+    def minimal_representations(self) -> tuple[tuple[int, ...], ...]:
+        """The minimal points of each minimal closed representation, sorted."""
+        return tuple(sorted(indices_of(z) for z in _minimal_points_checked(self._closed_masks, *self._table())))
+
+    @cached_property
+    def _core(self) -> tuple[bool, int | None]:
+        minimal_count = len(self.minimal_representations)
+        inter, up, down, fixed, target = self._table()
+        crit, _, cset_represents, srep = analysis_core(inter, minimal_count, up, down, fixed, target)
+        if crit != self._critical_mask:
+            raise ConsistencyError("criticality routes disagree")
+        return cset_represents, srep
+
+    @property
+    def cset_represents(self) -> bool:
+        return self._core[0]
+
+    @property
+    def unique(self) -> bool:
+        # analysis_core checked that the core represents iff there is one minimal representation
+        return self._core[0]
+
+    @property
+    def strongly_irredundant_rep(self) -> tuple[int, ...] | None:
+        srep = self._core[1]
+        return None if srep is None else indices_of(srep)
 
 
 def analysis_core(inter, minimal_count: int, up, down, fixed: int, target: int):
@@ -433,35 +450,10 @@ def analysis_core(inter, minimal_count: int, up, down, fixed: int, target: int):
     return crit, cset, cset_represents, srep
 
 
+@lru_cache(maxsize=8)
 def unique_minimal_analysis(family: PointFamily, cap: int = DEFAULT_POINT_CAP) -> UniqueMinimalAnalysis:
-    """The family's analysis, from three stages that each read the intersection table once.
-
-    The minimal-closed search, the minimal representations with their
-    cross-checks, and analysis_core around the minimal critical points: it
-    checks whether they represent, verifies this is equivalent to having
-    exactly one minimal representation, and in the affirmative case returns
-    the set of points strongly irredundant within the critical core, which
-    is then the only possible strongly irredundant representation.  The
-    critical mask is cross-checked against critical_mask.
-    """
-    minimal_closed = minimal_closed_representations(family, cap)
-    minimal = minimal_representations(family, cap)
-    space = family.space
-    ctx = family.context
-    crit, cset, cset_represents, srep = analysis_core(
-        intersection_table(family), len(minimal), space.up, space.down, ctx.fixed_mask, ctx.target_mask
-    )
-    if crit != critical_mask(family):
-        raise ConsistencyError("criticality routes disagree")
-    return UniqueMinimalAnalysis(
-        critical=indices_of(crit),
-        cset=indices_of(cset),
-        cset_represents=cset_represents,
-        unique=len(minimal) == 1,
-        minimal_closed=tuple(minimal_closed),
-        minimal_representations=tuple(minimal),
-        strongly_irredundant_rep=None if srep is None else indices_of(srep),
-    )
+    """The one analysis of a family under a cap, shared by every caller."""
+    return UniqueMinimalAnalysis(family, cap)
 
 
 def isolated_points(family: PointFamily, zs, kind: str = SPECTRAL) -> tuple[int, ...]:
@@ -496,7 +488,7 @@ def strongly_irredundant_representation(family: PointFamily, cap: int = DEFAULT_
     replacement test.
     """
     space = family.space
-    rep = minimal_representations(family, cap)[0]
+    rep = unique_minimal_analysis(family, cap).minimal_representations[0]
     zmask = space.point_mask(rep)
     for b in rep:
         repl = (zmask | space.up[b]) & ~(1 << b)
@@ -512,14 +504,13 @@ class RepresentationReport:
     family: PointFamily
     chosen: tuple[int, ...]
     classifications: tuple[MemberClassification, ...]
-    critical: tuple[int, ...]
-    cset: tuple[int, ...]
-    analysis: UniqueMinimalAnalysis | None  # None when the exhaustive parts exceed the cap
+    analysis: UniqueMinimalAnalysis
+    exhaustive: bool  # False when the exhaustive facts exceed the cap
     notices: tuple[str, ...]
 
 
 def build_report(family: PointFamily, zs=None, cap: int = DEFAULT_POINT_CAP, oracle: bool = False) -> RepresentationReport:
-    """Classify every chosen member and gather the family-level analysis.
+    """Classify every chosen member and read every fact of the family's analysis.
 
     Beyond the cap only the fast paths run; the exhaustive parts are skipped
     and a notice records that.  With oracle=True the brute-force routes are
@@ -532,21 +523,19 @@ def build_report(family: PointFamily, zs=None, cap: int = DEFAULT_POINT_CAP, ora
         raise NotARepresentation("the chosen subfamily is not a representation")
     chosen = indices_of(zmask)
     classifications = tuple(classify_member(family, chosen, b) for b in chosen)
-    crit_mask = critical_mask(family)
-    crit = indices_of(crit_mask)
+    analysis = unique_minimal_analysis(family, cap)
     notices: list[str] = []
-
-    analysis = None
-    try:
-        analysis = unique_minimal_analysis(family, cap)
+    exhaustive = True
+    try:  # every reported fact is read here, so that a fault or the cap shows here
+        analysis.critical, analysis.cset, analysis.minimal_closed, analysis.strongly_irredundant_rep
     except CapExceeded:
+        exhaustive = False
         notices.append(
             f"exhaustive enumeration skipped: {len(family)} points exceeds the cap of {cap}"
         )
 
     if oracle:
-        oracle_crit = critical_points_oracle(family, cap)
-        if oracle_crit != crit:
+        if critical_points_oracle(family, cap) != analysis.critical:
             raise ConsistencyError("critical fast path disagrees with the exhaustive oracle")
         for cls in classifications:
             if strongly_irredundant_oracle(family, chosen, cls.point, cap) != cls.strongly_irredundant:
@@ -558,9 +547,8 @@ def build_report(family: PointFamily, zs=None, cap: int = DEFAULT_POINT_CAP, ora
         family=family,
         chosen=chosen,
         classifications=classifications,
-        critical=crit,
-        cset=indices_of(min_mask(space, crit_mask)),
         analysis=analysis,
+        exhaustive=exhaustive,
         notices=tuple(notices),
     )
 
@@ -572,13 +560,14 @@ def _names(family: PointFamily, ixs) -> list[str]:
 def report_to_dict(report: RepresentationReport) -> dict:
     """JSON-ready view; names sorted so equal inputs give equal bytes."""
     fam = report.family
+    analysis = report.analysis
     points = {}
     for cls in report.classifications:
         entry = {
             "irredundant": cls.irredundant,
             "strongly_irredundant": cls.strongly_irredundant,
             "tightly_irredundant": cls.tightly_irredundant,
-            "critical": cls.point in report.critical,
+            "critical": cls.point in analysis.critical,
             "isolated_spectral": cls.isolated_spectral,
             "isolated_patch": cls.isolated_patch,
             "witnesses": {},
@@ -592,12 +581,11 @@ def report_to_dict(report: RepresentationReport) -> dict:
     out = {
         "chosen": _names(fam, report.chosen),
         "points": points,
-        "critical": _names(fam, report.critical),
-        "critical_core": _names(fam, report.cset),
+        "critical": _names(fam, analysis.critical),
+        "critical_core": _names(fam, analysis.cset),
         "notices": list(report.notices),
     }
-    analysis = report.analysis
-    if analysis is not None:
+    if report.exhaustive:
         out["minimal_closed_representations"] = sorted(_names(fam, y) for y in analysis.minimal_closed)
         out["minimal_representations"] = sorted(_names(fam, z) for z in analysis.minimal_representations)
         out["unique_minimal"] = analysis.unique
@@ -634,7 +622,7 @@ def report_to_dot(report: RepresentationReport) -> str:
         cls = by_point.get(i)
         if cls is not None:
             tags = [short for attr, short in _FLAG_SHORT if getattr(cls, attr)]
-        if i in report.critical:
+        if i in report.analysis.critical:
             tags.append("critical")
         label = fam.names[i] if not tags else fam.names[i] + "\n" + ",".join(tags)
         lines.append(f"  {_dot_quote(fam.names[i])} [label={_dot_quote(label)}];")

@@ -13,7 +13,7 @@ from fractions import Fraction
 from itertools import combinations
 
 from . import engine, rings, topology, zrdesk
-from .errors import ConsistencyError, SpecrepError
+from .errors import CapExceeded, ConsistencyError, SpecrepError
 from .setsystems import PointFamily, represents_mask, validate_representation
 from .topology import indices_of
 
@@ -37,6 +37,17 @@ def _bad(name, detail):
 
 def _skip(name, detail):
     return CheckResult(name, "skip", detail)
+
+
+def _reads(name, read) -> CheckResult:
+    """Passes when read() returns, fails on a ConsistencyError, skips on any other package error."""
+    try:
+        read()
+    except ConsistencyError as exc:
+        return _bad(name, str(exc))
+    except SpecrepError as exc:
+        return _skip(name, str(exc))
+    return _ok(name)
 
 
 def run_family_suite(family: PointFamily, cap: int = engine.DEFAULT_POINT_CAP) -> list[CheckResult]:
@@ -129,7 +140,8 @@ def run_family_suite(family: PointFamily, cap: int = engine.DEFAULT_POINT_CAP) -
         zmasks = [z for z in range(1, space.full_mask + 1) if represents_mask(family, z)]
     else:
         zmasks = [space.full_mask]
-    crit = engine.critical_points(family)
+    analysis = engine.unique_minimal_analysis(family, cap)
+    crit = analysis.critical
     crit_mask = space.point_mask(crit)
 
     hier = iso = corr = removal = None
@@ -175,38 +187,14 @@ def run_family_suite(family: PointFamily, cap: int = engine.DEFAULT_POINT_CAP) -
     else:
         out.append(_skip(name, f"{n} points exceeds the cap of {cap}"))
 
-    name = "minimal-representation-equivalences"
-    try:
-        minreps = engine.minimal_representations(family, cap)
-        out.append(_ok(name))
-    except ConsistencyError as exc:
-        minreps = None
-        out.append(_bad(name, str(exc)))
-    except SpecrepError as exc:
-        minreps = None
-        out.append(_skip(name, str(exc)))
-
-    name = "unique-minimal-criterion"
-    analysis = None
-    try:
-        analysis = engine.unique_minimal_analysis(family, cap)
-        out.append(_ok(name))
-    except ConsistencyError as exc:
-        out.append(_bad(name, str(exc)))
-    except SpecrepError as exc:
-        out.append(_skip(name, str(exc)))
-
-    name = "strongly-irredundant-existence"
-    try:
-        engine.strongly_irredundant_representation(family, cap)
-        out.append(_ok(name))
-    except ConsistencyError as exc:
-        out.append(_bad(name, str(exc)))
-    except SpecrepError as exc:
-        out.append(_skip(name, str(exc)))
+    # each check reads the fact it is named after; the checks built on a fact skip unless it holds
+    minimal_check = _reads("minimal-representation-equivalences", lambda: analysis.minimal_representations)
+    unique_check = _reads("unique-minimal-criterion", lambda: analysis.unique)
+    out += [minimal_check, unique_check, _reads(
+        "strongly-irredundant-existence", lambda: engine.strongly_irredundant_representation(family, cap))]
 
     name = "at-most-one-strongly-irredundant-representation"
-    if analysis is not None and exhaustive:
+    if unique_check.status == "pass" and exhaustive:
         if analysis.cset_represents:
             expect = None if analysis.strongly_irredundant_rep is None else space.point_mask(
                 analysis.strongly_irredundant_rep)
@@ -220,8 +208,8 @@ def run_family_suite(family: PointFamily, cap: int = engine.DEFAULT_POINT_CAP) -
         out.append(_skip(name, "exhaustive sub-family search out of reach"))
 
     name = "tight-reps-in-distinct-minimal-reps"
-    if minreps is not None and exhaustive:
-        min_masks = [space.point_mask(z) for z in minreps]
+    if minimal_check.status == "pass" and exhaustive:
+        min_masks = [space.point_mask(z) for z in analysis.minimal_representations]
         items = [(z, frozenset(m for m in min_masks if z & ~m == 0)) for z in tight_reps]
         bad = None
         for i, (za, ca) in enumerate(items):
@@ -284,8 +272,8 @@ def run_ring_suite(ring: rings.FiniteRing, ideal: rings.RingIdeal | None,
         if rings.ZMOD_ELEMENT_CAP >= ring.size:
             family = rings.build_irr_space(ring, a)
             if len(family) <= cap:
-                closed = engine.minimal_closed_representations(family, cap)
-                if closed != [tuple(range(len(family)))]:
+                closed = engine.unique_minimal_analysis(family, cap).minimal_closed
+                if closed != (tuple(range(len(family))),):
                     closed_bad = closed_bad or f"{a.name}: a proper closed subfamily represents"
         sats = sorted(
             rings.saturation(a, p).sort_key() for p in rings.max_krull_associated_primes(a)
@@ -309,7 +297,8 @@ def run_ring_suite(ring: rings.FiniteRing, ideal: rings.RingIdeal | None,
 def run_zr_suite(pool: zrdesk.PrimePool, family: PointFamily | None,
                  members: list[zrdesk.OverringSpec] | None = None,
                  target: zrdesk.OverringSpec | None = None,
-                 fixed: zrdesk.OverringSpec | None = None) -> list[CheckResult]:
+                 fixed: zrdesk.OverringSpec | None = None,
+                 cap: int = engine.DEFAULT_POINT_CAP) -> list[CheckResult]:
     out: list[CheckResult] = []
 
     name = "encoding-faithfulness"
@@ -361,9 +350,12 @@ def run_zr_suite(pool: zrdesk.PrimePool, family: PointFamily | None,
     out.append(_bad(name, bad) if bad else _ok(name))
 
     name = "pool-uniqueness-sweep"
-    report = zrdesk.pool_uniqueness_check(pool)
-    out.append(_ok(name, f"{report.checks} checks") if report.passed
-               else _bad(name, report.failures[0]))
+    try:
+        report = zrdesk.pool_uniqueness_check(pool, cap)
+        out.append(_ok(name, f"{report.checks} checks") if report.passed
+                   else _bad(name, report.failures[0]))
+    except CapExceeded as exc:
+        out.append(_skip(name, str(exc)))
 
     name = "canonical-members-witnessed-by-own-primes"
     if family is not None and members is not None and all(len(m.retained) == 1 for m in members):

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable
 
-from .engine import _minimal_points_checked, analysis_core, minimal_closed_core, subset_intersections
+from .engine import DEFAULT_POINT_CAP, _minimal_points_checked, analysis_core, minimal_closed_core, subset_intersections
 from .errors import CapExceeded, InputError, NotARepresentation
 from .setsystems import ContextTriple, PointFamily, require_representation
 from .topology import inclusion_order
@@ -153,7 +153,7 @@ class PoolSweepReport:
     failures: tuple[str, ...]
 
 
-def pool_uniqueness_check(pool: PrimePool, cap: int = 20) -> PoolSweepReport:
+def pool_uniqueness_check(pool: PrimePool, cap: int = DEFAULT_POINT_CAP) -> PoolSweepReport:
     """Sweep every target sub-pool and admissible fixed ring, asserting uniqueness.
 
     For a target retaining T represented by the localizations at the primes

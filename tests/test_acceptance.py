@@ -71,7 +71,7 @@ def test_acceptance_2_irredundance_isolation_suite():
                 cls = E.classify_member(fam, zs, b)
                 if cls.irredundant and not (cls.isolated_spectral and cls.isolated_patch):
                     exceptions += 1
-        for rep in E.minimal_representations(fam):
+        for rep in E.unique_minimal_analysis(fam).minimal_representations:
             iso = set(E.isolated_points(fam, rep, "spectral"))
             for b in rep:
                 cls = E.classify_member(fam, rep, b)
@@ -98,10 +98,10 @@ def test_acceptance_3_criticality():
     for _ in range(200):
         fam = random_representation_family(rng, max_points=12)
         fixtures += 1
-        if E.critical_points(fam) != E.critical_points_oracle(fam, cap=12):
+        if E.unique_minimal_analysis(fam).critical != E.critical_points_oracle(fam, cap=12):
             disagreements += 1
         space = to_spec_space(fam)
-        crit = set(E.critical_points(fam))
+        crit = set(E.unique_minimal_analysis(fam).critical)
         full = space.full_mask
         if len(fam) <= 8:
             zmasks = [z for z in range(1, full + 1) if represents_mask(fam, z)]
@@ -130,7 +130,7 @@ def test_acceptance_4_unique_minimal_criterion():
         fixtures += 1
         space = to_spec_space(fam)
         analysis = E.unique_minimal_analysis(fam)
-        unique = len(E.minimal_representations(fam)) == 1
+        unique = len(analysis.minimal_representations) == 1
         if analysis.cset_represents != unique:
             violations += 1
             continue
@@ -275,7 +275,7 @@ def test_acceptance_6_no_proper_closed_subfamily():
             if is_upset and represents_mask(fam, y):
                 violations += 1
                 break
-        if E.minimal_closed_representations(fam) != [tuple(range(len(fam)))]:
+        if list(E.unique_minimal_analysis(fam).minimal_closed) != [tuple(range(len(fam)))]:
             violations += 1
     ok = violations == 0
     _line(6, "no-proper-closed-subfamily-represents", ok,
@@ -346,6 +346,11 @@ def test_acceptance_9_cli_golden_bytes():
         (("analyze", "fixtures/i1.json"), "i1_analyze.json"),
         (("analyze", "fixtures/i1.json", "--format", "text"), "i1_analyze.txt"),
         (("analyze", "fixtures/i1.json", "--format", "dot"), "i1_hasse.dot"),
+        (("analyze", "fixtures/i1.json", "--cap-points", "2", "--format", "text"), "i1_analyze_cap2.txt"),
+        (("minimal", "fixtures/i1.json"), "i1_minimal.json"),
+        (("minimal", "fixtures/two_minimal.json"), "two_minimal_minimal.json"),
+        (("critical", "fixtures/i1.json"), "i1_critical.json"),
+        (("critical", "fixtures/critical_above.json"), "critical_above_critical.json"),
         (("decompose", "fixtures/zmod12.json"), "zmod12_decompose.json"),
         (("decompose", "fixtures/zmod12.json", "--format", "text"), "zmod12_decompose.txt"),
         (("zr-check", "fixtures/zr_pool235.json"), "zr_pool235_zrcheck.json"),

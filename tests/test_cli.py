@@ -164,6 +164,17 @@ def test_zr_check_pool_flag(capsys):
     assert payload["checks"] == 5 and payload["passed"] is True
 
 
+def test_check_theorems_pool_sweep_honours_the_point_cap(capsys):
+    pool = str(FIXTURES / "zr_pool235.json")
+    assert run(capsys, "zr-check", pool, "--cap-points", "2")[0] == 3
+    code, out, _ = run(capsys, "check-theorems", pool, "--cap-points", "2")
+    assert code == 0
+    checks = {entry["name"]: entry for entry in json.loads(out)["checks"]}
+    assert checks["pool-uniqueness-sweep"] == {
+        "name": "pool-uniqueness-sweep", "status": "skip",
+        "detail": "pool of 3 primes exceeds the sweep cap of 2"}
+
+
 def test_zr_analyze_rational_witnesses(capsys):
     code, out, _ = run(capsys, "analyze", str(FIXTURES / "zr_pool235.json"))
     assert code == 0
@@ -182,9 +193,12 @@ def test_dot_format_and_sidecar(tmp_path, capsys):
     assert target.read_text() == out
 
 
-def test_dot_format_rejected_for_minimal(capsys):
-    code, _, err = run(capsys, "minimal", str(FIXTURES / "i1.json"), "--format", "dot")
-    assert code == 1
+def test_dot_format_rejected_for_minimal(capsys, tmp_path):
+    sidecar = tmp_path / "m.dot"
+    for flags in (("--format", "dot"), ("--dot", str(sidecar))):
+        code, out, err = run(capsys, "minimal", str(FIXTURES / "i1.json"), *flags)
+        assert (code, out, err) == (1, "", "error: dot output only applies to analyze\n"), flags
+    assert not sidecar.exists()
 
 
 def test_missing_input_is_error(capsys):
@@ -255,11 +269,13 @@ def test_repeated_calls_share_no_state(capsys):
 
 
 def test_one_order_and_one_analysis_per_family(capsys, monkeypatch):
-    """Each family builds its inclusion order once and checks its minimal points once.
+    """Each family builds its inclusion order once and derives each analysis fact once.
 
     Builds are counted wherever a specrep module holds `to_spec_space`;
     `intersection_table` calls are counted with cache hits, three per
-    analyze (search, minimal representations, analysis core).
+    analyze (search, minimal representations, analysis core).  The search,
+    the minimal-point check and the raw critical mask run once per command,
+    however many readers the family's analysis has.
     """
     calls = collections.Counter()
 
@@ -275,20 +291,28 @@ def test_one_order_and_one_analysis_per_family(capsys, monkeypatch):
             monkeypatch.setattr(module, "to_spec_space", counting("order", build))
     table = engine.intersection_table
     monkeypatch.setattr(engine, "intersection_table", counting("table", table))
-    monkeypatch.setattr(engine, "_minimal_points_checked", counting("minimal", engine._minimal_points_checked))
+    for key, name in (("search", "minimal_closed_core"), ("minimal", "_minimal_points_checked"),
+                      ("critical", "critical_mask")):
+        monkeypatch.setattr(engine, name, counting(key, getattr(engine, name)))
 
     def counts(*argv):
         table.cache_clear()
-        engine._minimal_closed.cache_clear()
+        engine.unique_minimal_analysis.cache_clear()
         calls.clear()
         code, out, _ = run(capsys, *argv)
         assert code == 0, argv
         return dict(calls), json.loads(out)
 
     i1 = str(FIXTURES / "i1.json")
-    assert counts("analyze", i1)[0] == {"order": 1, "table": 3, "minimal": 1}
-    assert counts("analyze", i1, "--oracle")[0] == {"order": 1, "table": 3, "minimal": 1}
-    assert counts("critical", i1)[0] == {"order": 1, "table": 3, "minimal": 1}
-    got, payload = counts("decompose", str(FIXTURES / "zmod12.json"))
+    zmod12 = str(FIXTURES / "zmod12.json")
+    once = {"search": 1, "minimal": 1, "critical": 1}
+    assert counts("analyze", i1)[0] == {"order": 1, "table": 3, **once}
+    assert counts("analyze", i1, "--oracle")[0] == {"order": 1, "table": 3, **once}
+    assert counts("critical", i1)[0] == {"order": 1, "table": 3, **once}
+    assert counts("minimal", i1)[0] == {"order": 1, "table": 2, "search": 1, "minimal": 1}
+    got, payload = counts("decompose", zmod12)
     assert payload["verified"] and got == {"order": 1}
-    assert counts("check-theorems", str(FIXTURES / "zmod12.json"))[0]["order"] == 3
+    got = counts("check-theorems", i1)[0]
+    assert {key: got[key] for key in once} == once
+    got = counts("check-theorems", zmod12)[0]
+    assert {key: got[key] for key in once} == once and got["order"] == 3

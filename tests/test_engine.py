@@ -83,23 +83,23 @@ def test_fast_strong_matches_oracle_random():
 # ------------------------------------------------- minimal representations
 
 def test_i1_minimal_closed_and_minimal(i1):
-    assert E.minimal_closed_representations(i1) == [(0, 1, 2)]
-    assert E.minimal_representations(i1) == [(0, 1)]
+    assert list(E.unique_minimal_analysis(i1).minimal_closed) == [(0, 1, 2)]
+    assert list(E.unique_minimal_analysis(i1).minimal_representations) == [(0, 1)]
 
 
 def test_one_extra_element_family_two_points():
     # target plus one element each, two elements beyond the target: both needed
     fam = family_from("abc", "abc", "a", {"M1": "ab", "M2": "ac"})
-    assert E.minimal_closed_representations(fam) == [(0, 1)]
-    assert E.minimal_representations(fam) == [(0, 1)]
+    assert list(E.unique_minimal_analysis(fam).minimal_closed) == [(0, 1)]
+    assert list(E.unique_minimal_analysis(fam).minimal_representations) == [(0, 1)]
 
 
 def test_one_extra_element_family_three_points():
     # with three such points any pair already represents: the minimal closed
     # representations are exactly the pairs (oracle-verified)
     fam = family_from("abcd", "abcd", "a", {"M1": "ab", "M2": "ac", "M3": "ad"})
-    assert E.minimal_closed_representations(fam) == [(0, 1), (0, 2), (1, 2)]
-    assert E.minimal_representations(fam) == [(0, 1), (0, 2), (1, 2)]
+    assert list(E.unique_minimal_analysis(fam).minimal_closed) == [(0, 1), (0, 2), (1, 2)]
+    assert list(E.unique_minimal_analysis(fam).minimal_representations) == [(0, 1), (0, 2), (1, 2)]
     analysis = E.unique_minimal_analysis(fam)
     assert not analysis.unique and not analysis.cset_represents
 
@@ -107,8 +107,8 @@ def test_one_extra_element_family_three_points():
 def test_two_minimal_regression():
     # smallest found instance with exactly two minimal closed representations
     fam = family_from("abcd", "abc", "a", {"B1": "ab", "B2": "ac", "V": "ad"})
-    assert E.minimal_closed_representations(fam) == [(0, 1), (2,)]
-    assert E.minimal_representations(fam) == [(0, 1), (2,)]
+    assert list(E.unique_minimal_analysis(fam).minimal_closed) == [(0, 1), (2,)]
+    assert list(E.unique_minimal_analysis(fam).minimal_representations) == [(0, 1), (2,)]
     analysis = E.unique_minimal_analysis(fam)
     assert not analysis.unique and not analysis.cset_represents
     assert analysis.strongly_irredundant_rep is None
@@ -116,7 +116,7 @@ def test_two_minimal_regression():
 
 def test_family_with_target_point_alone():
     fam = family_from("abc", "abc", "a", {"A": "a"})
-    assert E.minimal_closed_representations(fam) == [(0,)]
+    assert list(E.unique_minimal_analysis(fam).minimal_closed) == [(0,)]
     analysis = E.unique_minimal_analysis(fam)
     assert analysis.unique and analysis.strongly_irredundant_rep == (0,)
 
@@ -126,7 +126,7 @@ def test_antichain_minimal_reps_are_subantichains():
     for _ in range(40):
         fam = random_representation_family(rng, max_points=6)
         space = to_spec_space(fam)
-        for rep in E.minimal_representations(fam):
+        for rep in E.unique_minimal_analysis(fam).minimal_representations:
             repmask = space.point_mask(rep)
             from specrep.topology import is_antichain
 
@@ -137,18 +137,18 @@ def test_antichain_minimal_reps_are_subantichains():
 def test_minimal_closed_requires_representation():
     fam = family_from("abc", "abc", "a", {"B1": "ab"})
     with pytest.raises(NotARepresentation):
-        E.minimal_closed_representations(fam)
+        E.unique_minimal_analysis(fam).minimal_closed
 
 
 def test_minimal_closed_cap(i1):
     with pytest.raises(CapExceeded):
-        E.minimal_closed_representations(i1, cap=2)
+        E.unique_minimal_analysis(i1, cap=2).minimal_closed
 
 
 # ---------------------------------------------------------------- critical
 
 def test_i1_critical(i1):
-    assert E.critical_points(i1) == (0, 1, 2)
+    assert E.unique_minimal_analysis(i1).critical == (0, 1, 2)
     assert E.critical_points_oracle(i1) == (0, 1, 2)
     analysis = E.unique_minimal_analysis(i1)
     assert analysis.critical == (0, 1, 2)
@@ -160,7 +160,7 @@ def test_redundant_maximal_point_above_member_is_critical():
     # critical even though it is redundant in the full family
     # (oracle-verified: the closed representations are {B2,P} and the whole space)
     fam = family_from("abcd", "abcd", "a", {"B1": "ab", "B2": "ac", "P": "abd"})
-    assert E.critical_points(fam) == (1, 2)
+    assert E.unique_minimal_analysis(fam).critical == (1, 2)
     assert E.critical_points_oracle(fam) == (1, 2)
     cls = E.classify_member(fam, (0, 1, 2), 2)
     assert not cls.irredundant
@@ -171,7 +171,7 @@ def test_redundant_maximal_point_above_member_is_critical():
 
 def test_pairwise_replaceable_antichain_has_no_critical_points():
     fam = family_from("abcd", "abcd", "a", {"B1": "ab", "B2": "ac", "P": "ad"})
-    assert E.critical_points(fam) == ()
+    assert E.unique_minimal_analysis(fam).critical == ()
     assert E.critical_points_oracle(fam) == ()
 
 
@@ -179,7 +179,7 @@ def test_redundant_maximal_point_not_critical():
     # P overlaps both B1 and B2 beyond the target, so dropping either of them
     # leaves a non-representation, while {B1,B2} alone shows P avoidable
     fam = family_from("abcde", "abcde", "a", {"B1": "abd", "B2": "ace", "P": "ade"})
-    assert E.critical_points(fam) == (0, 1)
+    assert E.unique_minimal_analysis(fam).critical == (0, 1)
     assert E.critical_points_oracle(fam) == (0, 1)
     cls = E.classify_member(fam, (0, 1, 2), 2)
     assert not cls.irredundant
@@ -189,14 +189,14 @@ def test_redundant_maximal_point_not_critical():
 
 def test_single_member_family_is_critical():
     fam = family_from("ab", "ab", "a", {"B": "a"})
-    assert E.critical_points(fam) == (0,)
+    assert E.unique_minimal_analysis(fam).critical == (0,)
 
 
 def test_critical_fast_matches_oracle_random():
     rng = random.Random(27182)
     for _ in range(80):
         fam = random_representation_family(rng, max_points=7)
-        assert E.critical_points(fam) == E.critical_points_oracle(fam)
+        assert E.unique_minimal_analysis(fam).critical == E.critical_points_oracle(fam)
 
 
 # ------------------------------------------------------ uniqueness analysis
@@ -214,7 +214,7 @@ def test_unique_iff_cset_represents_random():
         fam = random_representation_family(rng, max_points=8)
         analysis = E.unique_minimal_analysis(fam)
         assert analysis.unique == analysis.cset_represents
-        assert analysis.unique == (len(E.minimal_representations(fam)) == 1)
+        assert analysis.unique == (len(analysis.minimal_representations) == 1)
 
 
 def test_strongly_irredundant_reps_unique_and_equal_s_random():
@@ -258,7 +258,7 @@ def test_isolated_but_redundant_outside_minimal_reps():
     cls = E.classify_member(fam, (0, 1, 2), 2)
     assert cls.isolated_spectral and cls.isolated_patch
     assert not cls.irredundant
-    assert (2,) not in [tuple(sorted(z)) for z in E.minimal_representations(fam)]
+    assert (2,) not in [tuple(sorted(z)) for z in E.unique_minimal_analysis(fam).minimal_representations]
 
 
 def test_irredundant_implies_isolated_random():
@@ -277,7 +277,7 @@ def test_minimal_rep_equivalences_random():
     rng = random.Random(2718)
     for _ in range(80):
         fam = random_representation_family(rng, max_points=7)
-        for rep in E.minimal_representations(fam):
+        for rep in E.unique_minimal_analysis(fam).minimal_representations:
             iso = E.isolated_points(fam, rep, "spectral")
             for b in rep:
                 cls = E.classify_member(fam, rep, b)
@@ -288,7 +288,7 @@ def test_critical_and_irredundant_implies_strong_random():
     rng = random.Random(577215)
     for _ in range(80):
         fam = random_representation_family(rng, max_points=7)
-        crit = set(E.critical_points(fam))
+        crit = set(E.unique_minimal_analysis(fam).critical)
         for zmask in all_representation_masks(fam):
             zs = indices_of(zmask)
             for b in zs:
@@ -342,7 +342,7 @@ def test_distinct_tight_reps_lie_in_distinct_minimal_reps_random():
     for _ in range(150):
         fam = random_representation_family(rng, max_points=6)
         space = to_spec_space(fam)
-        minmasks = [space.point_mask(z) for z in E.minimal_representations(fam)]
+        minmasks = [space.point_mask(z) for z in E.unique_minimal_analysis(fam).minimal_representations]
         tights = []
         for zmask in all_representation_masks(fam):
             zs = indices_of(zmask)
@@ -376,7 +376,7 @@ def test_build_report_and_dict(i1):
 
 def test_report_beyond_cap_carries_notice(i1):
     report = E.build_report(i1, cap=2)
-    assert report.analysis is None
+    assert not report.exhaustive
     assert any("cap" in n for n in report.notices)
     payload = E.report_to_dict(report)
     assert "minimal_representations" not in payload

@@ -175,14 +175,14 @@ def test_whole_space_is_unique_minimal_closed_representation():
         divs = [d for d in R.divisors_of(n) if d > 1]
         a = R.zmod_ideal(ring, rng.choice(divs))
         fam = R.build_irr_space(ring, a)
-        assert E.minimal_closed_representations(fam) == [tuple(range(len(fam)))]
+        assert list(E.unique_minimal_analysis(fam).minimal_closed) == [tuple(range(len(fam)))]
 
 
 def test_prime_points_for_radical_ideal():
     ring = R.FiniteRing.zmod(30)
     fam = R.build_irr_space(ring, R.zmod_ideal(ring, 30), points="prime")
     assert fam.names == ("(2)", "(3)", "(5)")
-    assert E.minimal_representations(fam) == [(0, 1, 2)]
+    assert list(E.unique_minimal_analysis(fam).minimal_representations) == [(0, 1, 2)]
 
 
 # ------------------------------------------------------------ decomposition

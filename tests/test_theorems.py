@@ -13,6 +13,7 @@ from specrep import rings as R
 from specrep import theorems
 from specrep import topology as T
 from specrep import zrdesk as Z
+from specrep.errors import ConsistencyError
 from specrep.setsystems import represents_mask, to_spec_space
 from specrep.topology import indices_of
 
@@ -174,7 +175,7 @@ def reference_classified_checks(family):
     """The checks that read classify_member, one loop per check, each rescanning
     and reclassifying; for families within the exhaustive sub-family cap."""
     space = to_spec_space(family)
-    crit_mask = space.point_mask(E.critical_points(family))
+    crit_mask = space.point_mask(E.unique_minimal_analysis(family).critical)
     out = []
 
     hier = iso = corr = removal = None
@@ -213,7 +214,7 @@ def reference_classified_checks(family):
         out.append((name, "pass", ""))
 
     name = CLASSIFIED_CHECKS[5]
-    min_masks = [space.point_mask(z) for z in E.minimal_representations(family)]
+    min_masks = [space.point_mask(z) for z in E.unique_minimal_analysis(family).minimal_representations]
     containers = {}
     for zmask in _rep_masks(family):
         zs = indices_of(zmask)
@@ -247,7 +248,7 @@ def _fault_families():
 def _fault_plan(family, fault):
     """(representation mask or None, member or None for all of them, flag, forced value or None to flip)."""
     space = to_spec_space(family)
-    minimal = sorted(space.point_mask(z) for z in E.minimal_representations(family))
+    minimal = sorted(space.point_mask(z) for z in E.unique_minimal_analysis(family).minimal_representations)
     reps = _rep_masks(family)
     non_minimal = [z for z in reps if z not in minimal] + [None]
     if fault == "strong-on-in-a-non-minimal-rep":
@@ -312,10 +313,11 @@ def test_family_suite_scans_once_and_classifies_each_pair_once(monkeypatch):
         space = to_spec_space(family)
         reps = _rep_masks(family)
         counts.clear()
+        E.unique_minimal_analysis.cache_clear()
         with monkeypatch.context() as m:
             m.setattr(theorems, "represents_mask", counted("scan", theorems.represents_mask))
             m.setattr(E, "classify_member", counted("classify", E.classify_member))
-            m.setattr(E, "critical_points", counted("critical", E.critical_points))
+            m.setattr(E, "critical_mask", counted("critical", E.critical_mask))
             results = theorems.run_family_suite(family)
         assert_no_failures(results)
         assert counts["scan"] == (1 << len(family)) - 1
@@ -323,3 +325,66 @@ def test_family_suite_scans_once_and_classifies_each_pair_once(monkeypatch):
         assert counts["classify"] == sum(
             len(indices_of(z)) * (1 + (T.up_mask(space, z) != z)) for z in reps)
         assert counts["critical"] == 1
+
+
+def _flip_first_critical(real):
+    def faulty(*args):
+        crit, cset, cset_represents, srep = real(*args)
+        return crit ^ 1, cset, cset_represents, srep
+    return faulty
+
+
+def _no_srep(real):
+    def faulty(*args):
+        crit, cset, cset_represents, _ = real(*args)
+        return crit, cset, cset_represents, None
+    return faulty
+
+
+def _raise_consistency(real):
+    def faulty(*args):
+        raise ConsistencyError("injected minimal-points fault")
+    return faulty
+
+
+def _flip_critical_mask(real):
+    def faulty(family):
+        return real(family) ^ 1
+    return faulty
+
+
+AT_MOST_ONE = "at-most-one-strongly-irredundant-representation"
+
+# stage -> (fault, the checks whose status changes from a clean run)
+STAGE_FAULTS = {
+    "analysis_core-critical": ("analysis_core", _flip_first_critical, {
+        "unique-minimal-criterion": "fail", AT_MOST_ONE: "skip"}),
+    "analysis_core-srep": ("analysis_core", _no_srep, {AT_MOST_ONE: "fail"}),
+    "minimal-points": ("_minimal_points_checked", _raise_consistency, {
+        "minimal-representation-equivalences": "fail", "unique-minimal-criterion": "fail",
+        "strongly-irredundant-existence": "fail", AT_MOST_ONE: "skip",
+        "tight-reps-in-distinct-minimal-reps": "skip"}),
+    "critical_mask": ("critical_mask", _flip_critical_mask, {
+        "critical-fast-path-vs-oracle": "fail", "unique-minimal-criterion": "fail", AT_MOST_ONE: "skip"}),
+}
+
+
+def _clear_engine_caches():
+    for obj in vars(E).values():
+        if callable(getattr(obj, "cache_clear", None)):
+            obj.cache_clear()
+
+
+@pytest.mark.parametrize("fault", STAGE_FAULTS)
+def test_family_suite_fails_the_checks_named_after_a_faulty_stage(monkeypatch, fault):
+    """A fault injected into one engine stage fails exactly the checks that read it."""
+    stage, make, changed = STAGE_FAULTS[fault]
+    _clear_engine_caches()
+    clean = {r.name: r.status for r in theorems.run_family_suite(i1_family())}
+    assert set(clean.values()) == {"pass"}
+    _clear_engine_caches()
+    with monkeypatch.context() as m:
+        m.setattr(E, stage, make(getattr(E, stage)))
+        got = {r.name: r.status for r in theorems.run_family_suite(i1_family())}
+    _clear_engine_caches()
+    assert {name: status for name, status in got.items() if status != clean[name]} == changed

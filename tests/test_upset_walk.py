@@ -37,7 +37,7 @@ def families(draw, max_points=12):
 
 
 def _clear():
-    for cache in (E.upset_masks, E.intersection_table, E._minimal_closed):
+    for cache in (E.upset_masks, E.intersection_table, E.unique_minimal_analysis):
         cache.cache_clear()
 
 
@@ -108,9 +108,9 @@ def test_minimal_closed_and_minimal_representations_match_definitions(family):
     _clear()
     brute = Brute(family)
     closed = brute.minimal_closed()
-    assert E.minimal_closed_representations(family) == closed
+    assert list(E.unique_minimal_analysis(family).minimal_closed) == closed
     minimal = sorted(tuple(brute.minimal_points(sum(1 << i for i in y))) for y in closed)
-    assert E.minimal_representations(family) == minimal
+    assert list(E.unique_minimal_analysis(family).minimal_representations) == minimal
     for z in minimal:
         zmask = sum(1 << i for i in z)
         assert brute.represents(zmask)
@@ -123,7 +123,7 @@ def test_critical_points_and_unique_minimal_analysis_match_definitions(family):
     _clear()
     brute = Brute(family)
     crit = brute.critical()
-    assert E.critical_points(family) == crit
+    assert E.unique_minimal_analysis(family).critical == crit
     crit_mask = sum(1 << i for i in crit)
     cset = tuple(brute.minimal_points(crit_mask))
     cset_mask = sum(1 << i for i in cset)
@@ -149,7 +149,7 @@ def test_critical_points_and_unique_minimal_analysis_match_definitions(family):
 def test_build_report_with_oracles_raises_nothing(family):
     _clear()
     report = E.build_report(family, oracle=True)
-    assert report.analysis is not None
+    assert report.exhaustive
 
 
 def test_analyze_builds_one_table_and_runs_one_search(tmp_path, monkeypatch, capsys):
@@ -182,7 +182,7 @@ def test_analyze_builds_one_table_and_runs_one_search(tmp_path, monkeypatch, cap
     try:
         assert cli.main(["analyze", str(path)]) == 0
     finally:
-        E._minimal_closed.cache_clear()
+        E.unique_minimal_analysis.cache_clear()
     payload = json.loads(capsys.readouterr().out)
     assert payload["minimal_representations"]
     assert len(builds) == 1
