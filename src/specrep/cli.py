@@ -207,10 +207,14 @@ def _payload_analyze(instance: Instance, args) -> dict:
 def _payload_minimal(instance: Instance, args) -> dict:
     family = _family_of(instance, args.cap_ring)
     analysis = engine.unique_minimal_analysis(family, args.cap_points)
-    return {
+    payload = {
         "minimal_closed_representations": sorted(engine._names(family, y) for y in analysis.minimal_closed),
         "minimal_representations": sorted(engine._names(family, z) for z in analysis.minimal_representations),
     }
+    if args.oracle:
+        if engine.minimal_closed_oracle(family, args.cap_points) != analysis.minimal_closed:
+            raise ConsistencyError("minimal-closed fast path disagrees with the exhaustive oracle")
+    return payload
 
 
 def _payload_critical(instance: Instance, args) -> dict:
@@ -259,7 +263,7 @@ def _payload_decompose(instance: Instance, args) -> dict:
 def _payload_zr_check(instance: Instance, args) -> dict:
     if instance.pool is None:
         raise InputError("zr-check needs a pool")
-    report = zrdesk.pool_uniqueness_check(instance.pool, cap=args.cap_points)
+    report = zrdesk.pool_uniqueness_check(instance.pool, cap=args.cap_points, oracle=args.oracle)
     return {
         "pool": list(report.pool),
         "checks": report.checks,
@@ -284,7 +288,7 @@ def _payload_check_theorems(instance: Instance, args) -> dict:
         if instance.zr_parts is not None:
             target, fixed, members = instance.zr_parts
         results += theorems.run_zr_suite(
-            instance.pool, instance.family, members, target, fixed, cap=args.cap_points
+            instance.pool, instance.family, members, target, fixed, cap=args.cap_points, oracle=args.oracle
         )
         if instance.family is not None:
             results += theorems.run_family_suite(instance.family, cap=args.cap_points)

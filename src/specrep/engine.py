@@ -61,13 +61,19 @@ def upset_masks(space: SpecSpace) -> tuple[int, ...]:
     about n steps per up-set found (2^n up-sets only for an antichain) plus
     the final sort; cap before calling.
     """
-    out = [0]
-    for p in _linear_extension(space.up):
-        bit = 1 << p
-        above = space.up[p] ^ bit
-        out += [y | bit for y in out if not above & ~y]
+    out = _upsets(space.up)
     out.sort()
     return tuple(out)
+
+
+def _upsets(up) -> list[int]:
+    """The up-set masks of an order given by its up-masks, unsorted (see upset_masks)."""
+    out = [0]
+    for p in _linear_extension(tuple(up)):
+        bit = 1 << p
+        above = up[p] ^ bit
+        out += [y | bit for y in out if not above & ~y]
+    return out
 
 
 def subset_intersections(full: int, members) -> list[int]:
@@ -329,6 +335,22 @@ def critical_points_oracle(family: PointFamily, cap: int = DEFAULT_POINT_CAP) ->
         if m & ctx.fixed_mask == ctx.target_mask:
             acc &= y
     return indices_of(acc)
+
+
+def minimal_closed_oracle(family: PointFamily, cap: int = DEFAULT_POINT_CAP) -> tuple[tuple[int, ...], ...]:
+    """Minimal closed representations by scanning every up-set, in canonical order.
+
+    Keeps the up-sets that represent, with intersections recomputed from the
+    raw members, and that contain no other representing up-set.  Up-sets are
+    taken by size, so each one is compared with the minimal ones kept so far.
+    """
+    _require_cap(len(family), cap, "closed-representation enumeration")
+    require_representation(family)
+    minimal: list[int] = []
+    for y in sorted(upset_masks(family.space), key=int.bit_count):
+        if represents_mask(family, y) and not any(x & ~y == 0 for x in minimal):
+            minimal.append(y)
+    return tuple(sorted(indices_of(y) for y in minimal))
 
 
 @dataclass(frozen=True)

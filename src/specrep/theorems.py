@@ -298,7 +298,7 @@ def run_zr_suite(pool: zrdesk.PrimePool, family: PointFamily | None,
                  members: list[zrdesk.OverringSpec] | None = None,
                  target: zrdesk.OverringSpec | None = None,
                  fixed: zrdesk.OverringSpec | None = None,
-                 cap: int = engine.DEFAULT_POINT_CAP) -> list[CheckResult]:
+                 cap: int = engine.DEFAULT_POINT_CAP, oracle: bool = False) -> list[CheckResult]:
     out: list[CheckResult] = []
 
     name = "encoding-faithfulness"
@@ -351,7 +351,7 @@ def run_zr_suite(pool: zrdesk.PrimePool, family: PointFamily | None,
 
     name = "pool-uniqueness-sweep"
     try:
-        report = zrdesk.pool_uniqueness_check(pool, cap)
+        report = zrdesk.pool_uniqueness_check(pool, cap, oracle)
         out.append(_ok(name, f"{report.checks} checks") if report.passed
                    else _bad(name, report.failures[0]))
     except CapExceeded as exc:

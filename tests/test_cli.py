@@ -224,6 +224,23 @@ def test_analyze_oracle_flag(capsys):
     assert code == 0
 
 
+def test_minimal_oracle_catches_a_mutated_search(capsys, monkeypatch):
+    for name in ("i1", "two_minimal", "critical_above", "isolated_redundant", "zmod12", "zr_pool235"):
+        assert run(capsys, "minimal", str(FIXTURES / f"{name}.json"), "--oracle")[0] == 0
+    assert run(capsys, "minimal", str(FIXTURES / "i1.json"), "--oracle", "--cap-points", "2")[0] == 3
+    search = engine.minimal_closed_core
+    monkeypatch.setattr(engine, "minimal_closed_core", lambda *args: search(*args)[:1])
+    path = str(FIXTURES / "two_minimal.json")
+    engine.unique_minimal_analysis.cache_clear()
+    try:
+        assert run(capsys, "minimal", path)[0] == 0
+        code, _, err = run(capsys, "minimal", path, "--oracle")
+        assert code == 4
+        assert "minimal-closed fast path disagrees with the exhaustive oracle" in err
+    finally:
+        engine.unique_minimal_analysis.cache_clear()
+
+
 def test_usage_error_exits_one(capsys):
     code = cli.main(["analyze", "--format", "yaml"])
     captured = capsys.readouterr()

@@ -1,5 +1,7 @@
 """Overring desk: exact membership, faithful encoding, uniqueness sweeps."""
 
+import collections
+import pathlib
 import random
 from fractions import Fraction
 from itertools import combinations
@@ -8,9 +10,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from specrep import cli
 from specrep import engine as E
 from specrep import zrdesk as Z
-from specrep.errors import CapExceeded, InputError, NotARepresentation
+from specrep.errors import CapExceeded, ConsistencyError, InputError, NotARepresentation
+
+FIXTURES = pathlib.Path(__file__).resolve().parent.parent / "fixtures"
 
 
 POOL235 = Z.PrimePool.of([2, 3, 5])
@@ -192,3 +197,166 @@ def test_sweep_cap():
     big = Z.PrimePool.of([2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59, 61, 67, 71, 73])
     with pytest.raises(CapExceeded):
         Z.pool_uniqueness_check(big)
+
+
+# ------------------------------------------------- bit-sliced against per-check
+
+FIRST_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19)
+
+
+def _outcome(route, pool):
+    """A route's report, or the message of the ConsistencyError it raised."""
+    try:
+        return route(pool)
+    except ConsistencyError as exc:
+        return str(exc)
+
+
+def test_bit_sliced_sweep_matches_the_per_check_route():
+    for k in range(1, 6):
+        for primes in combinations(FIRST_PRIMES, k):
+            pool = Z.PrimePool.of(primes)
+            assert Z.pool_uniqueness_check(pool) == Z.pool_uniqueness_oracle(pool), primes
+    pool = Z.PrimePool.of([3, 5, 7, 11, 13, 17, 19])
+    report = Z.pool_uniqueness_check(pool)
+    assert report == Z.pool_uniqueness_oracle(pool)
+    assert report.checks == 3 ** 7 - 2 ** 7 and report.passed
+
+
+def test_bit_sliced_sweep_in_several_slices_matches(monkeypatch):
+    # targets of up to 5 primes split into up to 8 slices of 4 fixed rings
+    monkeypatch.setattr(Z, "SLICE_BITS", 2)
+    for primes in ([2], [2, 3, 5], [2, 3, 5, 7, 11]):
+        pool = Z.PrimePool.of(primes)
+        assert Z.pool_uniqueness_check(pool) == Z.pool_uniqueness_oracle(pool)
+
+
+def _corrupt_target(monkeypatch, target_index, change):
+    """Replace the members of one target by change(members), for both routes alike."""
+    targets = Z._targets
+
+    def corrupted(pool, cap):
+        out = list(targets(pool, cap))
+        tmask, t_bits, members = out[target_index]
+        out[target_index] = (tmask, t_bits, change(list(members)))
+        return out
+
+    monkeypatch.setattr(Z, "_targets", corrupted)
+
+
+def _flip(member_index, bit):
+    def change(members):
+        members[member_index % len(members)] ^= 1 << bit
+        return members
+    return change
+
+
+@pytest.mark.parametrize("slice_bits", [Z.SLICE_BITS, 2])
+def test_corrupted_family_gives_the_per_check_failures_or_error(monkeypatch, slice_bits):
+    # a corrupted member corrupts the target's excess table and so R; both
+    # routes must give the same failure lines in the same order, or raise the
+    # same ConsistencyError
+    monkeypatch.setattr(Z, "SLICE_BITS", slice_bits)
+    pool = Z.PrimePool.of([2, 3, 5, 7])
+    full = 0b1111
+    corruptions = [(t, _flip(c, bit)) for t in range(15) for c in range(4) for bit in range(4)]
+    # T = {2,3,5} from the members missing {2,3}, {3,5} and {2,5}: three minimal representations
+    corruptions.append((6, lambda members: [full ^ 0b011, full ^ 0b110, full ^ 0b101]))
+    kinds = collections.Counter()
+    for target_index, change in corruptions:
+        with monkeypatch.context() as patch:
+            _corrupt_target(patch, target_index, change)
+            sliced = _outcome(Z.pool_uniqueness_check, pool)
+            per_check = _outcome(Z.pool_uniqueness_oracle, pool)
+        assert sliced == per_check, target_index
+        if isinstance(sliced, str):
+            kinds[sliced] += 1
+        else:
+            kinds.update(line.split(": ", 1)[1].split(" for ")[0] for line in sliced.failures)
+    assert kinds["a representation must contain a minimal closed one"]
+    for line in ("expected a unique minimal representation", "unexpected strongly irredundant representation",
+                 "witness", "criticality does not match the unabsorbed localizations"):
+        assert kinds[line], kinds
+
+
+def _order_fault(m, a, b, kind):
+    """inclusion_order with one injected fault on the targets of m primes."""
+    order = Z.inclusion_order
+
+    def faulty(points):
+        up, down = order(points)
+        if len(points) != m:
+            return up, down
+        up, down = list(up), list(down)
+        if kind == "down":  # down[a] loses or gains b
+            down[a] ^= 1 << b
+        else:  # point a strictly below point b, on both sides of the order
+            up[a] |= 1 << b
+            down[b] |= 1 << a
+        return tuple(up), tuple(down)
+
+    return faulty
+
+
+def _table_fault(w, e, s):
+    """_slice_basis with bit s of U[e] flipped in the slices of width w."""
+    basis = Z._slice_basis
+
+    def faulty(width):
+        H, U = basis(width)
+        if width == w:
+            U = list(U)
+            U[e] ^= 1 << s
+        return H, U
+
+    return faulty
+
+
+@pytest.mark.parametrize("primes, order, table, message", [
+    ([2], (1, 0, 0, "down"), None, "minimal points of a closed representation must represent"),
+    ([2, 3, 5], (2, 1, 0, "below"), (2, 3, 1), "irredundance and isolation disagree on a minimal representation"),
+    ([2, 3, 5], (2, 0, 1, "down"), None, "minimal points fail to regenerate their closed representation"),
+    ([2, 3, 5], None, (3, 5, 0), "critical-core representation does not match minimal-representation count"),
+])
+def test_each_bit_sliced_cross_check_can_fire(monkeypatch, primes, order, table, message):
+    # The density check of _minimal_points_checked is not here: every minimal
+    # point of an up-set is isolated among the minimal points, so density is
+    # regeneration again and no fault reaches it in either route.  The check
+    # that a closed representation exists fires in the corrupted-family test.
+    if order:
+        monkeypatch.setattr(Z, "inclusion_order", _order_fault(*order))
+    if table:
+        monkeypatch.setattr(Z, "_slice_basis", _table_fault(*table))
+    with pytest.raises(ConsistencyError) as info:
+        Z.pool_uniqueness_check(Z.PrimePool.of(primes))
+    assert str(info.value) == message
+
+
+def test_oracle_catches_a_mutated_per_check_route(monkeypatch, capsys):
+    def no_srep(*args):
+        crit, cset, cset_represents, _ = E.analysis_core(*args)
+        return crit, cset, cset_represents, None
+
+    monkeypatch.setattr(Z, "analysis_core", no_srep)
+    pool = ["--pool", "2,3,5"]
+    assert cli.main(["zr-check", *pool]) == 0
+    assert cli.main(["zr-check", *pool, "--oracle"]) == 4
+    assert "disagrees with the per-check oracle" in capsys.readouterr().err
+    fixture = str(FIXTURES / "zr_pool235.json")
+    assert cli.main(["check-theorems", fixture]) == 0
+    assert cli.main(["check-theorems", fixture, "--oracle"]) == 4
+    assert "disagrees with the per-check oracle" in capsys.readouterr().err
+
+
+def test_oracle_catches_a_mutated_bit_sliced_route(monkeypatch, capsys):
+    sliced = Z._sliced_target
+    monkeypatch.setattr(Z, "_sliced_target", lambda *args: sliced(*args) + ["T={2} S={}: injected"])
+    assert cli.main(["zr-check", "--pool", "2,3"]) == 0
+    assert cli.main(["zr-check", "--pool", "2,3", "--oracle"]) == 4
+
+
+def test_zr_check_oracle_output_is_the_golden(capsys):
+    golden = (pathlib.Path(__file__).resolve().parent / "golden" / "zr_pool235_zrcheck.json").read_text(encoding="utf-8")
+    for extra in ([], ["--oracle"]):
+        assert cli.main(["zr-check", str(FIXTURES / "zr_pool235.json"), *extra]) == 0
+        assert capsys.readouterr().out == golden
