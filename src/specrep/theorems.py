@@ -65,17 +65,11 @@ def run_family_suite(family: PointFamily, cap: int = engine.DEFAULT_POINT_CAP) -
     # generator vs order fast paths
     if n <= generator_cap:
         name = "topology-generator-equivalence"
-        bad = None
-        tops = {}
-        for kind in topology.KINDS:
-            top = topology.generate_topology(space, kind, cap=generator_cap)
-            tops[kind] = top
-            if top.opens != topology.fast_opens(space, kind):
-                bad = kind
-                break
-            if not topology.family_is_topology(top.opens, n):
-                bad = kind
-                break
+        # every kind is generated first, so the checks below read all three
+        # even when one of them differs from its fast path
+        tops = {kind: topology.generate_topology(space, kind, cap=generator_cap) for kind in topology.KINDS}
+        bad = next((kind for kind, top in tops.items() if top.opens != topology.fast_opens(space, kind)
+                    or not topology.family_is_topology(top.opens, n)), None)
         out.append(_bad(name, f"{bad} topology differs from its order fast path") if bad else _ok(name))
 
         name = "specialization-order-matches-inclusion"
@@ -132,9 +126,10 @@ def run_family_suite(family: PointFamily, cap: int = engine.DEFAULT_POINT_CAP) -
     out.append(_ok(name) if held else _bad(name, "trace criterion failed on the maximal points"))
 
     # engine-side checks on the full family plus every sub-representation we
-    # can afford: one scan finds them, and each (representation, member) pair
-    # is classified once; the all-strong and the all-tight representations
-    # are kept apart, so that a strong/tight split shows in both checks below
+    # can afford: one scan finds them, each (representation, member) pair is
+    # classified once, and so is each (up-closure, member) pair; the
+    # all-strong and the all-tight representations are kept apart, so that a
+    # strong/tight split shows in both checks below
     exhaustive = n <= EXHAUSTIVE_SUBFAMILY_CAP
     if exhaustive:
         zmasks = [z for z in range(1, space.full_mask + 1) if represents_mask(family, z)]
@@ -146,6 +141,7 @@ def run_family_suite(family: PointFamily, cap: int = engine.DEFAULT_POINT_CAP) -
 
     hier = iso = corr = removal = None
     strong_reps, tight_reps = [], []
+    up_irredundant: dict[tuple[int, int], bool] = {}
     for zmask in zmasks:
         zs = indices_of(zmask)
         upz = topology.up_mask(space, zmask)
@@ -163,8 +159,9 @@ def run_family_suite(family: PointFamily, cap: int = engine.DEFAULT_POINT_CAP) -
             if crit_mask >> b & 1 and cls.irredundant and not cls.strongly_irredundant:
                 corr = corr or (b, zmask)
             if upz != zmask:
-                in_up = engine.classify_member(family, indices_of(upz), b)
-                if cls.tightly_irredundant != in_up.irredundant:
+                if (upz, b) not in up_irredundant:
+                    up_irredundant[upz, b] = engine.classify_member(family, indices_of(upz), b).irredundant
+                if cls.tightly_irredundant != up_irredundant[upz, b]:
                     removal = removal or (b, zmask)
         if all_strong:
             strong_reps.append(zmask)

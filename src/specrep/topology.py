@@ -16,6 +16,7 @@ point indices so output order is deterministic.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Iterable
 
 from .errors import CapExceeded, ConsistencyError, InputError, NotAntichain
@@ -113,49 +114,82 @@ class SpecSpace:
         return m
 
 
+def _meets_around(opens: Iterable[int]) -> dict[int, int]:
+    """Point -> AND of the given sets that contain it, for every point some set contains."""
+    meets: dict[int, int] = {}
+    for o in opens:
+        for i in _bits(o):
+            meets[i] = meets.get(i, o) & o
+    return meets
+
+
 @dataclass(frozen=True)
 class Topology:
     """An explicit open-set family on the point index set.
 
     opens is closed under binary union and intersection and contains the
     empty set and the full set; origin tags which of the three standard
-    topologies it is.
+    topologies it is.  Since finite meets of opens are open, each point has a
+    smallest open neighbourhood (the topology is Alexandrov), and closures
+    and the specialization order are read from these.
     """
 
     size: int
     origin: str
     opens: frozenset[int]
 
-    def closure_of(self, ymask: int) -> int:
-        """Smallest closed superset: complement of the largest open avoiding Y."""
+    @cached_property
+    def neighbourhoods(self) -> tuple[int, ...]:
+        """U_i, the AND of the opens containing point i, built in one pass and kept.
+
+        U_i is open because finite meets of opens are open, so it is the
+        smallest open around i.  Not a field: equality, hashing and repr
+        still see only the three fields above.
+        """
         full = (1 << self.size) - 1
-        big = 0
-        for o in self.opens:
-            if o & ymask == 0:
-                big |= o
-        return full ^ big
+        meets = _meets_around(self.opens)
+        return tuple(meets.get(i, full) for i in range(self.size))
+
+    def closure_of(self, ymask: int) -> int:
+        """Smallest closed superset of Y: the points whose smallest open neighbourhood meets Y.
+
+        A point lies outside the closure when some open around it avoids Y;
+        every open around i contains U_i, and U_i is itself open (finite
+        meets of opens are open), so that happens exactly when U_i avoids Y.
+        """
+        m = 0
+        for i, u in enumerate(self.neighbourhoods):
+            if u & ymask:
+                m |= 1 << i
+        return m
 
     def specialization_leq(self, i: int, j: int) -> bool:
-        """i <= j when j lies in the closure of {i}: opens around j all contain i."""
-        return all(o >> i & 1 for o in self.opens if o >> j & 1)
+        """i <= j when j lies in the closure of {i}: opens around j all contain i.
+
+        All of them contain i exactly when their AND U_j does; that U_j is the
+        smallest open around j (finite meets of opens are open) makes this
+        the same order that closure_of gives.
+        """
+        return bool(self.neighbourhoods[j] >> i & 1)
 
 
 def family_is_topology(opens: Iterable[int], size: int) -> bool:
     """Check closure under binary union/intersection plus empty and full set.
 
-    Union and meet are symmetric and idempotent, so each unordered pair of
-    distinct sets is tested once.
+    Let U_i be the AND of the members containing point i, over every point
+    some member contains.  Each member is the union of the U_i of its points,
+    and the meet of two members the union of the U_i of their common points.
+    So when 0 and every o | U_i (o a member) are members, repeated unions
+    give every union and meet of members; conversely, a family closed under
+    both holds each U_i (a finite meet of members: finite meets of opens are
+    open) and each o | U_i.  The test is O(|opens| * points), not one pass
+    over every pair of opens.
     """
-    fam = set(opens)
-    full = (1 << size) - 1
-    if 0 not in fam or full not in fam:
+    fam = frozenset(opens)
+    if 0 not in fam or (1 << size) - 1 not in fam:
         return False
-    items = sorted(fam)
-    for i, a in enumerate(items):
-        for b in items[i + 1:]:
-            if a | b not in fam or a & b not in fam:
-                return False
-    return True
+    meets = _meets_around(fam).values()
+    return all(o | u in fam for o in fam for u in meets)
 
 
 def _span_from_subbasis(seeds: Iterable[int], n: int) -> frozenset[int]:

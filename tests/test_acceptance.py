@@ -359,6 +359,7 @@ def test_acceptance_9_cli_golden_bytes():
         (("check-theorems", "fixtures/zmod12.json"), "zmod12_theorems.json"),
         (("check-theorems", "fixtures/zr_pool235.json"), "zr_pool235_theorems.json"),
         (("check-theorems", "fixtures/f2xy_tables.json"), "f2xy_tables_theorems.json"),
+        (("check-theorems", "fixtures/zmod2560.json"), "zmod2560_theorems.json"),
     ]
     bad = []
     for argv, golden_name in cases:

@@ -321,10 +321,86 @@ def test_family_suite_scans_once_and_classifies_each_pair_once(monkeypatch):
             results = theorems.run_family_suite(family)
         assert_no_failures(results)
         assert counts["scan"] == (1 << len(family)) - 1
-        # each (representation, member) once, plus once in the up-closure of a non-closed one
-        assert counts["classify"] == sum(
-            len(indices_of(z)) * (1 + (T.up_mask(space, z) != z)) for z in reps)
+        # each (representation, member) once, plus each distinct (up-closure, member)
+        # pair of a non-closed representation once
+        up_pairs = {(T.up_mask(space, z), b) for z in reps if T.up_mask(space, z) != z for b in indices_of(z)}
+        assert counts["classify"] == sum(len(indices_of(z)) for z in reps) + len(up_pairs)
         assert counts["critical"] == 1
+
+
+def _drop_an_open(kind):
+    """generate_topology with its largest proper open dropped from the `kind` topology."""
+    real = T.generate_topology
+
+    def faulty(space, k, cap=T.DEFAULT_GENERATOR_CAP):
+        top = real(space, k, cap=cap)
+        if k != kind:
+            return top
+        return T.Topology(top.size, top.origin, top.opens - {max(top.opens - {space.full_mask})})
+    return faulty
+
+
+def _flip_leq(i, j):
+    real = T.SpecSpace.leq
+
+    def faulty(self, a, b):
+        return real(self, a, b) != ((a, b) == (i, j))
+    return faulty
+
+
+def _flip_closure_mask(kind, ymask):
+    real = T.closure_mask
+
+    def faulty(space, y, k):
+        return real(space, y, k) ^ (1 if (y, k) == (ymask, kind) else 0)
+    return faulty
+
+
+def _flip_specialization(i, j):
+    real = T.Topology.specialization_leq
+
+    def faulty(self, a, b):
+        return real(self, a, b) != ((a, b) == (i, j))
+    return faulty
+
+
+def _flip_closure_of(kind, ymask):
+    real = T.Topology.closure_of
+
+    def faulty(self, y):
+        return real(self, y) ^ (1 if (y, self.origin) == (ymask, kind) else 0)
+    return faulty
+
+
+# route fault -> (target, attribute, faulty replacement, the check that must fail, its detail)
+ROUTE_FAULTS = {
+    **{f"dropped-{kind}-open": (T, "generate_topology", _drop_an_open(kind), "topology-generator-equivalence",
+                                f"{kind} topology differs from its order fast path") for kind in T.KINDS},
+    "leq-flipped": (T.SpecSpace, "leq", _flip_leq(0, 1), "specialization-order-matches-inclusion",
+                    "order mismatch at point pair (0, 1)"),
+    "specialization-flipped": (T.Topology, "specialization_leq", _flip_specialization(1, 0),
+                               "specialization-order-matches-inclusion", "order mismatch at point pair (1, 0)"),
+    **{f"closure-mask-flipped-{kind}": (T, "closure_mask", _flip_closure_mask(kind, 0b10),
+                                        "closure-fast-path-vs-topology", f"closure mismatch in {kind} at subset 10")
+       for kind in T.KINDS},
+    **{f"closure-of-flipped-{kind}": (T.Topology, "closure_of", _flip_closure_of(kind, 0b110),
+                                      "closure-fast-path-vs-topology", f"closure mismatch in {kind} at subset 110")
+       for kind in T.KINDS},
+}
+
+
+@pytest.mark.parametrize("fault", ROUTE_FAULTS)
+def test_topology_checks_fail_when_one_route_is_mutated(monkeypatch, fault):
+    """Each generated-topology check still compares two routes: mutating either side fails it."""
+    target, attr, faulty, check, detail = ROUTE_FAULTS[fault]
+    clean = {r.name: r for r in theorems.run_family_suite(i1_family())}
+    assert {r.status for r in clean.values()} == {"pass"}
+    with monkeypatch.context() as m:
+        m.setattr(target, attr, faulty)
+        got = {r.name: r for r in theorems.run_family_suite(i1_family())}
+    assert (got[check].status, got[check].detail) == ("fail", detail)
+    if not fault.startswith("dropped"):
+        assert [name for name in got if got[name] != clean[name]] == [check]
 
 
 def _flip_first_critical(real):

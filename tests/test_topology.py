@@ -3,7 +3,7 @@
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from specrep.errors import CapExceeded, InputError, NotAntichain
@@ -124,6 +124,92 @@ def test_family_missing_a_union_meet_or_bound_is_not_a_topology():
     for missing in (0b011, 0b000, 0b111):  # the union of 0b001 and 0b010, the empty set, the full set
         assert not T.family_is_topology(opens - {missing}, 3)
     assert not T.family_is_topology({0b000, 0b011, 0b110, 0b111}, 3)  # 0b011 & 0b110 is missing
+
+
+def pairwise_is_topology(opens, size):
+    """Reference: 0 and the full set are members, and every pair's union and meet are too."""
+    fam = set(opens)
+    full = (1 << size) - 1
+    if 0 not in fam or full not in fam:
+        return False
+    items = sorted(fam)
+    for i, a in enumerate(items):
+        for b in items[i + 1:]:
+            if a | b not in fam or a & b not in fam:
+                return False
+    return True
+
+
+def _closed_under_union_and_meet(masks):
+    fam = set(masks)
+    while True:
+        more = {op(a, b) for a in fam for b in fam for op in (int.__or__, int.__and__)} - fam
+        if not more:
+            return fam
+        fam |= more
+
+
+FAMILY_SHAPES = ("any", "closed", "closed-minus-one", "closed-without-empty", "closed-without-full")
+
+
+@st.composite
+def mask_families(draw):
+    """(shape, masks, size): 1-5 points, and masks that may carry bits at or above size."""
+    size = draw(st.integers(min_value=1, max_value=5))
+    width = size + draw(st.integers(min_value=0, max_value=2))
+    shape = draw(st.sampled_from(FAMILY_SHAPES))
+    seeds = draw(st.sets(st.integers(min_value=0, max_value=(1 << width) - 1), max_size=6))
+    if shape == "any":
+        return shape, seeds, size
+    fam = _closed_under_union_and_meet(seeds | {0, (1 << size) - 1})
+    if shape == "closed-minus-one":
+        fam.discard(draw(st.sampled_from(sorted(fam))))
+    elif shape == "closed-without-empty":
+        fam.discard(0)
+    elif shape == "closed-without-full":
+        fam.discard((1 << size) - 1)
+    return shape, fam, size
+
+
+@settings(max_examples=400, derandomize=True, deadline=None)
+@given(mask_families())
+@example(("any", {0b00, 0b01, 0b10, 0b11}, 1))  # closed, with a bit above the size
+# every o | U_i over the points below the size is a member, but 0b101 & 0b110 is not
+@example(("any", {0b000, 0b001, 0b010, 0b011, 0b101, 0b110, 0b111}, 2))
+def test_family_is_topology_agrees_with_the_pairwise_test(drawn):
+    shape, masks, size = drawn
+    want = pairwise_is_topology(masks, size)
+    assert T.family_is_topology(masks, size) == want
+    if shape == "closed":
+        assert want
+    assert pairwise_is_topology({0b00, 0b01, 0b10, 0b11}, 1)
+    assert not pairwise_is_topology({0b000, 0b001, 0b010, 0b100}, 1)
+
+
+def _closure_by_scan(top, ymask):
+    """Definition: the complement of the union of the opens avoiding Y."""
+    avoiding = 0
+    for o in top.opens:
+        if o & ymask == 0:
+            avoiding |= o
+    return ((1 << top.size) - 1) ^ avoiding
+
+
+def test_neighbourhoods_closures_and_specialization_match_definitions_random():
+    rng = random.Random(20240815)
+    for _ in range(40):
+        space = random_spec_space(rng, max_universe=5, max_points=7)
+        n = len(space)
+        for kind in T.KINDS:
+            top = T.generate_topology(space, kind)
+            for i, u in enumerate(top.neighbourhoods):
+                assert u in top.opens and u >> i & 1
+                assert all(u & ~o == 0 for o in top.opens if o >> i & 1)
+            for ymask in range(space.full_mask + 1):
+                assert top.closure_of(ymask) == _closure_by_scan(top, ymask)
+            for i in range(n):
+                for j in range(n):
+                    assert top.specialization_leq(i, j) == all(o >> i & 1 for o in top.opens if o >> j & 1)
 
 
 def test_specialization_order_matches_inclusion_random():
