@@ -194,16 +194,43 @@ def pool_uniqueness_check(pool: PrimePool, cap: int = DEFAULT_POINT_CAP, oracle:
 
     Each target is decided for all its fixed rings S at once, bit-sliced
     (_sliced_target), with every cross-check of the engine's mask stages.
-    With oracle=True the per-check route (pool_uniqueness_oracle) runs too
-    and any difference in the report raises ConsistencyError.
+    The decision depends only on the members restricted to T, their order
+    and the slice width, so each distinct such input is decided once per
+    call (co-singleton members give one input per size of T) and its
+    failure records are rendered with the labels of every target that has
+    it.  With oracle=True the per-check route (pool_uniqueness_oracle) runs
+    too and any difference in the report raises ConsistencyError.
     """
     primes = pool.primes
     full = (1 << len(primes)) - 1
     checks = 0
     failures: list[str] = []
+    decided = {}  # the failure records of each distinct input of _sliced_target
     for tmask, t_bits, members in _targets(pool, cap):
-        checks += (1 << len(t_bits)) - 1
-        failures += _sliced_target(primes, t_bits, members, full ^ tmask)
+        m = len(t_bits)
+        checks += (1 << m) - 1
+        # each member restricted to T, with bit m set when it contains the target
+        target = full ^ tmask
+        local = []
+        for member in members:
+            lm = 1 << m if member & target == target else 0
+            for j, i in enumerate(t_bits):
+                lm |= (member >> i & 1) << j
+            local.append(lm)
+        up, down = inclusion_order(members)
+        key = (tuple(local), up, down, SLICE_BITS)
+        if key not in decided:
+            decided[key] = _sliced_target(m, local, up, down)
+        for s, unique_bad, srep_bad, witness_bad, crit_bad in decided[key]:
+            label = _label(primes, t_bits, sum(1 << i for j, i in enumerate(t_bits) if s >> j & 1))
+            if unique_bad:
+                failures.append(f"{label}: expected a unique minimal representation")
+            if srep_bad:
+                failures.append(f"{label}: unexpected strongly irredundant representation")
+            for j in witness_bad:
+                failures.append(f"{label}: witness for 1/{primes[t_bits[j]]} is not the expected prime")
+            if crit_bad:
+                failures.append(f"{label}: criticality does not match the unabsorbed localizations")
     report = PoolSweepReport(pool=primes, checks=checks, passed=not failures, failures=tuple(failures))
     if oracle and pool_uniqueness_oracle(pool, cap) != report:
         raise ConsistencyError("the bit-sliced pool sweep disagrees with the per-check oracle")
@@ -230,12 +257,14 @@ def _slice_basis(w: int) -> tuple[tuple[int, ...], list[int]]:
     return H, U
 
 
-def _sliced_target(primes, t_bits, members, target: int) -> list[str]:
-    """The failure lines of one target T for every fixed ring S strictly inside T.
+def _sliced_target(m: int, local, up, down) -> list[tuple]:
+    """The failure records of one target T of m primes for every fixed ring S strictly inside T.
 
     S is read as its local mask s over the primes of T, and each fact of the
-    checks (T, S) is one integer whose bit s holds it for that S.  The
-    members restricted to T give the excess table: the points y represent
+    checks (T, S) is one integer whose bit s holds it for that S.  local
+    holds the members restricted to T (bit j for prime j of T, bit m when
+    the member contains the target), and up and down are their inclusion
+    order.  The local masks give the excess table: the points y represent
     under s iff their intersection contains the target and its primes of T
     lie in s.  From it, with U[e] the set of s containing e,
     R[y] = U[excess(y)], and an up-set y is a minimal closed representation
@@ -247,23 +276,17 @@ def _sliced_target(primes, t_bits, members, target: int) -> list[str]:
     Every cross-check of minimal_closed_core, _minimal_points_checked and
     analysis_core is made on every s; a violation raises the ConsistencyError
     that the per-check route raises at the first failing S in sweep order.
-    Failure lines come in sweep order too: S descending, and for each S the
-    uniqueness, strongly irredundant (or witness) and criticality lines.
+    The records are label-free, one per failing s in sweep order (S
+    descending): (s, unique_bad, srep_bad, the j whose witness is not prime
+    j, crit_bad), which the sweep renders as the uniqueness, strongly
+    irredundant (or witness) and criticality lines of each target.
     """
-    m = len(t_bits)
     pts = (1 << m) - 1
     has_target = 1 << m
-    local = []
-    for member in members:
-        lm = has_target if member & target == target else 0
-        for j, i in enumerate(t_bits):
-            lm |= (member >> i & 1) << j
-        local.append(lm)
     excess = subset_intersections(pts | has_target, local)
     lacking = [[c for c in range(m) if not local[c] >> j & 1] for j in range(m)]
     dead = [c for c in range(m) if not local[c] & has_target]
 
-    up, down = inclusion_order(members)
     ups = _upsets(up)
     # b is a minimal point of y iff b is in y and in down[b] and no other
     # point of y is in down[b]; covered[y] holds the points that y rules out.
@@ -285,7 +308,7 @@ def _sliced_target(primes, t_bits, members, target: int) -> list[str]:
     every = (1 << (1 << w)) - 1
     top = (1 << (m - w)) - 1
     H, U = _slice_basis(w)
-    lines: list[str] = []
+    records = []
     for hi in range(top, -1, -1):  # this slice holds s = hi * 2^w + lo, lo < 2^w
         if m > w:  # a prime j >= w of T is in every s of the slice or in none
             H = list(H[:w])
@@ -392,18 +415,9 @@ def _sliced_target(primes, t_bits, members, target: int) -> list[str]:
             lo = failing.bit_length() - 1
             bit = 1 << lo
             failing ^= bit
-            s = hi << w | lo
-            label = _label(primes, t_bits, sum(1 << i for j, i in enumerate(t_bits) if s >> j & 1))
-            if unique_bad & bit:
-                lines.append(f"{label}: expected a unique minimal representation")
-            if srep_bad & bit:
-                lines.append(f"{label}: unexpected strongly irredundant representation")
-            for j, bad in enumerate(witness_bad):
-                if bad & bit:
-                    lines.append(f"{label}: witness for 1/{primes[t_bits[j]]} is not the expected prime")
-            if crit_bad & bit:
-                lines.append(f"{label}: criticality does not match the unabsorbed localizations")
-    return lines
+            records.append((hi << w | lo, bool(unique_bad & bit), bool(srep_bad & bit),
+                            tuple(j for j, bad in enumerate(witness_bad) if bad & bit), bool(crit_bad & bit)))
+    return records
 
 
 def pool_uniqueness_oracle(pool: PrimePool, cap: int = DEFAULT_POINT_CAP) -> PoolSweepReport:

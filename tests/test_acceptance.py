@@ -354,6 +354,7 @@ def test_acceptance_9_cli_golden_bytes():
         (("decompose", "fixtures/zmod12.json"), "zmod12_decompose.json"),
         (("decompose", "fixtures/zmod12.json", "--format", "text"), "zmod12_decompose.txt"),
         (("zr-check", "fixtures/zr_pool235.json"), "zr_pool235_zrcheck.json"),
+        (("zr-check", "--pool", "2,3,5,7,11,13,17,19,23,29"), "zr_pool10_zrcheck.json"),
         (("analyze", "fixtures/zr_pool235.json"), "zr_pool235_analyze.json"),
         (("check-theorems", "fixtures/i1.json"), "i1_theorems.json"),
         (("check-theorems", "fixtures/zmod12.json"), "zmod12_theorems.json"),

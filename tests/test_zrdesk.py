@@ -279,13 +279,71 @@ def test_corrupted_family_gives_the_per_check_failures_or_error(monkeypatch, sli
         assert kinds[line], kinds
 
 
-def _order_fault(m, a, b, kind):
-    """inclusion_order with one injected fault on the targets of m primes."""
+def test_sweep_decides_each_distinct_input_once(monkeypatch):
+    # co-singleton members give every target of m primes the same input of
+    # _sliced_target, so a k-prime pool has k distinct inputs; the oracle
+    # still searches once per check
+    sliced, core = Z._sliced_target, Z.minimal_closed_core
+    sizes = []
+    searches = []
+    monkeypatch.setattr(Z, "_sliced_target", lambda m, *rest: sizes.append(m) or sliced(m, *rest))
+    monkeypatch.setattr(Z, "minimal_closed_core", lambda *args: searches.append(1) or core(*args))
+    for k in range(1, 7):
+        pool = Z.PrimePool.of(FIRST_PRIMES[:k])
+        for _ in range(2):  # nothing carries over from one call to the next
+            sizes.clear()
+            report = Z.pool_uniqueness_check(pool)
+            assert sorted(sizes) == list(range(1, k + 1)), k
+            assert report.checks == 3 ** k - 2 ** k and report.passed
+        searches.clear()
+        assert Z.pool_uniqueness_oracle(pool) == report
+        assert len(searches) == 3 ** k - 2 ** k
+
+
+@pytest.mark.parametrize("slice_bits", [Z.SLICE_BITS, 2])
+def test_a_corrupted_target_is_decided_on_its_own(monkeypatch, slice_bits):
+    # the 20 three-prime targets of a 6-prime pool share one input; with one
+    # of them corrupted, or only its order, the sweep must give the per-check
+    # failures or error, and its failure lines must name that target alone
+    monkeypatch.setattr(Z, "SLICE_BITS", slice_bits)
+    pool = Z.PrimePool.of(FIRST_PRIMES[:6])
+    clean = Z.pool_uniqueness_check(pool)
+    targets = list(Z._targets(pool, 6))
+    three = [n for n, (_, t_bits, _) in enumerate(targets) if len(t_bits) == 3]
+    assert len(three) == 20
+    lines = errors = 0
+    for n in three:
+        t_bits = targets[n][1]
+        label = "T={" + ",".join(str(pool.primes[i]) for i in t_bits) + "} "
+        c = n % 3
+        outside = min(set(range(6)) - set(t_bits))
+        # member c also lacks a second prime of T or one outside T, or point 0
+        # loses itself from its down-set in this target's order alone
+        for bit in (t_bits[c - 1], outside, None):
+            with monkeypatch.context() as patch:
+                if bit is None:
+                    patch.setattr(Z, "inclusion_order", _order_fault(3, 0, 0, "down", list(targets[n][2])))
+                else:
+                    _corrupt_target(patch, n, _flip(c, bit))
+                sliced = _outcome(Z.pool_uniqueness_check, pool)
+                per_check = _outcome(Z.pool_uniqueness_oracle, pool)
+            assert sliced == per_check, (n, bit)
+            assert sliced != clean, (n, bit)
+            if isinstance(sliced, str):
+                errors += 1
+            else:
+                assert all(line.startswith(label) for line in sliced.failures), (n, bit)
+                lines += len(sliced.failures)
+    assert lines and errors
+
+
+def _order_fault(m, a, b, kind, members=None):
+    """inclusion_order with one injected fault on the targets of m primes, or on these members only."""
     order = Z.inclusion_order
 
     def faulty(points):
         up, down = order(points)
-        if len(points) != m:
+        if len(points) != m or members is not None and list(points) != members:
             return up, down
         up, down = list(up), list(down)
         if kind == "down":  # down[a] loses or gains b
@@ -349,14 +407,20 @@ def test_oracle_catches_a_mutated_per_check_route(monkeypatch, capsys):
 
 
 def test_oracle_catches_a_mutated_bit_sliced_route(monkeypatch, capsys):
+    # one bogus failure record for S = {} of the one-prime targets
     sliced = Z._sliced_target
-    monkeypatch.setattr(Z, "_sliced_target", lambda *args: sliced(*args) + ["T={2} S={}: injected"])
+    bogus = (0, True, False, (), False)
+    monkeypatch.setattr(Z, "_sliced_target", lambda m, *rest: sliced(m, *rest) + [bogus] * (m == 1))
     assert cli.main(["zr-check", "--pool", "2,3"]) == 0
+    assert "T={2} S={}: expected a unique minimal representation" in capsys.readouterr().out
     assert cli.main(["zr-check", "--pool", "2,3", "--oracle"]) == 4
 
 
 def test_zr_check_oracle_output_is_the_golden(capsys):
-    golden = (pathlib.Path(__file__).resolve().parent / "golden" / "zr_pool235_zrcheck.json").read_text(encoding="utf-8")
-    for extra in ([], ["--oracle"]):
-        assert cli.main(["zr-check", str(FIXTURES / "zr_pool235.json"), *extra]) == 0
-        assert capsys.readouterr().out == golden
+    # the 10-prime pool has m = SLICE_BITS for its full target: every fixed ring in one slice
+    for pool, name in (([str(FIXTURES / "zr_pool235.json")], "zr_pool235_zrcheck.json"),
+                       (["--pool", "2,3,5,7,11,13,17,19,23,29"], "zr_pool10_zrcheck.json")):
+        golden = (pathlib.Path(__file__).resolve().parent / "golden" / name).read_text(encoding="utf-8")
+        for extra in ([], ["--oracle"]):
+            assert cli.main(["zr-check", *pool, *extra]) == 0
+            assert capsys.readouterr().out == golden
