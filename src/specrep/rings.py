@@ -418,12 +418,21 @@ def irreducibles_over(ring: FiniteRing, ideal: RingIdeal) -> list[RingIdeal]:
 def build_irr_space(ring: FiniteRing, ideal: RingIdeal, points: str = "irreducible") -> PointFamily:
     """The family of irreducible (or prime) ideals over a proper ideal.
 
-    Universe and fixed set are the ring elements, the target is the ideal's
-    element set, and the points intersect back to the ideal; by construction
-    the whole family is its own unique minimal closed representation, which
-    the engine re-derives (checked in the theorem suite and tests).  Requires
-    an arithmetical ring, and for zmod a modulus small enough to materialize
-    element sets.
+    The target is the ideal, C is the whole universe, and the points
+    intersect back to the ideal; by construction the whole family is its own
+    unique minimal closed representation, which the engine re-derives
+    (checked in the theorem suite and tests).  Requires an arithmetical ring,
+    and for zmod a modulus under the element cap.
+
+    A table ring's universe is its elements.  zmod(n) is read through its
+    divisor classes instead: every engine fact sees an element only through
+    the ideals holding it, and x lies in (d) exactly when d divides
+    gcd(x, n), so the elements with one gcd g form an atom.  The universe is
+    the tau(n) atoms, each labelled by its least element (g itself, or "0"
+    for the atom of n) and ordered by it, so "0" comes first and the rest
+    ascend.  Every ideal is a union of atoms, and the least bit of any such
+    union is the least element of the element set it stands for, so every
+    witness label is the one the n-element universe gives.
     """
     if points not in ("irreducible", "prime"):
         raise InputError("points must be 'irreducible' or 'prime'")
@@ -443,17 +452,22 @@ def build_irr_space(ring: FiniteRing, ideal: RingIdeal, points: str = "irreducib
     if not members:
         raise ConsistencyError("a proper ideal always sits under an irreducible one")
 
-    size = ring.size
-    context = ContextTriple(
-        # decimal labels; repr of an int is its str, and the quicker call in bulk
-        universe=tuple(map(repr, range(size))),
-        fixed_mask=(1 << size) - 1,
-        target_mask=ideal.element_mask(),
-    )
+    if ring.kind == "zmod":
+        n = ring.size
+        atoms = [n] + divisors_of(n)[:-1]  # by least element: the atom of n holds 0
+        labels = tuple("0" if g == n else str(g) for g in atoms)
+
+        def mask(b: RingIdeal) -> int:
+            d = b.generator
+            return sum(1 << i for i, g in enumerate(atoms) if g % d == 0)
+    else:
+        labels = tuple(map(str, range(ring.size)))
+        mask = RingIdeal.element_mask
+    context = ContextTriple(universe=labels, fixed_mask=(1 << len(labels)) - 1, target_mask=mask(ideal))
     return PointFamily(
         context=context,
         names=tuple(b.name for b in members),
-        members=tuple(b.element_mask() for b in members),
+        members=tuple(mask(b) for b in members),
     )
 
 

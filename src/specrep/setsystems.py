@@ -8,7 +8,7 @@ on index bitmasks.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Mapping
 
@@ -23,11 +23,9 @@ class ContextTriple:
     universe: tuple[str, ...]
     fixed_mask: int
     target_mask: int
-    _index: dict = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
-        index = dict(zip(self.universe, range(len(self.universe))))
-        if len(index) != len(self.universe):
+        if len(set(self.universe)) != len(self.universe):
             raise InputError("universe labels must be distinct")
         full = self.full_mask
         if not 0 <= self.fixed_mask <= full:
@@ -36,7 +34,6 @@ class ContextTriple:
             raise InputError("A must be a subset of C")
         if self.target_mask == self.fixed_mask:
             raise InputError("A must be a proper subset of C")
-        object.__setattr__(self, "_index", index)
 
     @classmethod
     def from_labels(cls, universe: Iterable[str], fixed: Iterable[str], target: Iterable[str]) -> "ContextTriple":
@@ -53,11 +50,22 @@ class ContextTriple:
                 m |= 1 << index[lab]
             return m
 
-        return cls(uni, mask(fixed, "C"), mask(target, "A"))
+        ctx = cls(uni, mask(fixed, "C"), mask(target, "A"))
+        vars(ctx)["_index"] = index  # seeds the cached property below
+        return ctx
 
     @property
     def full_mask(self) -> int:
         return (1 << len(self.universe)) - 1
+
+    @cached_property
+    def _index(self) -> dict[str, int]:
+        """Label -> index, built on first use by element_mask.
+
+        Not a field: equality, hashing and repr still see only the three
+        fields above.
+        """
+        return dict(zip(self.universe, range(len(self.universe))))
 
     def element_mask(self, labels: Iterable[str]) -> int:
         m = 0

@@ -16,7 +16,7 @@ point indices so output order is deterministic.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, lru_cache
 from typing import Iterable
 
 from .errors import CapExceeded, ConsistencyError, InputError, NotAntichain
@@ -139,16 +139,24 @@ class Topology:
     opens: frozenset[int]
 
     @cached_property
+    def meets(self) -> dict[int, int]:
+        """Point -> AND of the opens around it, one pass read by both
+        neighbourhoods and family_is_topology, and kept.
+
+        Not a field: equality, hashing and repr still see only the three
+        fields above.
+        """
+        return _meets_around(self.opens)
+
+    @cached_property
     def neighbourhoods(self) -> tuple[int, ...]:
-        """U_i, the AND of the opens containing point i, built in one pass and kept.
+        """U_i, the AND of the opens containing point i, kept.
 
         U_i is open because finite meets of opens are open, so it is the
-        smallest open around i.  Not a field: equality, hashing and repr
-        still see only the three fields above.
+        smallest open around i.
         """
         full = (1 << self.size) - 1
-        meets = _meets_around(self.opens)
-        return tuple(meets.get(i, full) for i in range(self.size))
+        return tuple(self.meets.get(i, full) for i in range(self.size))
 
     def closure_of(self, ymask: int) -> int:
         """Smallest closed superset of Y: the points whose smallest open neighbourhood meets Y.
@@ -173,7 +181,7 @@ class Topology:
         return bool(self.neighbourhoods[j] >> i & 1)
 
 
-def family_is_topology(opens: Iterable[int], size: int) -> bool:
+def family_is_topology(opens: Iterable[int], size: int, meets: dict[int, int] | None = None) -> bool:
     """Check closure under binary union/intersection plus empty and full set.
 
     Let U_i be the AND of the members containing point i, over every point
@@ -183,17 +191,23 @@ def family_is_topology(opens: Iterable[int], size: int) -> bool:
     give every union and meet of members; conversely, a family closed under
     both holds each U_i (a finite meet of members: finite meets of opens are
     open) and each o | U_i.  The test is O(|opens| * points), not one pass
-    over every pair of opens.
+    over every pair of opens.  meets, when given, must be _meets_around of
+    the opens (a Topology's `meets`), so the pass is not made twice.
     """
     fam = frozenset(opens)
     if 0 not in fam or (1 << size) - 1 not in fam:
         return False
-    meets = _meets_around(fam).values()
-    return all(o | u in fam for o in fam for u in meets)
+    around = (_meets_around(fam) if meets is None else meets).values()
+    return all(o | u in fam for o in fam for u in around)
 
 
-def _span_from_subbasis(seeds: Iterable[int], n: int) -> frozenset[int]:
-    """Open family generated by a subbasis: unions of finite intersections."""
+@lru_cache(maxsize=1)
+def _span_from_subbasis(seeds: tuple[int, ...], n: int) -> frozenset[int]:
+    """Open family generated by a subbasis: unions of finite intersections.
+
+    Memoised on the last call, so the inverse kind reuses the span the
+    spectral kind of the same space just built.
+    """
     full = (1 << n) - 1
     seeds = set(seeds)
     basis = {full}
@@ -263,14 +277,13 @@ def generate_topology(space: SpecSpace, kind: str, cap: int = DEFAULT_GENERATOR_
             "use the order-theoretic fast paths instead"
         )
     full = space.full_mask
-    sub = spectral_subbasis(space)
-    if kind == SPECTRAL:
-        opens = _span_from_subbasis(sub, n)
-    elif kind == INVERSE:
-        spectral_opens = _span_from_subbasis(sub, n)
-        opens = frozenset(full ^ o for o in spectral_opens)
+    sub = tuple(spectral_subbasis(space))
+    if kind == PATCH:
+        opens = _span_from_subbasis(sub + tuple(full ^ s for s in sub), n)
     else:
-        opens = _span_from_subbasis(sub + [full ^ s for s in sub], n)
+        opens = _span_from_subbasis(sub, n)
+        if kind == INVERSE:
+            opens = frozenset(full ^ o for o in opens)
     return Topology(size=n, origin=kind, opens=opens)
 
 

@@ -274,8 +274,13 @@ def _sliced_target(m: int, local, up, down) -> list[tuple]:
     one chosen point lacks it or j lies in s.
 
     Every cross-check of minimal_closed_core, _minimal_points_checked and
-    analysis_core is made on every s; a violation raises the ConsistencyError
-    that the per-check route raises at the first failing S in sweep order.
+    analysis_core is made on every s, and a violation raises a
+    ConsistencyError.  With corrupted members it is the one the per-check
+    route raises at the first failing S in sweep order.  On a faulty order
+    both routes raise, but not always with the same message:
+    minimal_closed_core prunes its search with the faulty down sets, so the
+    per-check route meets other closed up-sets first (a flipped bit of one
+    down set can give "must represent" there and "fail to regenerate" here).
     The records are label-free, one per failing s in sweep order (S
     descending): (s, unique_bad, srep_bad, the j whose witness is not prime
     j, crit_bad), which the sweep renders as the uniqueness, strongly

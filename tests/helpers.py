@@ -3,6 +3,7 @@
 import random
 import string
 
+from specrep import rings
 from specrep.setsystems import ContextTriple, PointFamily, validate_representation
 from specrep.topology import SpecSpace
 
@@ -81,3 +82,48 @@ I1 = dict(
 
 def i1_family() -> PointFamily:
     return family_from(I1["universe"], I1["fixed"], I1["target"], I1["points"])
+
+
+def element_irr_space(ring, ideal, points: str = "irreducible") -> PointFamily:
+    """build_irr_space spelled out on ring elements, the reference for its zmod quotient.
+
+    The universe is the n elements with decimal labels, C all of them, and
+    the target and every member the element set of its ideal.
+    """
+    if points == "irreducible":
+        members = rings.irreducibles_over(ring, ideal)
+    else:
+        members = [b for b in rings.enumerate_ideals(ring, "prime") if rings.ideal_le(ideal, b)]
+
+    def mask(b):
+        return sum(1 << e for e in b.element_set())
+
+    ctx = ContextTriple(tuple(str(x) for x in range(ring.size)), (1 << ring.size) - 1, mask(ideal))
+    return PointFamily(ctx, tuple(b.name for b in members), tuple(mask(b) for b in members))
+
+
+def collapse_to_atoms(family: PointFamily, separators) -> PointFamily:
+    """The quotient of a family by its atoms, ordered and labelled by least element.
+
+    An atom is a class of universe elements lying in the same separators
+    (element masks); the members, C and A must each be a union of atoms.
+    Atom i of the quotient is the i-th atom by least element.
+    """
+    ctx = family.context
+    blocks = [ctx.full_mask]
+    for s in separators:
+        blocks = [part for b in blocks for part in (b & s, b & ~s) if part]
+    blocks.sort(key=lambda b: b & -b)
+
+    def quotient(mask):
+        out = 0
+        for i, block in enumerate(blocks):
+            inside = mask & block
+            assert inside in (0, block), "a set of the family splits an atom"
+            if inside:
+                out |= 1 << i
+        return out
+
+    labels = tuple(ctx.universe[(b & -b).bit_length() - 1] for b in blocks)
+    qctx = ContextTriple(labels, quotient(ctx.fixed_mask), quotient(ctx.target_mask))
+    return PointFamily(qctx, family.names, tuple(quotient(m) for m in family.members))

@@ -351,6 +351,8 @@ def test_acceptance_9_cli_golden_bytes():
         (("minimal", "fixtures/two_minimal.json"), "two_minimal_minimal.json"),
         (("critical", "fixtures/i1.json"), "i1_critical.json"),
         (("critical", "fixtures/critical_above.json"), "critical_above_critical.json"),
+        (("analyze", "fixtures/zmod2560.json"), "zmod2560_analyze.json"),
+        (("analyze", "fixtures/zmod12.json", "--format", "text"), "zmod12_analyze.txt"),
         (("decompose", "fixtures/zmod12.json"), "zmod12_decompose.json"),
         (("decompose", "fixtures/zmod12.json", "--format", "text"), "zmod12_decompose.txt"),
         (("zr-check", "fixtures/zr_pool235.json"), "zr_pool235_zrcheck.json"),

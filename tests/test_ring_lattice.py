@@ -4,6 +4,9 @@
   triple loop over `ideal_meet` / `ideal_join` on element sets, written here;
 - `RingIdeal.element_mask` (a repunit quotient for zmod) against the mask of
   `element_set()`, for every divisor of several moduli;
+- the zmod family of `build_irr_space` (one universe point per divisor
+  class) against the quotient of an element-level reference family, and the
+  report and theorem suite of both families against each other;
 - `spectral_subbasis` (one column per element class) against the set of
   per-element columns;
 - a call-counting test that one table-ring request builds the lattice tables
@@ -19,8 +22,10 @@ import random
 
 import pytest
 
-from helpers import random_spec_space
-from specrep import cli
+from helpers import collapse_to_atoms, element_irr_space, random_spec_space
+from specrep import cli, theorems
+from specrep import engine as E
+from specrep.errors import SpecrepError
 from specrep import rings as R
 from specrep.topology import SpecSpace, spectral_subbasis
 
@@ -110,19 +115,52 @@ def test_zmod_element_mask_is_the_element_set(n):
 
 
 def test_irr_space_masks_are_the_element_sets():
-    for n in (12, 360, 2310):
-        ring = R.FiniteRing.zmod(n)
-        for g in R.divisors_of(n)[1:]:
-            ideal = R.zmod_ideal(ring, g)
-            family = R.build_irr_space(ring, ideal)
-            assert family.context.target_mask == sum(1 << e for e in ideal.element_set())
-            for b, mask in zip(R.irreducibles_over(ring, ideal), family.members):
-                assert mask == sum(1 << e for e in b.element_set())
+    # table rings keep the element universe; zmod's divisor classes are
+    # checked against the element-level reference below
     table = R.FiniteRing.from_tables(*product_tables((4, 3)))
     zero = R.table_ideal(table, [table.zero])
     family = R.build_irr_space(table, zero)
     for b, mask in zip(R.irreducibles_over(table, zero), family.members):
         assert mask == sum(1 << e for e in b.elements)
+
+
+@pytest.mark.parametrize("points", ["irreducible", "prime"])
+@pytest.mark.parametrize("n", [12, 360, 2310])
+def test_zmod_irr_space_is_the_atom_quotient_of_the_element_family(n, points):
+    # the atoms are the classes of elements lying in the same ideals
+    ring = R.FiniteRing.zmod(n)
+    ideals = [R.zmod_ideal(ring, g) for g in R.divisors_of(n)]
+    separators = [sum(1 << e for e in i.element_set()) for i in ideals]
+    for ideal in ideals[1:]:
+        got = R.build_irr_space(ring, ideal, points)
+        want = collapse_to_atoms(element_irr_space(ring, ideal, points), separators)
+        assert got == want, (n, ideal.name, points)  # labels, C, A, names and members
+        assert len(got.context.universe) == len(ideals)
+
+
+SMALL_ZMOD = [(12, 6), (12, 12), (30, 30), (36, 18), (72, 72), (60, 4), (90, 45), (64, 64)]
+
+
+def _outcome(read, family):
+    """What read(family) returns, or the package error it raises."""
+    try:
+        return read(family)
+    except SpecrepError as exc:
+        return type(exc).__name__, str(exc)
+
+
+@pytest.mark.parametrize("n, g", SMALL_ZMOD)
+def test_zmod_class_family_answers_as_the_element_family(n, g):
+    # the prime points of a non-radical ideal do not represent it: both
+    # families then fail alike, with the same separating label
+    ring = R.FiniteRing.zmod(n)
+    ideal = R.zmod_ideal(ring, g)
+    for points in ("irreducible", "prime"):
+        classes = R.build_irr_space(ring, ideal, points)
+        elements = element_irr_space(ring, ideal, points)
+        assert len(classes.context.universe) < len(elements.context.universe) == n
+        for read in (lambda f: E.report_to_dict(E.build_report(f, oracle=True)), theorems.run_family_suite):
+            assert _outcome(read, classes) == _outcome(read, elements), (n, g, points)
 
 
 def test_huge_zmod_element_mask_is_capped():
@@ -145,10 +183,11 @@ def test_spectral_subbasis_matches_per_element_columns():
 
 
 def test_spectral_subbasis_of_a_large_ring_universe():
-    # the universe of zmod(35000) over the ideal (35): the classes are the gcds with 35
+    # the divisor classes of zmod(35000) over the ideal (35): the subbasic
+    # opens come from the four gcds with 35
     ring = R.FiniteRing.zmod(35000)
     family = R.build_irr_space(ring, R.zmod_ideal(ring, 35))
-    space = SpecSpace(points=family.members, universe_size=ring.size)
+    space = SpecSpace(points=family.members, universe_size=len(family.context.universe))
     sub = spectral_subbasis(space)
     assert sub == subbasis_oracle(space)
     assert len(sub) == 4

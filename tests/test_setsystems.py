@@ -41,6 +41,17 @@ def test_duplicate_universe_rejected():
         ContextTriple(("a", "b", "a"), 0b111, 0)
 
 
+def test_label_index_is_built_on_first_use():
+    ctx = ContextTriple(("x", "y", "z"), 0b111, 0b001)
+    assert "_index" not in vars(ctx)
+    assert ctx.element_mask(["z", "x"]) == 0b101
+    assert ctx._index == {"x": 0, "y": 1, "z": 2}
+    with pytest.raises(InputError, match="unknown element label 'w'"):
+        ctx.element_mask(["w"])
+    parsed = ContextTriple.from_labels("xyz", "xyz", "x")
+    assert parsed == ctx and parsed._index == ctx._index
+
+
 def test_duplicate_members_rejected():
     ctx = ContextTriple.from_labels("ab", "ab", "a")
     with pytest.raises(InputError, match="equal as sets"):

@@ -167,6 +167,26 @@ CLASSIFIED_CHECKS = (
 )
 
 
+def test_family_suite_spans_once_and_meets_once_per_kind(monkeypatch):
+    # the inverse kind reuses the spectral span, and the topology test reads
+    # the pass that gives each kind's neighbourhoods
+    meets = Counter()
+    real = T._meets_around
+
+    def counted(opens):
+        meets["calls"] += 1
+        return real(opens)
+
+    monkeypatch.setattr(T, "_meets_around", counted)
+    for family in (i1_family(), family_from("abcd", "abcd", "", {"P": "ab", "Q": "bc", "R": "cd", "S": "a"})):
+        meets.clear()
+        T._span_from_subbasis.cache_clear()
+        assert_no_failures(theorems.run_family_suite(family))
+        assert meets["calls"] == len(T.KINDS)
+        info = T._span_from_subbasis.cache_info()
+        assert (info.misses, info.hits) == (2, 1)
+
+
 def _rep_masks(family):
     return [z for z in range(1, 1 << len(family)) if represents_mask(family, z)]
 

@@ -4,7 +4,7 @@ import collections
 import pathlib
 import random
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, product
 
 import pytest
 from hypothesis import given, settings
@@ -388,6 +388,16 @@ def test_each_bit_sliced_cross_check_can_fire(monkeypatch, primes, order, table,
     with pytest.raises(ConsistencyError) as info:
         Z.pool_uniqueness_check(Z.PrimePool.of(primes))
     assert str(info.value) == message
+
+
+def test_both_routes_raise_under_every_single_down_fault(monkeypatch):
+    # the messages may differ: the per-check search prunes with the faulty order
+    for a, b in product(range(3), repeat=2):
+        monkeypatch.setattr(Z, "inclusion_order", _order_fault(3, a, b, "down"))
+        for route in (Z.pool_uniqueness_check, Z.pool_uniqueness_oracle):
+            with pytest.raises(ConsistencyError):
+                route(Z.PrimePool.of([2, 3, 5]))
+        monkeypatch.undo()
 
 
 def test_oracle_catches_a_mutated_per_check_route(monkeypatch, capsys):
