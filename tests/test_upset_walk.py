@@ -1,7 +1,7 @@
 """The output-sensitive up-set walk and the shared minimal-closed search.
 
 Every engine answer below is compared with a definition-level enumeration
-written here, over all 2^n subfamilies, on random families of up to 12
+(`helpers.Brute`), over all 2^n subfamilies, on random families of up to 12
 points.  A call-counting test pins down that one `analyze` builds the
 intersection table once and runs the minimal-closed search once.
 """
@@ -10,88 +10,17 @@ import functools
 import json
 
 from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from specrep import cli
 from specrep import engine as E
-from specrep.setsystems import ContextTriple, PointFamily, to_spec_space
+from specrep.setsystems import to_spec_space
 
-
-@st.composite
-def families(draw, max_points=12):
-    """A valid C-representation: distinct members containing A, meeting to A inside C."""
-    u = draw(st.integers(min_value=2, max_value=7))
-    full = (1 << u) - 1
-    fixed = draw(st.integers(min_value=1, max_value=full))
-    target = draw(st.integers(min_value=0, max_value=full)) & fixed
-    if target == fixed:
-        target &= target - 1
-    drawn = draw(st.lists(st.integers(min_value=0, max_value=full), min_size=1, max_size=max_points - 1,
-                          unique_by=lambda m: m | target))
-    members = [m | target for m in drawn]
-    extra = functools.reduce(int.__and__, members) & fixed & ~target
-    if extra:  # a member without the surplus makes the family represent; it is new, or there were none
-        members.append(members[0] & ~extra)
-    ctx = ContextTriple(tuple("abcdefg"[:u]), fixed, target)
-    return PointFamily(ctx, tuple(f"P{i}" for i in range(len(members))), tuple(members))
+from helpers import Brute, families
 
 
 def _clear():
     for cache in (E.upset_masks, E.intersection_table, E.unique_minimal_analysis):
         cache.cache_clear()
-
-
-class Brute:
-    """Definition-level answers from a scan of every subfamily mask."""
-
-    def __init__(self, family):
-        self.family = family
-        self.n = n = len(family)
-        members = family.members
-        ctx = family.context
-        self.leq = [[members[i] & ~members[j] == 0 for j in range(n)] for i in range(n)]
-        self.upsets = [
-            y for y in range(1 << n)
-            if all(y >> j & 1 for i in range(n) if y >> i & 1 for j in range(n) if self.leq[i][j])
-        ]
-        self.fixed, self.target = ctx.fixed_mask, ctx.target_mask
-        self.closed_reps = [y for y in self.upsets if self.represents(y)]
-
-    def represents(self, zmask):
-        m = self.family.context.full_mask
-        for i in range(self.n):
-            if zmask >> i & 1:
-                m &= self.family.members[i]
-        return m & self.fixed == self.target
-
-    def minimal_points(self, ymask):
-        return [i for i in range(self.n) if ymask >> i & 1
-                and not any(j != i and ymask >> j & 1 and self.leq[j][i] for j in range(self.n))]
-
-    def minimal_closed(self):
-        # below[s]: some closed representation lies inside s
-        reps = set(self.closed_reps)
-        below = [False] * (1 << self.n)
-        for s in range(1 << self.n):
-            below[s] = s in reps or any(below[s ^ (1 << i)] for i in range(self.n) if s >> i & 1)
-        return sorted(
-            tuple(i for i in range(self.n) if y >> i & 1)
-            for y in self.closed_reps
-            if not any(below[y ^ (1 << i)] for i in range(self.n) if y >> i & 1)
-        )
-
-    def critical(self):
-        acc = (1 << self.n) - 1
-        for y in self.closed_reps:
-            acc &= y
-        return tuple(i for i in range(self.n) if acc >> i & 1)
-
-    def strongly_irredundant(self, zmask, b):
-        """Only the full cone over b, among its closed subsets Y, keeps (Z - b) + Y representing."""
-        cone = sum(1 << j for j in range(self.n) if self.leq[b][j])
-        base = zmask & ~(1 << b)
-        working = [y for y in self.upsets if y & ~cone == 0 and self.represents(base | y)]
-        return working == [cone]
 
 
 @settings(max_examples=60, derandomize=True, deadline=None)
