@@ -33,6 +33,11 @@ from .setsystems import ContextTriple, PointFamily, require_representation
 from .topology import inclusion_order, indices_of
 
 
+# Pool primes above this bound (rings.ZMOD_CAP) are refused before the
+# trial-division primality test, which takes a few ms up to it.
+PRIME_CAP = 10 ** 9
+
+
 def _is_prime(n: int) -> bool:
     if n < 2:
         return False
@@ -60,6 +65,8 @@ class PrimePool:
         if list(self.primes) != sorted(set(self.primes)):
             raise InputError("pool primes must be distinct and sorted")
         for p in self.primes:
+            if p > PRIME_CAP:
+                raise CapExceeded(f"pool prime {p} exceeds the cap of {PRIME_CAP}")
             if not _is_prime(p):
                 raise InputError(f"{p} is not prime")
 
@@ -194,9 +201,9 @@ def pool_uniqueness_check(pool: PrimePool, cap: int = DEFAULT_POINT_CAP, oracle:
 
     Each target is decided for all its fixed rings S at once, bit-sliced
     (_sliced_target), with every cross-check of the engine's mask stages.
-    The decision depends only on the members restricted to T, their order
-    and the slice width, so each distinct such input is decided once per
-    call (co-singleton members give one input per size of T) and its
+    The decision depends only on the members restricted to T and their
+    order, so each distinct such input is decided once per call
+    (co-singleton members give one input per size of T) and its
     failure records are rendered with the labels of every target that has
     it.  With oracle=True the per-check route (pool_uniqueness_oracle) runs
     too and any difference in the report raises ConsistencyError.
@@ -205,7 +212,7 @@ def pool_uniqueness_check(pool: PrimePool, cap: int = DEFAULT_POINT_CAP, oracle:
     full = (1 << len(primes)) - 1
     checks = 0
     failures: list[str] = []
-    decided = {}  # the failure records of each distinct input of _sliced_target
+    decided = {}  # the failure records of each distinct input of _sliced_target, at this call's SLICE_BITS
     for tmask, t_bits, members in _targets(pool, cap):
         m = len(t_bits)
         checks += (1 << m) - 1
@@ -218,7 +225,7 @@ def pool_uniqueness_check(pool: PrimePool, cap: int = DEFAULT_POINT_CAP, oracle:
                 lm |= (member >> i & 1) << j
             local.append(lm)
         up, down = inclusion_order(members)
-        key = (tuple(local), up, down, SLICE_BITS)
+        key = (tuple(local), up, down)
         if key not in decided:
             decided[key] = _sliced_target(m, local, up, down)
         for s, unique_bad, srep_bad, witness_bad, crit_bad in decided[key]:
@@ -339,20 +346,15 @@ def _sliced_target(m: int, local, up, down) -> list[tuple]:
         once = twice = 0  # s with at least one / two minimal closed representations
         faults = []  # (s where it fires, stage, y, check, message) in the per-check order
         for y in ups:
-            z = y & refl & ~covered[y]
-            isolated = z & refl & ~covered[z]
-            lost = disagree = 0
+            z = y & refl & ~covered[y]  # each isolated in z too: covered[z] lies in covered[y]
+            lost = redundant = 0
             zm = z
             while zm:
                 low = zm & -zm
                 zm ^= low
                 lost |= R[y ^ low]
-                # irredundance and strong irredundance of b in z, as "still represents"
-                irr_rep, strong_rep = R[z ^ low], R[(z | spread[low]) & ~low]
-                if isolated & low:
-                    disagree |= irr_rep | strong_rep
-                else:
-                    disagree |= ~(irr_rep & strong_rep)
+                # the s where z still represents without b, or with b's cone in its place
+                redundant |= R[z ^ low] | R[(z | spread[low]) & ~low]
             closed = admissible & R[y] & ~lost
             if not closed:
                 continue
@@ -361,16 +363,11 @@ def _sliced_target(m: int, local, up, down) -> list[tuple]:
             # _minimal_points_checked on the s where y is a minimal closed representation
             if closed & ~R[z]:
                 faults.append((closed & ~R[z], 1, y, 0, "minimal points of a closed representation must represent"))
-            if closed & disagree:
-                faults.append((closed & disagree, 1, y, 1,
-                               "irredundance and isolation disagree on a minimal representation"))
+            if closed & redundant:
+                faults.append((closed & redundant, 1, y, 1,
+                               "a minimal point of a minimal representation is redundant"))
             if spread[z] != y:
                 faults.append((closed, 1, y, 2, "minimal points fail to regenerate their closed representation"))
-            if spread[isolated] & z != z:
-                faults.append((closed, 1, y, 3, "isolated points are not dense in a minimal representation"))
-            # distinct closed representations give distinct minimal points once
-            # each regenerates its own, so that check of the per-check route
-            # never decides anything here
         if admissible & ~once:
             faults.append((admissible & ~once, 0, 0, 0, "a representation must contain a minimal closed one"))
 

@@ -13,7 +13,7 @@ import sys
 
 import pytest
 
-from specrep import engine
+from specrep import engine, zrdesk
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 I1 = str(ROOT / "fixtures" / "i1.json")
@@ -26,7 +26,7 @@ def _run_twice(argv, env_extra=None):
     env.update(env_extra or {})
     runs = [
         subprocess.run([sys.executable, "-m", "specrep.cli", *argv], cwd=ROOT, env=env,
-                       capture_output=True, text=True)
+                       capture_output=True, text=True, timeout=120)
         for _ in range(2)
     ]
     assert runs[0].stdout == runs[1].stdout
@@ -101,3 +101,25 @@ def test_zr_family_without_members_is_not_a_representation(tmp_path):
     assert proc.returncode == 2
     assert "witness 1/2" in proc.stderr
     assert proc.stdout == ""
+
+
+def test_deeply_nested_json_exits_one(tmp_path):
+    path = tmp_path / "deep.json"
+    path.write_text("[" * 200_000, encoding="utf-8")
+    proc = _run_twice(["analyze", str(path)])
+    assert proc.returncode == 1
+    assert "nested too deeply" in proc.stderr and proc.stderr.count("\n") == 1
+    assert proc.stdout == ""
+
+
+def test_pool_prime_above_the_cap_exits_three_before_the_primality_test(tmp_path):
+    # trial division of this prime would take minutes; the cap refuses it first
+    big = 1000000000000000003
+    from_file = {"schema": 1, "zr": {"pool": [2, big]}}
+    for argv in (["zr-check", "--pool", f"2,{big}"], ["zr-check", _instance(tmp_path, from_file)]):
+        proc = _run_twice(argv)
+        assert proc.returncode == 3
+        assert "exceeds the cap" in proc.stderr and str(zrdesk.PRIME_CAP) in proc.stderr
+        assert proc.stdout == ""
+    at = _run_twice(["zr-check", "--pool", "999999937"])
+    assert at.returncode == 0

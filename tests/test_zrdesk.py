@@ -15,6 +15,8 @@ from specrep import engine as E
 from specrep import zrdesk as Z
 from specrep.errors import CapExceeded, ConsistencyError, InputError, NotARepresentation
 
+from helpers import i1_family
+
 FIXTURES = pathlib.Path(__file__).resolve().parent.parent / "fixtures"
 
 
@@ -372,15 +374,13 @@ def _table_fault(w, e, s):
 
 @pytest.mark.parametrize("primes, order, table, message", [
     ([2], (1, 0, 0, "down"), None, "minimal points of a closed representation must represent"),
-    ([2, 3, 5], (2, 1, 0, "below"), (2, 3, 1), "irredundance and isolation disagree on a minimal representation"),
+    ([2, 3, 5], (2, 1, 0, "below"), (2, 3, 1), "a minimal point of a minimal representation is redundant"),
     ([2, 3, 5], (2, 0, 1, "down"), None, "minimal points fail to regenerate their closed representation"),
     ([2, 3, 5], None, (3, 5, 0), "critical-core representation does not match minimal-representation count"),
 ])
 def test_each_bit_sliced_cross_check_can_fire(monkeypatch, primes, order, table, message):
-    # The density check of _minimal_points_checked is not here: every minimal
-    # point of an up-set is isolated among the minimal points, so density is
-    # regeneration again and no fault reaches it in either route.  The check
-    # that a closed representation exists fires in the corrupted-family test.
+    # The check that a closed representation exists fires in the
+    # corrupted-family test.
     if order:
         monkeypatch.setattr(Z, "inclusion_order", _order_fault(*order))
     if table:
@@ -388,6 +388,46 @@ def test_each_bit_sliced_cross_check_can_fire(monkeypatch, primes, order, table,
     with pytest.raises(ConsistencyError) as info:
         Z.pool_uniqueness_check(Z.PrimePool.of(primes))
     assert str(info.value) == message
+
+
+# i1: B1 = ab and B2 = ac lie below B3 = abc, with target a; its one minimal
+# closed representation is every point, with minimal points B1 and B2
+@pytest.mark.parametrize("closed, represents, up, message", [
+    # {B3} is an up-set that does not represent
+    ([0b100], (), None, "minimal points of a closed representation must represent"),
+    # a table that is not monotone lets B1 go: {B2} represents but {B2, B3}
+    # does not, so only the irredundance leg sees it
+    ([0b111], (0b010,), None, "a minimal point of a minimal representation is redundant"),
+    # {B2, B3} represents but {B2} does not, so only the strong leg sees that
+    # B1 can be replaced by its cone
+    ([0b111], (0b110,), None, "a minimal point of a minimal representation is redundant"),
+    # the order loses B3 above B1 and B2
+    ([0b111], (), (0b001, 0b010, 0b100), "minimal points fail to regenerate their closed representation"),
+    # {B1, B2} is not an up-set
+    ([0b011], (), None, "minimal points fail to regenerate their closed representation"),
+], ids=["non-representing-up-set", "table-drops-B1", "only-the-strong-leg", "order-drops-B3", "not-an-up-set"])
+def test_each_engine_minimal_points_check_can_fire(closed, represents, up, message):
+    family = i1_family()
+    space, fixed, target = family.space, family.context.fixed_mask, family.context.target_mask
+    inter = E.intersection_table(family)
+    assert E._minimal_points_checked([0b111], inter, space.up, space.down, fixed, target) == [0b011]
+    inter = list(inter)
+    for y in represents:
+        inter[y] = target
+    with pytest.raises(ConsistencyError) as info:
+        E._minimal_points_checked(closed, inter, up or space.up, space.down, fixed, target)
+    assert str(info.value) == message
+
+
+def test_the_strong_leg_alone_can_fire_in_the_bit_sliced_route(monkeypatch):
+    # point 1 below 0 below 2 without 1 below 2, and one flipped bit of U: the
+    # irredundance leg passes, and without the strong leg the sweep reports a
+    # regeneration fault instead
+    local = [0b111 ^ (1 << c) | 1 << 3 for c in range(3)]  # co-singletons, each holding the target
+    monkeypatch.setattr(Z, "_slice_basis", _table_fault(3, 6, 5))
+    with pytest.raises(ConsistencyError) as info:
+        Z._sliced_target(3, local, (0b101, 0b011, 0b100), (0b011, 0b010, 0b101))
+    assert str(info.value) == "a minimal point of a minimal representation is redundant"
 
 
 def test_both_routes_raise_under_every_single_down_fault(monkeypatch):
