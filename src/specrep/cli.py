@@ -160,6 +160,8 @@ def load_instance(path: str) -> Instance:
         raise InputError(f"cannot read {path}: {exc.strerror}") from None
     except json.JSONDecodeError as exc:
         raise InputError(f"{path}: invalid JSON at line {exc.lineno}, column {exc.colno}") from None
+    except ValueError as exc:  # bytes that are not UTF-8, or an integer past the interpreter's digit limit
+        raise InputError(f"{path}: unreadable JSON: {exc}") from None
     except RecursionError:
         raise InputError(f"{path}: JSON nested too deeply") from None
     return parse_instance(data)

@@ -19,7 +19,7 @@ subfamily can only shrink the intersection, never below the target):
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property, lru_cache, reduce
+from functools import cached_property, lru_cache, partial, reduce
 from itertools import chain, compress
 from operator import and_
 
@@ -125,43 +125,42 @@ def _least_witness(family: PointFamily, gained: int) -> str | None:
     return family.context.universe[low]
 
 
+def _member_gains(inter, up, zmask: int, b: int, fixed: int, target: int) -> tuple[int, int]:
+    """What the intersection gains inside C when member b leaves Z, as (gained, gained_strong).
+
+    inter(mask) intersects the chosen members.  gained drops b: b is
+    irredundant iff it is nonzero.  gained_strong replaces b by the points
+    strictly above it, which decides strong and tight irredundance alike on
+    finite models; that set holds Z \\ {b}, so strong implies irredundant.
+    """
+    bit = 1 << b
+    return inter(zmask ^ bit) & fixed & ~target, inter((zmask | up[b]) & ~bit) & fixed & ~target
+
+
 def classify_member(family: PointFamily, zs, b: int) -> MemberClassification:
     """Classify member b inside the representation Z.
 
-    Irredundance drops b and looks at what the intersection gains inside C;
-    the witness is the least such element, which never lies in b's set.
-    Strong and tight irredundance both reduce to one test on finite models:
-    replace b by the points strictly above it and see whether the family
-    still represents.  Isolation flags are taken in the subspace topologies
-    on Z (patch is discrete, so patch isolation always holds here).
+    The flags come from _member_gains on the raw members; each witness is
+    the least element gained, which never lies in b's set.  Isolation flags
+    are taken in the subspace topologies on Z (patch is discrete, so patch
+    isolation always holds here).
     """
     space = family.space
     ctx = family.context
     zmask = space.point_mask(zs)
-    bit = 1 << b
-    if not zmask & bit:
+    if not zmask >> b & 1:
         raise ValueError(f"point index {b} is not a member of the chosen subfamily")
     if not represents_mask(family, zmask):
         raise NotARepresentation("the chosen subfamily is not a representation")
-
-    without = zmask ^ bit
-    gained = (intersection_mask(family, without) & ctx.fixed_mask) & ~ctx.target_mask
-    irredundant = gained != 0
-
-    # (Z u cone(B)) \ {B} and (Z \ {B}) u (cone(B) \ {B}) are the same set,
-    # which is why strong and tight agree on finite models; it holds Z \ {B},
-    # so gained_strong lies in gained and strong implies irredundant.
-    replacement = (zmask | space.up[b]) & ~bit
-    gained_strong = (intersection_mask(family, replacement) & ctx.fixed_mask) & ~ctx.target_mask
-    strongly = gained_strong != 0
-
+    gained, gained_strong = _member_gains(partial(intersection_mask, family), space.up, zmask, b,
+                                          ctx.fixed_mask, ctx.target_mask)
     return MemberClassification(
         point=b,
         name=family.names[b],
-        irredundant=irredundant,
-        strongly_irredundant=strongly,
-        tightly_irredundant=strongly,
-        isolated_spectral=space.down[b] & zmask == bit,
+        irredundant=gained != 0,
+        strongly_irredundant=gained_strong != 0,
+        tightly_irredundant=gained_strong != 0,
+        isolated_spectral=space.down[b] & zmask == 1 << b,
         isolated_patch=True,
         witness_irredundant=_least_witness(family, gained),
         witness_strong=_least_witness(family, gained_strong),

@@ -10,11 +10,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
+from functools import partial
+from itertools import chain, combinations
 
 from . import engine, rings, topology, zrdesk
 from .errors import CapExceeded, ConsistencyError, SpecrepError
-from .setsystems import PointFamily, represents_mask, validate_representation
+from .setsystems import PointFamily, intersection_mask, validate_representation
 from .topology import indices_of
 
 EXHAUSTIVE_SUBFAMILY_CAP = 12
@@ -126,47 +127,44 @@ def run_family_suite(family: PointFamily, cap: int = engine.DEFAULT_POINT_CAP) -
     out.append(_ok(name) if held else _bad(name, "trace criterion failed on the maximal points"))
 
     # engine-side checks on the full family plus every sub-representation we
-    # can afford: one scan finds them, each (representation, member) pair is
-    # classified once, and so is each (up-closure, member) pair; the
-    # all-strong and the all-tight representations are kept apart, so that a
-    # strong/tight split shows in both checks below
+    # can afford, read from the raw members: up to the cap one 2^n table from
+    # the oracles' blocked scan gives the sub-representations, and each flag
+    # comes from engine._member_gains, the test classify_member wraps.  As
+    # classify_member sets tight = strong and isolated_patch = True, the tight
+    # representations are the strong ones and no strong/tight or patch
+    # disagreement can arise, so neither is tested.
+    ctx = family.context
+    fixed, target = ctx.fixed_mask, ctx.target_mask
     exhaustive = n <= EXHAUSTIVE_SUBFAMILY_CAP
     if exhaustive:
-        zmasks = [z for z in range(1, space.full_mask + 1) if represents_mask(family, z)]
+        table = list(chain.from_iterable(block for _, block, _ in engine._raw_subset_blocks(family)))
+        inter = table.__getitem__
+        zmasks = [z for z in range(1, space.full_mask + 1) if table[z] & fixed == target]
     else:
+        inter = partial(intersection_mask, family)
         zmasks = [space.full_mask]
     analysis = engine.unique_minimal_analysis(family, cap)
     crit = analysis.critical
     crit_mask = space.point_mask(crit)
 
     hier = iso = corr = removal = None
-    strong_reps, tight_reps = [], []
-    up_irredundant: dict[tuple[int, int], bool] = {}
+    strong_reps = []
     for zmask in zmasks:
-        zs = indices_of(zmask)
         upz = topology.up_mask(space, zmask)
-        all_strong = all_tight = True
-        for b in zs:
-            cls = engine.classify_member(family, zs, b)
-            all_strong = all_strong and cls.strongly_irredundant
-            all_tight = all_tight and cls.tightly_irredundant
-            if (cls.strongly_irredundant and not cls.irredundant) or (
-                cls.strongly_irredundant != cls.tightly_irredundant
-            ):
+        all_strong = True
+        for b in indices_of(zmask):
+            irr, strong = map(bool, engine._member_gains(inter, space.up, zmask, b, fixed, target))
+            all_strong = all_strong and strong
+            if strong and not irr:
                 hier = hier or (b, zmask)
-            if cls.irredundant and not (cls.isolated_spectral and cls.isolated_patch):
+            if irr and space.down[b] & zmask != 1 << b:
                 iso = iso or (b, zmask)
-            if crit_mask >> b & 1 and cls.irredundant and not cls.strongly_irredundant:
+            if crit_mask >> b & 1 and irr and not strong:
                 corr = corr or (b, zmask)
-            if upz != zmask:
-                if (upz, b) not in up_irredundant:
-                    up_irredundant[upz, b] = engine.classify_member(family, indices_of(upz), b).irredundant
-                if cls.tightly_irredundant != up_irredundant[upz, b]:
-                    removal = removal or (b, zmask)
+            if upz != zmask and strong != bool(engine._member_gains(inter, space.up, upz, b, fixed, target)[0]):
+                removal = removal or (b, zmask)
         if all_strong:
             strong_reps.append(zmask)
-        if all_tight:
-            tight_reps.append(zmask)
     out.append(_bad("irredundance-flag-hierarchy", f"violated at point {hier[0]} in {hier[1]:b}") if hier
                else _ok("irredundance-flag-hierarchy"))
     out.append(_bad("irredundant-implies-isolated", f"violated at point {iso[0]} in {iso[1]:b}") if iso
@@ -207,7 +205,7 @@ def run_family_suite(family: PointFamily, cap: int = engine.DEFAULT_POINT_CAP) -
     name = "tight-reps-in-distinct-minimal-reps"
     if minimal_check.status == "pass" and exhaustive:
         min_masks = [space.point_mask(z) for z in analysis.minimal_representations]
-        items = [(z, frozenset(m for m in min_masks if z & ~m == 0)) for z in tight_reps]
+        items = [(z, frozenset(m for m in min_masks if z & ~m == 0)) for z in strong_reps]
         bad = None
         for i, (za, ca) in enumerate(items):
             if not ca:

@@ -363,6 +363,9 @@ def test_acceptance_9_cli_golden_bytes():
         (("check-theorems", "fixtures/zr_pool235.json"), "zr_pool235_theorems.json"),
         (("check-theorems", "fixtures/f2xy_tables.json"), "f2xy_tables_theorems.json"),
         (("check-theorems", "fixtures/zmod2560.json"), "zmod2560_theorems.json"),
+        (("check-theorems", "fixtures/two_minimal.json"), "two_minimal_theorems.json"),
+        (("check-theorems", "fixtures/isolated_redundant.json"), "isolated_redundant_theorems.json"),
+        (("check-theorems", "fixtures/setsys13.json"), "setsys13_theorems.json"),
     ]
     bad = []
     for argv, golden_name in cases:

@@ -112,6 +112,22 @@ def test_deeply_nested_json_exits_one(tmp_path):
     assert proc.stdout == ""
 
 
+@pytest.mark.parametrize("content", [
+    pytest.param(('{"schema": 1, "ring": {"zmod": ' + "1" * 5000 + '}, "ideal": 6}').encode(),
+                 marks=pytest.mark.skipif(not hasattr(sys, "get_int_max_str_digits"),
+                                          reason="without the digit limit the integer parses and the ring cap exits 3"),
+                 id="integer-past-the-digit-limit"),
+    pytest.param(b'{"schema": 1, "ring": {"zmod": 12}, "ideal": 6, "\xe9": 0}', id="not-utf8"),
+])
+def test_unreadable_json_exits_one(tmp_path, content):
+    path = tmp_path / "instance.json"
+    path.write_bytes(content)
+    proc = _run_twice(["decompose", str(path)])
+    assert proc.returncode == 1
+    assert "unreadable JSON" in proc.stderr and proc.stderr.count("\n") == 1
+    assert proc.stdout == ""
+
+
 def test_pool_prime_above_the_cap_exits_three_before_the_primality_test(tmp_path):
     # trial division of this prime would take minutes; the cap refuses it first
     big = 1000000000000000003

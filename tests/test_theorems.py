@@ -1,8 +1,8 @@
 """The invariant suite must pass on fixtures and randomized instances."""
 
+import pathlib
 import random
 from collections import Counter
-from dataclasses import replace
 from fractions import Fraction
 from itertools import combinations
 
@@ -13,11 +13,15 @@ from specrep import rings as R
 from specrep import theorems
 from specrep import topology as T
 from specrep import zrdesk as Z
+from specrep.cli import load_instance
 from specrep.errors import ConsistencyError
 from specrep.setsystems import represents_mask, to_spec_space
 from specrep.topology import indices_of
 
 from helpers import family_from, i1_family, random_representation_family
+
+
+FIXTURES = pathlib.Path(__file__).resolve().parent.parent / "fixtures"
 
 
 def assert_no_failures(results):
@@ -47,6 +51,19 @@ def test_family_suite_random():
     for _ in range(25):
         fam = random_representation_family(rng, max_points=7)
         assert_no_failures(theorems.run_family_suite(fam))
+
+
+def test_family_suite_reads_every_block_of_the_raw_scan(monkeypatch):
+    # below the default width the suite's table spans several blocks, and a
+    # block it skipped would drop sub-representations or misread flags
+    rng = random.Random(60225)
+    families = [random_representation_family(rng, max_universe=9, max_points=10) for _ in range(60)]
+    for fam in [f for f in families if len(f) >= 3][:25]:
+        got = {}
+        for bits in (1, 2, 12):
+            monkeypatch.setattr(E, "ORACLE_BLOCK_BITS", bits)
+            got[bits] = theorems.run_family_suite(fam)
+        assert got[1] == got[2] == got[12], fam
 
 
 def test_ring_suite():
@@ -266,54 +283,80 @@ def _fault_families():
 
 
 def _fault_plan(family, fault):
-    """(representation mask or None, member or None for all of them, flag, forced value or None to flip)."""
+    """(representation mask or None, member or None for all of them, what to force on its gains).
+
+    Tight irredundance is the strong flag by construction, so every fault
+    acts on the strong gain: forced on (with or without the plain gain),
+    forced off, or flipped (which flips the tight flag with it).
+    """
     space = to_spec_space(family)
     minimal = sorted(space.point_mask(z) for z in E.unique_minimal_analysis(family).minimal_representations)
     reps = _rep_masks(family)
     non_minimal = [z for z in reps if z not in minimal] + [None]
     if fault == "strong-on-in-a-non-minimal-rep":
-        return non_minimal[0], None, "strongly_irredundant", True
-    if fault == "tight-on-in-a-non-minimal-rep":
-        return non_minimal[0], None, "tightly_irredundant", True
+        return non_minimal[0], None, "strong-on"
+    if fault == "irredundant-and-strong-on-in-a-non-minimal-rep":
+        return non_minimal[0], None, "both-on"
     if fault == "tight-flipped-on-one-member":
-        return reps[-1], indices_of(reps[-1])[-1], "tightly_irredundant", None
+        return reps[-1], indices_of(reps[-1])[-1], "strong-flipped"
     if fault == "strong-off-on-one-member-of-a-minimal-rep":
-        return minimal[0], indices_of(minimal[0])[0], "strongly_irredundant", False
+        return minimal[0], indices_of(minimal[0])[0], "strong-off"
     raise AssertionError(fault)
 
 
-# each fault, and the check over the collected representations that it must reach
+def _forced_gains(gained, gained_strong, fixed, target, force):
+    some = fixed & ~target  # nonempty, as A is a proper subset of C
+    if force == "strong-on":
+        return gained, some
+    if force == "both-on":
+        return some, some
+    if force == "strong-off":
+        return gained, 0
+    return gained, 0 if gained_strong else some
+
+
+HIER, ISO, CORR, REMOVAL, AT_MOST_ONE, DISTINCT = CLASSIFIED_CHECKS
+
+# each fault, and exactly the checks it fails on some fault family
 FAULT_REACHES = {
-    "strong-on-in-a-non-minimal-rep": "at-most-one-strongly-irredundant-representation",
-    "tight-on-in-a-non-minimal-rep": "tight-reps-in-distinct-minimal-reps",
-    "tight-flipped-on-one-member": "tight-reps-in-distinct-minimal-reps",
-    "strong-off-on-one-member-of-a-minimal-rep": "at-most-one-strongly-irredundant-representation",
+    "strong-on-in-a-non-minimal-rep": {HIER, REMOVAL, AT_MOST_ONE, DISTINCT},
+    "irredundant-and-strong-on-in-a-non-minimal-rep": {ISO, REMOVAL, AT_MOST_ONE, DISTINCT},
+    "tight-flipped-on-one-member": {HIER, CORR, AT_MOST_ONE, DISTINCT},
+    "strong-off-on-one-member-of-a-minimal-rep": {CORR, REMOVAL, AT_MOST_ONE},
 }
+
+
+def test_helper_faults_reach_every_check_the_classification_faults_reached():
+    # the checks that faults injected into classify_member failed before the
+    # suite read engine._member_gains directly
+    assert set().union(*FAULT_REACHES.values()) >= {HIER, AT_MOST_ONE, DISTINCT}
 
 
 @pytest.mark.parametrize("fault", FAULT_REACHES)
 def test_family_suite_matches_per_check_loops_under_a_faulty_classification(monkeypatch, fault):
-    real = E.classify_member
+    """A fault in the helper reaches the suite and classify_member alike, and
+    the suite reports what the per-check loops over classify_member report."""
+    real = E._member_gains
     failed = set()
     for family in _fault_families():
-        zmask, member, field, value = _fault_plan(family, fault)
-        if zmask is None:
+        fault_zmask, member, force = _fault_plan(family, fault)
+        if fault_zmask is None:
             continue
 
-        def faulty(fam, zs, b):
-            cls = real(fam, zs, b)
-            if fam is family and sum(1 << i for i in zs) == zmask and member in (None, b):
-                return replace(cls, **{field: not getattr(cls, field) if value is None else value})
-            return cls
+        def faulty(inter, up, zmask, b, fixed, target):
+            gained, gained_strong = real(inter, up, zmask, b, fixed, target)
+            if up is family.space.up and zmask == fault_zmask and member in (None, b):
+                return _forced_gains(gained, gained_strong, fixed, target, force)
+            return gained, gained_strong
 
         clean = theorems.run_family_suite(family)
-        monkeypatch.setattr(E, "classify_member", faulty)
+        monkeypatch.setattr(E, "_member_gains", faulty)
         got = [(r.name, r.status, r.detail) for r in theorems.run_family_suite(family)]
         want = {name: (name, status, detail) for name, status, detail in reference_classified_checks(family)}
-        monkeypatch.setattr(E, "classify_member", real)
+        monkeypatch.setattr(E, "_member_gains", real)
         assert got == [want.get(r.name, (r.name, r.status, r.detail)) for r in clean], family
         failed |= {name for name, status, _ in got if status == "fail"}
-    assert {"irredundance-flag-hierarchy", FAULT_REACHES[fault]} <= failed
+    assert failed == FAULT_REACHES[fault]
 
 
 def test_family_suite_scans_once_and_classifies_each_pair_once(monkeypatch):
@@ -321,6 +364,10 @@ def test_family_suite_scans_once_and_classifies_each_pair_once(monkeypatch):
     families = [random_representation_family(rng, max_points=9) for _ in range(30)]
     families = [i1_family()] + [f for f in families if len(f) >= 5][:3]
     assert len(families) == 4
+    # above the exhaustive cap only the full family is classified
+    families.append(load_instance(str(FIXTURES / "setsys13.json")).family)
+    assert len(families[-1]) > theorems.EXHAUSTIVE_SUBFAMILY_CAP
+    assert not hasattr(theorems, "represents_mask")
     counts = Counter()
 
     def counted(name, fn):
@@ -331,20 +378,24 @@ def test_family_suite_scans_once_and_classifies_each_pair_once(monkeypatch):
 
     for family in families:
         space = to_spec_space(family)
-        reps = _rep_masks(family)
+        exhaustive = len(family) <= theorems.EXHAUSTIVE_SUBFAMILY_CAP
+        reps = _rep_masks(family) if exhaustive else [space.full_mask]
         counts.clear()
         E.unique_minimal_analysis.cache_clear()
         with monkeypatch.context() as m:
-            m.setattr(theorems, "represents_mask", counted("scan", theorems.represents_mask))
+            m.setattr(E, "_raw_subset_blocks", counted("blocks", E._raw_subset_blocks))
+            m.setattr(E, "_member_gains", counted("gains", E._member_gains))
             m.setattr(E, "classify_member", counted("classify", E.classify_member))
             m.setattr(E, "critical_mask", counted("critical", E.critical_mask))
             results = theorems.run_family_suite(family)
         assert_no_failures(results)
-        assert counts["scan"] == (1 << len(family)) - 1
-        # each (representation, member) once, plus each distinct (up-closure, member)
-        # pair of a non-closed representation once
-        up_pairs = {(T.up_mask(space, z), b) for z in reps if T.up_mask(space, z) != z for b in indices_of(z)}
-        assert counts["classify"] == sum(len(indices_of(z)) for z in reps) + len(up_pairs)
+        # one raw scan is critical_points_oracle's, one classifies up to the cap
+        assert counts["blocks"] == 1 + exhaustive
+        assert counts["classify"] == 0
+        # each (representation, member) pair once, and once more in the
+        # up-closure of a representation that is not closed
+        not_closed = [z for z in reps if T.up_mask(space, z) != z]
+        assert counts["gains"] == sum(z.bit_count() for z in reps) + sum(z.bit_count() for z in not_closed)
         assert counts["critical"] == 1
 
 
