@@ -430,6 +430,9 @@ def _cap_points(args) -> int:
 
 
 def _instance_from_args(args) -> Instance:
+    inline = [f"--{name}" for name in ("ring", "ideal", "pool") if getattr(args, name, None) is not None]
+    if inline and args.input:
+        raise InputError(f"{' and '.join(inline)} cannot be combined with an instance file")
     if args.command == "decompose" and args.ring is not None:
         if not args.ring.startswith("zmod:"):
             raise InputError("inline rings use the form zmod:N")
@@ -441,7 +444,7 @@ def _instance_from_args(args) -> Instance:
         if args.ideal is None:
             raise InputError("decompose needs --ideal with --ring")
         return Instance(kind="ring", ring=ring, ideal=rings.zmod_ideal(ring, args.ideal))
-    if args.command == "zr-check" and getattr(args, "pool", None):
+    if args.command == "zr-check" and args.pool is not None:
         try:
             primes = [int(x) for x in args.pool.split(",")]
         except ValueError:

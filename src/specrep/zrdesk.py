@@ -201,34 +201,23 @@ def pool_uniqueness_check(pool: PrimePool, cap: int = DEFAULT_POINT_CAP, oracle:
 
     Each target is decided for all its fixed rings S at once, bit-sliced
     (_sliced_target), with every cross-check of the engine's mask stages.
-    The decision depends only on the members restricted to T and their
-    order, so each distinct such input is decided once per call
-    (co-singleton members give one input per size of T) and its
-    failure records are rendered with the labels of every target that has
-    it.  With oracle=True the per-check route (pool_uniqueness_oracle) runs
-    too and any difference in the report raises ConsistencyError.
+    Restricted to T, the members are the m co-singletons of T, each holding
+    the target, so the input depends on m = |T| alone (_size_input): it is
+    decided once per size of T and its failure records are rendered with the
+    labels of every target of that size.  With oracle=True the per-check
+    route (pool_uniqueness_oracle), which reads each target's own members,
+    runs too and any difference in the report raises ConsistencyError.
     """
     primes = pool.primes
-    full = (1 << len(primes)) - 1
     checks = 0
     failures: list[str] = []
-    decided = {}  # the failure records of each distinct input of _sliced_target, at this call's SLICE_BITS
-    for tmask, t_bits, members in _targets(pool, cap):
+    decided = {}  # the failure records of each size of T
+    for _, t_bits, _ in _targets(pool, cap):
         m = len(t_bits)
         checks += (1 << m) - 1
-        # each member restricted to T, with bit m set when it contains the target
-        target = full ^ tmask
-        local = []
-        for member in members:
-            lm = 1 << m if member & target == target else 0
-            for j, i in enumerate(t_bits):
-                lm |= (member >> i & 1) << j
-            local.append(lm)
-        up, down = inclusion_order(members)
-        key = (tuple(local), up, down)
-        if key not in decided:
-            decided[key] = _sliced_target(m, local, up, down)
-        for s, unique_bad, srep_bad, witness_bad, crit_bad in decided[key]:
+        if m not in decided:
+            decided[m] = _sliced_target(m, *_size_input(m))
+        for s, unique_bad, srep_bad, witness_bad, crit_bad in decided[m]:
             label = _label(primes, t_bits, sum(1 << i for j, i in enumerate(t_bits) if s >> j & 1))
             if unique_bad:
                 failures.append(f"{label}: expected a unique minimal representation")
@@ -242,6 +231,12 @@ def pool_uniqueness_check(pool: PrimePool, cap: int = DEFAULT_POINT_CAP, oracle:
     if oracle and pool_uniqueness_oracle(pool, cap) != report:
         raise ConsistencyError("the bit-sliced pool sweep disagrees with the per-check oracle")
     return report
+
+
+def _size_input(m: int) -> tuple[list[int], tuple[int, ...], tuple[int, ...]]:
+    """(local, up, down) of every target of m primes: its m co-singletons, each holding the target (bit m)."""
+    local = [((2 << m) - 1) ^ (1 << j) for j in range(m)]
+    return (local, *inclusion_order(local))
 
 
 # The bit-sliced sweep decides 2^SLICE_BITS fixed rings of a target at a time,

@@ -60,6 +60,20 @@ def test_malformed_instance_exits_one(tmp_path, command, instance, field):
     assert proc.stdout == ""
 
 
+@pytest.mark.parametrize("argv, flag", [
+    (["zr-check", str(ROOT / "fixtures" / "zr_pool235.json"), "--pool", "2,3"], "--pool"),
+    (["decompose", str(ROOT / "fixtures" / "zmod12.json"), "--ring", "zmod:12", "--ideal", "6"], "--ring"),
+    (["decompose", str(ROOT / "fixtures" / "zmod12.json"), "--ideal", "3"], "--ideal"),
+    (["zr-check", "--pool", ""], "--pool"),
+], ids=["file-and-pool", "file-and-ring", "file-and-ideal", "empty-pool"])
+def test_inline_flag_misuse_exits_one(argv, flag):
+    # an instance file with an inline flag would silently drop one of the two
+    proc = _run_twice(argv)
+    assert proc.returncode == 1
+    assert flag in proc.stderr and proc.stderr.count("\n") == 1
+    assert proc.stdout == ""
+
+
 def test_dot_into_missing_directory_exits_one(tmp_path):
     target = tmp_path / "missing" / "hasse.dot"
     proc = _run_twice(["analyze", I1, "--dot", str(target)])

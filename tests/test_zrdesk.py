@@ -233,44 +233,56 @@ def test_bit_sliced_sweep_in_several_slices_matches(monkeypatch):
         assert Z.pool_uniqueness_check(pool) == Z.pool_uniqueness_oracle(pool)
 
 
-def _corrupt_target(monkeypatch, target_index, change):
-    """Replace the members of one target by change(members), for both routes alike."""
-    targets = Z._targets
+def _corrupt_size(monkeypatch, m, flips):
+    """Flip local bit b of member c, for each (c, b) in flips, in every target of m primes.
 
-    def corrupted(pool, cap):
-        out = list(targets(pool, cap))
-        tmask, t_bits, members = out[target_index]
-        out[target_index] = (tmask, t_bits, change(list(members)))
-        return out
+    The sweep sees the flips in its size-m input and the oracle in the members
+    of each target of m primes: local bit j is the prime t_bits[j], and local
+    bit m (the member holds the target) the least prime outside T.
+    """
+    size_input, targets = Z._size_input, Z._targets
 
-    monkeypatch.setattr(Z, "_targets", corrupted)
+    def corrupted_input(size):
+        local, up, down = size_input(size)
+        if size != m:
+            return local, up, down
+        local = list(local)
+        for c, b in flips:
+            local[c] ^= 1 << b
+        return (local, *Z.inclusion_order(local))
 
+    def corrupted_targets(pool, cap):
+        for tmask, t_bits, members in targets(pool, cap):
+            if len(t_bits) == m:
+                bits = t_bits + [i for i in range(len(pool)) if not tmask >> i & 1][:1]
+                members = list(members)
+                for c, b in flips:
+                    members[c] ^= 1 << bits[b]
+            yield tmask, t_bits, members
 
-def _flip(member_index, bit):
-    def change(members):
-        members[member_index % len(members)] ^= 1 << bit
-        return members
-    return change
+    monkeypatch.setattr(Z, "_size_input", corrupted_input)
+    monkeypatch.setattr(Z, "_targets", corrupted_targets)
 
 
 @pytest.mark.parametrize("slice_bits", [Z.SLICE_BITS, 2])
 def test_corrupted_family_gives_the_per_check_failures_or_error(monkeypatch, slice_bits):
-    # a corrupted member corrupts the target's excess table and so R; both
-    # routes must give the same failure lines in the same order, or raise the
-    # same ConsistencyError
+    # a corrupted member corrupts the excess table of every target of its size
+    # and so R; both routes must give the same failure lines in the same
+    # order, or raise the same ConsistencyError
     monkeypatch.setattr(Z, "SLICE_BITS", slice_bits)
     pool = Z.PrimePool.of([2, 3, 5, 7])
-    full = 0b1111
-    corruptions = [(t, _flip(c, bit)) for t in range(15) for c in range(4) for bit in range(4)]
-    # T = {2,3,5} from the members missing {2,3}, {3,5} and {2,5}: three minimal representations
-    corruptions.append((6, lambda members: [full ^ 0b011, full ^ 0b110, full ^ 0b101]))
+    k = len(pool)
+    corruptions = [(m, [(c, b)]) for m in range(1, k + 1) for c in range(m) for b in range(m + (m < k))]
+    # each T of three primes from the members missing its first and second,
+    # second and third, first and third primes: three minimal representations
+    corruptions.append((3, [(0, 1), (1, 2), (2, 0)]))
     kinds = collections.Counter()
-    for target_index, change in corruptions:
+    for m, flips in corruptions:
         with monkeypatch.context() as patch:
-            _corrupt_target(patch, target_index, change)
+            _corrupt_size(patch, m, flips)
             sliced = _outcome(Z.pool_uniqueness_check, pool)
             per_check = _outcome(Z.pool_uniqueness_oracle, pool)
-        assert sliced == per_check, target_index
+        assert sliced == per_check, (m, flips)
         if isinstance(sliced, str):
             kinds[sliced] += 1
         else:
@@ -281,71 +293,61 @@ def test_corrupted_family_gives_the_per_check_failures_or_error(monkeypatch, sli
         assert kinds[line], kinds
 
 
+def test_a_corrupted_target_reaches_only_the_oracle(monkeypatch, capsys):
+    # the sweep builds its input from the size of T alone, so one target's
+    # corrupted members leave its report clean; the oracle reads them and
+    # makes zr-check --oracle exit 4
+    pool = Z.PrimePool.of(FIRST_PRIMES[:4])
+    clean = Z.pool_uniqueness_check(pool)
+    targets = Z._targets
+
+    def corrupted(pool, cap):
+        for tmask, t_bits, members in targets(pool, cap):
+            if tmask == 0b0110:  # T = {3, 5}: the localization at 3 also loses 5
+                members = [members[0] ^ 1 << t_bits[1], *members[1:]]
+            yield tmask, t_bits, members
+
+    monkeypatch.setattr(Z, "_targets", corrupted)
+    assert Z.pool_uniqueness_check(pool) == clean
+    assert Z.pool_uniqueness_oracle(pool) != clean
+    assert cli.main(["zr-check", "--pool", "2,3,5,7", "--oracle"]) == 4
+    assert "disagrees with the per-check oracle" in capsys.readouterr().err
+
+
 def test_sweep_decides_each_distinct_input_once(monkeypatch):
     # co-singleton members give every target of m primes the same input of
-    # _sliced_target, so a k-prime pool has k distinct inputs; the oracle
-    # still searches once per check
+    # _sliced_target, so a k-prime pool has k distinct inputs, each with one
+    # order and one excess table; the oracle still searches once per check
     sliced, core = Z._sliced_target, Z.minimal_closed_core
+    order, table = Z.inclusion_order, Z.subset_intersections
     sizes = []
     searches = []
+    calls = collections.Counter()
     monkeypatch.setattr(Z, "_sliced_target", lambda m, *rest: sizes.append(m) or sliced(m, *rest))
     monkeypatch.setattr(Z, "minimal_closed_core", lambda *args: searches.append(1) or core(*args))
+    monkeypatch.setattr(Z, "inclusion_order", lambda *args: calls.update(["order"]) or order(*args))
+    monkeypatch.setattr(Z, "subset_intersections", lambda *args: calls.update(["table"]) or table(*args))
     for k in range(1, 7):
         pool = Z.PrimePool.of(FIRST_PRIMES[:k])
         for _ in range(2):  # nothing carries over from one call to the next
             sizes.clear()
+            calls.clear()
             report = Z.pool_uniqueness_check(pool)
             assert sorted(sizes) == list(range(1, k + 1)), k
+            assert calls == {"order": k, "table": k}, k
             assert report.checks == 3 ** k - 2 ** k and report.passed
         searches.clear()
         assert Z.pool_uniqueness_oracle(pool) == report
         assert len(searches) == 3 ** k - 2 ** k
 
 
-@pytest.mark.parametrize("slice_bits", [Z.SLICE_BITS, 2])
-def test_a_corrupted_target_is_decided_on_its_own(monkeypatch, slice_bits):
-    # the 20 three-prime targets of a 6-prime pool share one input; with one
-    # of them corrupted, or only its order, the sweep must give the per-check
-    # failures or error, and its failure lines must name that target alone
-    monkeypatch.setattr(Z, "SLICE_BITS", slice_bits)
-    pool = Z.PrimePool.of(FIRST_PRIMES[:6])
-    clean = Z.pool_uniqueness_check(pool)
-    targets = list(Z._targets(pool, 6))
-    three = [n for n, (_, t_bits, _) in enumerate(targets) if len(t_bits) == 3]
-    assert len(three) == 20
-    lines = errors = 0
-    for n in three:
-        t_bits = targets[n][1]
-        label = "T={" + ",".join(str(pool.primes[i]) for i in t_bits) + "} "
-        c = n % 3
-        outside = min(set(range(6)) - set(t_bits))
-        # member c also lacks a second prime of T or one outside T, or point 0
-        # loses itself from its down-set in this target's order alone
-        for bit in (t_bits[c - 1], outside, None):
-            with monkeypatch.context() as patch:
-                if bit is None:
-                    patch.setattr(Z, "inclusion_order", _order_fault(3, 0, 0, "down", list(targets[n][2])))
-                else:
-                    _corrupt_target(patch, n, _flip(c, bit))
-                sliced = _outcome(Z.pool_uniqueness_check, pool)
-                per_check = _outcome(Z.pool_uniqueness_oracle, pool)
-            assert sliced == per_check, (n, bit)
-            assert sliced != clean, (n, bit)
-            if isinstance(sliced, str):
-                errors += 1
-            else:
-                assert all(line.startswith(label) for line in sliced.failures), (n, bit)
-                lines += len(sliced.failures)
-    assert lines and errors
-
-
-def _order_fault(m, a, b, kind, members=None):
-    """inclusion_order with one injected fault on the targets of m primes, or on these members only."""
+def _order_fault(m, a, b, kind):
+    """inclusion_order with one injected fault on the targets of m primes."""
     order = Z.inclusion_order
 
     def faulty(points):
         up, down = order(points)
-        if len(points) != m or members is not None and list(points) != members:
+        if len(points) != m:
             return up, down
         up, down = list(up), list(down)
         if kind == "down":  # down[a] loses or gains b
