@@ -27,7 +27,6 @@ from .setsystems import ContextTriple, PointFamily
 
 SCHEMA_VERSION = 1
 ENV_CAP_POINTS = "SPECREP_CAP_POINTS"
-DEFAULT_CAP_RING = rings.ZMOD_ELEMENT_CAP
 
 
 @dataclass
@@ -167,16 +166,12 @@ def load_instance(path: str) -> Instance:
     return parse_instance(data)
 
 
-def _family_of(instance: Instance, cap_ring: int) -> PointFamily:
+def _family_of(instance: Instance) -> PointFamily:
     if instance.kind == "set-system":
         return instance.family
     if instance.kind == "ring":
         if instance.ideal is None:
             raise InputError("this command needs an 'ideal' field in the ring instance")
-        if instance.ring.size > cap_ring:
-            raise CapExceeded(
-                f"ring of size {instance.ring.size} exceeds the ring cap of {cap_ring}"
-            )
         return rings.build_irr_space(instance.ring, instance.ideal)
     if instance.family is None:
         raise InputError("this command needs 'target', 'C' and 'members' in the zr instance")
@@ -184,7 +179,7 @@ def _family_of(instance: Instance, cap_ring: int) -> PointFamily:
 
 
 def _payload_analyze(instance: Instance, args) -> dict:
-    family = _family_of(instance, args.cap_ring)
+    family = _family_of(instance)
     report = engine.build_report(family, cap=args.cap_points, oracle=args.oracle)
     payload = engine.report_to_dict(report)
     if instance.kind == "set-system":
@@ -209,7 +204,7 @@ def _payload_analyze(instance: Instance, args) -> dict:
 
 
 def _payload_minimal(instance: Instance, args) -> dict:
-    family = _family_of(instance, args.cap_ring)
+    family = _family_of(instance)
     analysis = engine.unique_minimal_analysis(family, args.cap_points)
     payload = {
         "minimal_closed_representations": sorted(engine._names(family, y) for y in analysis.minimal_closed),
@@ -222,7 +217,7 @@ def _payload_minimal(instance: Instance, args) -> dict:
 
 
 def _payload_critical(instance: Instance, args) -> dict:
-    family = _family_of(instance, args.cap_ring)
+    family = _family_of(instance)
     analysis = engine.unique_minimal_analysis(family, args.cap_points)
     # the capped facts first: beyond the cap, CapExceeded comes before critical_mask's checks
     payload = {
@@ -247,13 +242,8 @@ def _payload_decompose(instance: Instance, args) -> dict:
         raise InputError("decompose needs a ring instance")
     if instance.ideal is None:
         raise InputError("decompose needs an ideal")
-    verify = None
-    if instance.ring.kind == "zmod" and instance.ring.size > args.cap_ring:
-        verify = False
-    dec = rings.irredundant_decomposition(
-        instance.ring, instance.ideal, cap=args.cap_points, verify=True if args.oracle else verify
-    )
-    verified = verify is not False
+    verified = args.oracle or rings.verified_by_default(instance.ring, instance.ideal, args.cap_points)
+    dec = rings.irredundant_decomposition(instance.ring, instance.ideal, cap=args.cap_points, verify=verified)
     return {
         "ring": instance.ring.describe(),
         "ideal": instance.ideal.name,
@@ -280,11 +270,7 @@ def _payload_check_theorems(instance: Instance, args) -> dict:
     results: list[theorems.CheckResult] = []
     if instance.kind == "ring":
         results += theorems.run_ring_suite(instance.ring, instance.ideal, cap=args.cap_points)
-        if (
-            instance.ideal is not None
-            and instance.ring.size <= args.cap_ring
-            and rings.is_arithmetical(instance.ring)
-        ):
+        if instance.ideal is not None and rings.is_arithmetical(instance.ring):
             family = rings.build_irr_space(instance.ring, instance.ideal)
             results += theorems.run_family_suite(family, cap=args.cap_points)
     elif instance.kind == "zr":
@@ -373,14 +359,12 @@ def _new_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="specrep", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, needs_input=True):
-        if needs_input:
-            p.add_argument("input", nargs="?", help="path to a JSON instance file")
+    def common(p):
+        p.add_argument("input", nargs="?", help="path to a JSON instance file")
         p.add_argument("--format", choices=("json", "text", "dot"), default="json")
         p.add_argument("--cap-points", type=int, metavar="N",
                        help=f"exhaustive-enumeration cap (default {engine.DEFAULT_POINT_CAP} or ${ENV_CAP_POINTS}, "
                             f"at most {engine.POINT_CAP_CEILING})")
-        p.add_argument("--cap-ring", type=int, default=DEFAULT_CAP_RING, metavar="N")
         p.add_argument("--oracle", action="store_true", help="force brute-force cross-checks")
         p.add_argument("--dot", metavar="PATH", help="also write the Hasse diagram to PATH")
 
@@ -451,7 +435,7 @@ def _instance_from_args(args) -> Instance:
             raise InputError("--pool takes comma-separated integers") from None
         return Instance(kind="zr", pool=zrdesk.PrimePool.of(primes))
     if not args.input:
-        raise InputError("an instance file is required")
+        raise InputError("decompose needs --ring with --ideal" if inline else "an instance file is required")
     return load_instance(args.input)
 
 
@@ -472,8 +456,6 @@ def main(argv=None) -> int:
         return exc.code or 0
     try:
         args.cap_points = _cap_points(args)
-        if args.cap_ring <= 0:
-            raise InputError("caps must be positive")
         if (args.dot or args.format == "dot") and args.command != "analyze":
             raise InputError("dot output only applies to analyze")
         instance = _instance_from_args(args)

@@ -438,8 +438,7 @@ def build_irr_space(ring: FiniteRing, ideal: RingIdeal, points: str = "irreducib
     The target is the ideal, C is the whole universe, and the points
     intersect back to the ideal; by construction the whole family is its own
     unique minimal closed representation, which the engine re-derives
-    (checked in the theorem suite and tests).  Requires an arithmetical ring,
-    and for zmod a modulus under the element cap.
+    (checked in the theorem suite and tests).  Requires an arithmetical ring.
 
     A table ring's universe is its elements.  zmod(n) is read through its
     divisor classes instead: every engine fact sees an element only through
@@ -457,11 +456,6 @@ def build_irr_space(ring: FiniteRing, ideal: RingIdeal, points: str = "irreducib
         raise InputError("the ring is not arithmetical")
     if not ideal.is_proper():
         raise InputError("the ideal must be proper")
-    if ring.kind == "zmod" and ring.size > ZMOD_ELEMENT_CAP:
-        raise CapExceeded(
-            f"element universe for zmod({ring.size}) exceeds {ZMOD_ELEMENT_CAP}; "
-            "use irredundant_decomposition, which stays on divisors"
-        )
     if points == "irreducible":
         members = irreducibles_over(ring, ideal)
     else:
@@ -519,6 +513,20 @@ def min_irreducibles_over(ring: FiniteRing, ideal: RingIdeal) -> list[RingIdeal]
     return sorted(out, key=RingIdeal.sort_key)
 
 
+def verified_by_default(ring: FiniteRing, ideal: RingIdeal, cap: int = engine.DEFAULT_POINT_CAP) -> bool:
+    """Whether irredundant_decomposition verifies its answer when not told.
+
+    A zmod modulus above the element cap is not: its decomposition stays
+    divisor arithmetic alone, the fast path that bench/checks.py pins.  Nor
+    are more irreducibles over the ideal than the point cap, as the
+    uniqueness search scans every subfamily of them.
+    """
+    return (
+        (ring.kind != "zmod" or ring.size <= ZMOD_ELEMENT_CAP)
+        and len(irreducibles_over(ring, ideal)) <= cap
+    )
+
+
 def irredundant_decomposition(
     ring: FiniteRing,
     ideal: RingIdeal,
@@ -528,10 +536,10 @@ def irredundant_decomposition(
     """Decompose a proper ideal of an arithmetical ring into irreducibles.
 
     Returns the irreducible ideals minimal over it, which intersect back to
-    the ideal irredundantly.  With verify (the default when the instance is
-    small enough) the family is handed to the representation engine, each
-    member is checked strongly irredundant, and an exhaustive sub-family
-    search confirms it is the only irredundant representation.
+    the ideal irredundantly.  With verify (by default, verified_by_default)
+    the family is handed to the representation engine, each member is
+    checked strongly irredundant, and an exhaustive sub-family search
+    confirms it is the only irredundant representation.
     """
     if not is_arithmetical(ring):
         raise InputError("the ring is not arithmetical")
@@ -546,10 +554,7 @@ def irredundant_decomposition(
         raise ConsistencyError("minimal irreducibles fail to intersect to the ideal")
 
     if verify is None:
-        verify = (
-            len(irreducibles_over(ring, ideal)) <= cap
-            and (ring.kind != "zmod" or ring.size <= ZMOD_ELEMENT_CAP)
-        )
+        verify = verified_by_default(ring, ideal, cap)
     if verify:
         _verify_decomposition(ring, ideal, dec, cap)
     return dec

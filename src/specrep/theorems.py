@@ -264,12 +264,11 @@ def run_ring_suite(ring: rings.FiniteRing, ideal: rings.RingIdeal | None,
             oracle = sorted(p ** e for p, e in rings.factorize(a.generator).items())
             if sorted(b.generator for b in dec) != oracle:
                 dec_bad = dec_bad or f"{a.name}: decomposition differs from the prime-power oracle"
-        if rings.ZMOD_ELEMENT_CAP >= ring.size:
-            family = rings.build_irr_space(ring, a)
-            if len(family) <= cap:
-                closed = engine.unique_minimal_analysis(family, cap).minimal_closed
-                if closed != (tuple(range(len(family))),):
-                    closed_bad = closed_bad or f"{a.name}: a proper closed subfamily represents"
+        family = rings.build_irr_space(ring, a)
+        if len(family) <= cap:
+            closed = engine.unique_minimal_analysis(family, cap).minimal_closed
+            if closed != (tuple(range(len(family))),):
+                closed_bad = closed_bad or f"{a.name}: a proper closed subfamily represents"
         sats = sorted(
             rings.saturation(a, p).sort_key() for p in rings.max_krull_associated_primes(a)
         )

@@ -168,19 +168,19 @@ class PoolSweepReport:
     failures: tuple[str, ...]
 
 
-def _targets(pool: PrimePool, cap: int) -> Iterator[tuple[int, list[int], list[int]]]:
-    """(T, the pool indices of T, the members) for every target sub-pool T, in sweep order.
-
-    The members are the localizations at the primes of T, encoded as
-    co-singleton point-sets.
-    """
+def _targets(pool: PrimePool, cap: int) -> Iterator[tuple[int, list[int]]]:
+    """(T, the pool indices of T) for every target sub-pool T, in sweep order."""
     k = len(pool)
     if k > cap:
         raise CapExceeded(f"pool of {k} primes exceeds the sweep cap of {cap}")
+    for tmask in range(1, 1 << k):
+        yield tmask, [i for i in range(k) if tmask >> i & 1]
+
+
+def _localizations(k: int, t_bits: list[int]) -> list[int]:
+    """The localizations at the primes of T in a k-prime pool, encoded as co-singleton point-sets."""
     full = (1 << k) - 1
-    for tmask in range(1, full + 1):
-        t_bits = [i for i in range(k) if tmask >> i & 1]
-        yield tmask, t_bits, [full ^ (1 << i) for i in t_bits]
+    return [full ^ (1 << i) for i in t_bits]
 
 
 def _label(primes, t_bits, smask: int) -> str:
@@ -205,14 +205,14 @@ def pool_uniqueness_check(pool: PrimePool, cap: int = DEFAULT_POINT_CAP, oracle:
     the target, so the input depends on m = |T| alone (_size_input): it is
     decided once per size of T and its failure records are rendered with the
     labels of every target of that size.  With oracle=True the per-check
-    route (pool_uniqueness_oracle), which reads each target's own members,
+    route (pool_uniqueness_oracle), which builds each target's own members,
     runs too and any difference in the report raises ConsistencyError.
     """
     primes = pool.primes
     checks = 0
     failures: list[str] = []
     decided = {}  # the failure records of each size of T
-    for _, t_bits, _ in _targets(pool, cap):
+    for _, t_bits in _targets(pool, cap):
         m = len(t_bits)
         checks += (1 << m) - 1
         if m not in decided:
@@ -428,7 +428,8 @@ def pool_uniqueness_oracle(pool: PrimePool, cap: int = DEFAULT_POINT_CAP) -> Poo
     full = (1 << len(primes)) - 1
     checks = 0
     failures: list[str] = []
-    for tmask, t_bits, members in _targets(pool, cap):
+    for tmask, t_bits in _targets(pool, cap):
+        members = _localizations(len(primes), t_bits)
         m = len(t_bits)
         full_pts = (1 << m) - 1
         up, down = inclusion_order(members)

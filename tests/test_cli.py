@@ -2,11 +2,13 @@
 
 import collections
 import json
+import math
 import pathlib
 
 from specrep import cli, engine, rings, setsystems, theorems, zrdesk
 
 FIXTURES = pathlib.Path(__file__).resolve().parent.parent / "fixtures"
+GOLDEN = pathlib.Path(__file__).resolve().parent / "golden"
 
 
 def run(capsys, *argv):
@@ -135,26 +137,69 @@ def test_decompose_bad_inline_ring(capsys):
     assert code == 1
 
 
-def test_cap_ring_skips_decomposition_verification(capsys):
-    code, out, _ = run(
-        capsys, "decompose", "--ring", "zmod:50000", "--ideal", "200", "--cap-ring", "100"
-    )
+def test_zmod_above_the_element_cap_is_verified_only_under_oracle(capsys):
+    code, out, _ = run(capsys, "decompose", "--ring", "zmod:5000000", "--ideal", "200")
     assert code == 0
     payload = json.loads(out)
-    assert payload["verified"] is False
     assert payload["components"] == ["(8)", "(25)"]
-    code, text, _ = run(
-        capsys, "decompose", "--ring", "zmod:50000", "--ideal", "200", "--cap-ring", "100",
-        "--format", "text",
-    )
+    assert (payload["verified"], payload["unique"], payload["strongly_irredundant"]) == (False, None, None)
+    code, text, _ = run(capsys, "decompose", "--ring", "zmod:5000000", "--ideal", "200", "--format", "text")
     assert text == "(200) = (8) ∩ (25)\n"
+    code, out, _ = run(capsys, "decompose", "--ring", "zmod:5000000", "--ideal", "200", "--oracle")
+    assert code == 0
+    payload = json.loads(out)
+    assert (payload["verified"], payload["unique"], payload["strongly_irredundant"]) == (True, True, True)
 
 
-def test_cap_ring_blocks_element_level_analysis(capsys):
-    code, _, err = run(
-        capsys, "analyze", str(FIXTURES / "zmod12.json"), "--cap-ring", "5"
-    )
-    assert code == 3
+def test_verified_decomposition_of_a_huge_modulus_is_the_golden(capsys):
+    # 735134400 = 2^6 3^3 5^2 7 11 13 17: 15 irreducibles over (0) on 1344 divisor classes
+    argv = ["decompose", "--ring", "zmod:735134400", "--ideal", "0", "--oracle"]
+    code, out, _ = run(capsys, *argv)
+    assert code == 0
+    assert out == (GOLDEN / "zmod735134400_decompose_oracle.json").read_text(encoding="utf-8")
+    payload = json.loads(out)
+    want = sorted(p ** e for p, e in rings.factorize(735134400).items())
+    assert [int(c.strip("()")) for c in payload["components"]] == want
+    assert payload["verified"] is True
+
+
+def test_decomposition_past_the_point_cap_is_not_reported_verified(capsys):
+    # (1024) lies under the 10 irreducibles (2^k): more than the cap of 5
+    # skips the uniqueness search, and --oracle, which forces it, exits 3
+    argv = ["decompose", "--ring", "zmod:1024", "--ideal", "0", "--cap-points", "5"]
+    code, out, _ = run(capsys, *argv)
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["components"] == ["(1024)"]
+    assert (payload["verified"], payload["unique"], payload["strongly_irredundant"]) == (False, None, None)
+    assert run(capsys, *argv, "--format", "text")[1] == "(1024) = (1024)\n"
+    assert run(capsys, *argv, "--oracle")[0] == 3
+
+
+def test_element_free_analysis_above_the_element_cap(tmp_path, capsys):
+    # the family of (d) in zmod(10^6) is the prime powers over d, on divisor
+    # classes; its core is the deepest power of each prime, the unique
+    # minimal representation
+    n, g = 10 ** 6, 3000
+    fac = rings.factorize(math.gcd(g, n))
+    powers = sorted(f"({p ** k})" for p, e in fac.items() for k in range(1, e + 1))
+    deepest = sorted(f"({p ** e})" for p, e in fac.items())
+    path = write(tmp_path, "zmod.json", {"schema": 1, "ring": {"zmod": n}, "ideal": g})
+    code, out, _ = run(capsys, "analyze", path)
+    assert code == 0
+    payload = json.loads(out)
+    assert sorted(payload["points"]) == powers
+    assert sorted(payload["critical_core"]) == deepest
+    assert [sorted(z) for z in payload["minimal_representations"]] == [deepest]
+    assert payload["unique_minimal"] is True
+    code, out, _ = run(capsys, "minimal", path)
+    assert code == 0
+    assert [sorted(z) for z in json.loads(out)["minimal_representations"]] == [deepest]
+    code, out, _ = run(capsys, "critical", path)
+    assert code == 0
+    payload = json.loads(out)
+    assert sorted(payload["critical_core"]) == deepest
+    assert payload["unique_minimal"] is True
 
 
 def test_zr_check_pool_flag(capsys):
@@ -245,9 +290,6 @@ def test_usage_error_exits_one(capsys):
     code = cli.main(["analyze", "--format", "yaml"])
     captured = capsys.readouterr()
     assert code == 1
-
-
-GOLDEN = pathlib.Path(__file__).resolve().parent / "golden"
 
 
 def test_main_builds_no_parser(capsys, monkeypatch):

@@ -65,13 +65,23 @@ def test_malformed_instance_exits_one(tmp_path, command, instance, field):
     (["decompose", str(ROOT / "fixtures" / "zmod12.json"), "--ring", "zmod:12", "--ideal", "6"], "--ring"),
     (["decompose", str(ROOT / "fixtures" / "zmod12.json"), "--ideal", "3"], "--ideal"),
     (["zr-check", "--pool", ""], "--pool"),
-], ids=["file-and-pool", "file-and-ring", "file-and-ideal", "empty-pool"])
+    (["decompose", "--ideal", "3"], "--ideal"),
+], ids=["file-and-pool", "file-and-ring", "file-and-ideal", "empty-pool", "ideal-without-ring"])
 def test_inline_flag_misuse_exits_one(argv, flag):
     # an instance file with an inline flag would silently drop one of the two
     proc = _run_twice(argv)
     assert proc.returncode == 1
     assert flag in proc.stderr and proc.stderr.count("\n") == 1
     assert proc.stdout == ""
+
+
+def test_removed_cap_ring_flag_exits_one():
+    # a usage error: argparse's usage lines, then one error line
+    proc = _run_twice(["decompose", "--ring", "zmod:12", "--ideal", "6", "--cap-ring", "5"])
+    assert proc.returncode == 1
+    assert proc.stdout == ""
+    errors = [line for line in proc.stderr.splitlines() if line.startswith("error:")]
+    assert len(errors) == 1 and "unrecognized arguments: --cap-ring" in errors[0]
 
 
 def test_dot_into_missing_directory_exits_one(tmp_path):

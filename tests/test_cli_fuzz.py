@@ -96,7 +96,7 @@ def requests(draw):
 
 
 flags = st.lists(st.sampled_from([["--format", "text"], ["--oracle"], ["--cap-points", "3"], ["--cap-points", "0"],
-                                  ["--cap-ring", "50"]]), max_size=2).map(lambda groups: [arg for group in groups for arg in group])
+                                  ["--format", "dot"]]), max_size=2).map(lambda groups: [arg for group in groups for arg in group])
 
 
 def _main(argv):

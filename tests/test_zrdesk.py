@@ -240,7 +240,7 @@ def _corrupt_size(monkeypatch, m, flips):
     of each target of m primes: local bit j is the prime t_bits[j], and local
     bit m (the member holds the target) the least prime outside T.
     """
-    size_input, targets = Z._size_input, Z._targets
+    size_input, localizations = Z._size_input, Z._localizations
 
     def corrupted_input(size):
         local, up, down = size_input(size)
@@ -251,17 +251,16 @@ def _corrupt_size(monkeypatch, m, flips):
             local[c] ^= 1 << b
         return (local, *Z.inclusion_order(local))
 
-    def corrupted_targets(pool, cap):
-        for tmask, t_bits, members in targets(pool, cap):
-            if len(t_bits) == m:
-                bits = t_bits + [i for i in range(len(pool)) if not tmask >> i & 1][:1]
-                members = list(members)
-                for c, b in flips:
-                    members[c] ^= 1 << bits[b]
-            yield tmask, t_bits, members
+    def corrupted_localizations(k, t_bits):
+        members = localizations(k, t_bits)
+        if len(t_bits) == m:
+            bits = t_bits + [i for i in range(k) if i not in t_bits][:1]
+            for c, b in flips:
+                members[c] ^= 1 << bits[b]
+        return members
 
     monkeypatch.setattr(Z, "_size_input", corrupted_input)
-    monkeypatch.setattr(Z, "_targets", corrupted_targets)
+    monkeypatch.setattr(Z, "_localizations", corrupted_localizations)
 
 
 @pytest.mark.parametrize("slice_bits", [Z.SLICE_BITS, 2])
@@ -299,15 +298,15 @@ def test_a_corrupted_target_reaches_only_the_oracle(monkeypatch, capsys):
     # makes zr-check --oracle exit 4
     pool = Z.PrimePool.of(FIRST_PRIMES[:4])
     clean = Z.pool_uniqueness_check(pool)
-    targets = Z._targets
+    localizations = Z._localizations
 
-    def corrupted(pool, cap):
-        for tmask, t_bits, members in targets(pool, cap):
-            if tmask == 0b0110:  # T = {3, 5}: the localization at 3 also loses 5
-                members = [members[0] ^ 1 << t_bits[1], *members[1:]]
-            yield tmask, t_bits, members
+    def corrupted(k, t_bits):
+        members = localizations(k, t_bits)
+        if t_bits == [1, 2]:  # T = {3, 5}: the localization at 3 also loses 5
+            members[0] ^= 1 << t_bits[1]
+        return members
 
-    monkeypatch.setattr(Z, "_targets", corrupted)
+    monkeypatch.setattr(Z, "_localizations", corrupted)
     assert Z.pool_uniqueness_check(pool) == clean
     assert Z.pool_uniqueness_oracle(pool) != clean
     assert cli.main(["zr-check", "--pool", "2,3,5,7", "--oracle"]) == 4
