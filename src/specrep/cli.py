@@ -134,9 +134,8 @@ def _int_list(value, field: str) -> list[int]:
 
 
 def _int_lists(value, field: str) -> list[list[int]]:
-    if not isinstance(value, list) or not all(
-        isinstance(row, list) and all(_is_int(x) for x in row) for row in value
-    ):
+    # a row at a time: exactly int, so a JSON true or false is refused as _is_int refuses it
+    if not isinstance(value, list) or not all(type(row) is list and set(map(type, row)) <= {int} for row in value):
         raise InputError(f"field {field!r} must be a list of integer lists")
     return value
 

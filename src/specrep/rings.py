@@ -2,7 +2,10 @@
 
 Two ring presentations: modular arithmetic rings, whose ideals are divisor
 lattices and scale to very large moduli, and explicit addition/multiplication
-tables, which are axiom-checked exhaustively and capped at 64 elements.
+tables, capped at 64 elements.  A table ring's associativity and
+distributivity are checked on a generating set of its additive group, and
+every pair of elements is checked only when that does not settle them, so a
+faulty table reports the first fault a loop over all triples meets.
 On top of the ideal lattice sit the irreducibility filters, the arithmetical
 (distributive-lattice) test, colon ideals, saturations, Krull associated
 primes, and the decomposition of a proper ideal into the irreducible ideals
@@ -45,11 +48,13 @@ def factorize(n: int) -> dict[int, int]:
     return out
 
 
-def divisors_of(n: int) -> list[int]:
+@lru_cache(maxsize=4096)
+def divisors_of(n: int) -> tuple[int, ...]:
+    """The divisors of n, ascending; one tuple per modulus, shared by every caller."""
     divs = [1]
     for p, e in factorize(n).items():
         divs = [d * p ** k for d in divs for k in range(e + 1)]
-    return sorted(divs)
+    return tuple(sorted(divs))
 
 
 def _row_getter(row):
@@ -57,6 +62,100 @@ def _row_getter(row):
     if len(row) == 1:
         return lambda t, x=row[0]: (t[x],)
     return itemgetter(*row)
+
+
+def _check_every_pair(add, mul, zero: int, add_cols, mul_cols) -> None:
+    """Raise the first ring-axiom fault a loop over all triples (a, b, c) meets.
+
+    Each (a, b) compares whole rows over c, each row gathered by one
+    itemgetter call; a row that differs is walked c by c, so the first fault
+    reported is the one a plain triple loop meets first.
+    """
+    rng = range(len(add))
+    add_at = [_row_getter(row) for row in add]
+    mul_at = [_row_getter(row) for row in mul]
+    for a in rng:
+        if zero not in add[a]:
+            raise InputError("tables fail ring axioms: missing additive inverse")
+        commutes = add[a] == add_cols[a] and mul[a] == mul_cols[a]
+        for b in rng:
+            if not commutes and (add[a][b] != add[b][a] or mul[a][b] != mul[b][a]):
+                raise InputError("tables fail ring axioms: operation not commutative")
+            if (add[add[a][b]] != add_at[b](add[a])
+                    or mul[mul[a][b]] != mul_at[b](mul[a])
+                    or add_at[b](mul[a]) != mul_at[a](add[mul[a][b]])):
+                raise _triple_fault(add, mul, a, b)
+
+
+def _additive_generators(add, zero: int) -> list[int] | None:
+    """A greedy generating set of (R, +), or None when a generator fails to double the set reached.
+
+    Each element not yet reached becomes a generator, and the set reached is
+    the closure of the generators under adding a generator on the right, a
+    subset of what they generate under any bracketing.  In an abelian group
+    each new generator at least doubles it (the subgroup grows by a coset),
+    so a ring of n elements needs at most log2(n) generators.
+    """
+    size = len(add)
+    gens: list[int] = []
+    reached = {zero}
+    for g in range(size):
+        if g in reached:
+            continue
+        gens.append(g)
+        grown = set(gens)
+        frontier = gens
+        while frontier:
+            frontier = {add[r][h] for r in frontier for h in gens} - grown
+            grown |= frontier
+        if len(grown) < 2 * len(reached):
+            return None
+        reached = grown
+    return gens if len(reached) == size else None
+
+
+def _plus_associative_at(add, mul, gens) -> bool:
+    """(x + g) + y = x + (g + y) for all x, y: the g passing this are closed under + (Light's test)."""
+    for g in gens:
+        add_g = _row_getter(add[g])
+        if any(add[add[x][g]] != add_g(add[x]) for x in range(len(add))):
+            return False
+    return True
+
+
+def _distributive_at(add, mul, gens) -> bool:
+    """x(g + y) = xg + xy for all x, y: once + is associative, the g passing this are closed under +."""
+    mul_at = [_row_getter(row) for row in mul]
+    for g in gens:
+        add_g = _row_getter(add[g])
+        if any(add_g(mul[x]) != mul_at[x](add[mul[x][g]]) for x in range(len(add))):
+            return False
+    return True
+
+
+def _times_associative_at(add, mul, gens) -> bool:
+    """(gx)y = g(xy) for all x, y: with distributivity and commutativity, the g passing this are closed under +."""
+    mul_at = [_row_getter(row) for row in mul]
+    for g in gens:
+        mul_g = mul[g]
+        if any(mul[mul_g[x]] != mul_at[x](mul_g) for x in range(len(mul))):
+            return False
+    return True
+
+
+_GENERATOR_CHECKS = (_plus_associative_at, _distributive_at, _times_associative_at)
+
+
+def _axioms_hold_on_generators(add, mul, zero: int) -> bool:
+    """Whether + and * are associative and * distributes over +, decided on additive generators.
+
+    Needs both tables commutative.  Each check holds for a set of elements
+    closed under + (given the checks before it), so passing on a generating
+    set of (R, +) proves it for every element, at one row comparison per
+    generator and element.  False means only that this route did not decide.
+    """
+    gens = _additive_generators(add, zero)
+    return gens is not None and all(check(add, mul, gens) for check in _GENERATOR_CHECKS)
 
 
 def _triple_fault(add, mul, a: int, b: int) -> InputError:
@@ -76,7 +175,8 @@ class FiniteRing:
     """A finite commutative ring with identity.
 
     kind is "zmod" (size = modulus, tables implicit) or "tables" (explicit
-    operation tables, exhaustively checked against the ring axioms).
+    operation tables, checked against the ring axioms: associativity and
+    distributivity on additive generators, every pair when that fails).
     """
 
     size: int
@@ -104,7 +204,7 @@ class FiniteRing:
         for name, t in (("add", add), ("mul", mul)):
             if len(t) != size or any(len(row) != size for row in t):
                 raise InputError(f"{name} table is not square")
-            if any(not 0 <= v < size for row in t for v in row):
+            if not all(0 <= min(row) and max(row) < size for row in t):
                 raise InputError(f"{name} table has entries outside the element range")
         rng = range(size)
         add_cols, mul_cols = tuple(zip(*add)), tuple(zip(*mul))
@@ -115,22 +215,11 @@ class FiniteRing:
         one = next((e for e in rng if mul_cols[e] == identity), None)
         if one is None:
             raise InputError("tables fail ring axioms: no multiplicative identity")
-        # Each (a, b) compares whole rows over c, each row gathered by one
-        # itemgetter call; a row that differs is walked c by c, so the first
-        # fault reported is the one a plain triple loop meets first.
-        add_at = [_row_getter(row) for row in add]
-        mul_at = [_row_getter(row) for row in mul]
-        for a in rng:
-            if zero not in add[a]:
-                raise InputError("tables fail ring axioms: missing additive inverse")
-            commutes = add[a] == add_cols[a] and mul[a] == mul_cols[a]
-            for b in rng:
-                if not commutes and (add[a][b] != add[b][a] or mul[a][b] != mul[b][a]):
-                    raise InputError("tables fail ring axioms: operation not commutative")
-                if (add[add[a][b]] != add_at[b](add[a])
-                        or mul[mul[a][b]] != mul_at[b](mul[a])
-                        or add_at[b](mul[a]) != mul_at[a](add[mul[a][b]])):
-                    raise _triple_fault(add, mul, a, b)
+        # The generator route can only confirm the axioms; whenever it does
+        # not, the pair loop decides and reports the first fault.
+        if not (add == add_cols and mul == mul_cols and all(zero in row for row in add)
+                and _axioms_hold_on_generators(add, mul, zero)):
+            _check_every_pair(add, mul, zero, add_cols, mul_cols)
         if one == zero:
             raise InputError("tables describe the zero ring (0 = 1); a ring needs 0 != 1")
         return cls(size=size, kind="tables", zero=zero, one=one, add=add, mul=mul)
@@ -238,8 +327,10 @@ def ideal_join(i: RingIdeal, j: RingIdeal) -> RingIdeal:
     return RingIdeal(ring=ring, elements=frozenset(ring.add[a][b] for a in i.elements for b in j.elements))
 
 
-def _principal_table_ideal(ring: FiniteRing, r: int) -> frozenset[int]:
-    return frozenset(ring.mul[r][s] for s in range(ring.size))
+@lru_cache(maxsize=32)
+def _principal_table_ideals(ring: FiniteRing) -> tuple[frozenset[int], ...]:
+    """The principal ideal (r) of each element r of a table ring: the set of its row of products."""
+    return tuple(map(frozenset, ring.mul))
 
 
 @lru_cache(maxsize=32)
@@ -248,9 +339,10 @@ def _all_table_ideals(ring: FiniteRing) -> tuple[frozenset[int], ...]:
 
     Every ideal is a sum of principal ones, and ideal + (r) depends on r only
     through (r), so each ideal is grown by each distinct principal ideal not
-    already inside it.
+    already inside it.  The sum is the union of the cosets b + ideal over b in
+    (r); a b already covered lies in a coset already taken, and is skipped.
     """
-    principal = {_principal_table_ideal(ring, r) for r in range(ring.size)}
+    principal = set(_principal_table_ideals(ring))
     add = ring.add
     start = frozenset({ring.zero})
     seen = {start}
@@ -258,10 +350,15 @@ def _all_table_ideals(ring: FiniteRing) -> tuple[frozenset[int], ...]:
     while frontier:
         nxt = []
         for ideal in frontier:
+            coset = _row_getter(tuple(ideal))
             for p in principal:
                 if p <= ideal:
                     continue
-                grown = frozenset(add[a][b] for a in ideal for b in p)
+                grown = set(ideal)
+                for b in p:
+                    if b not in grown:
+                        grown.update(coset(add[b]))
+                grown = frozenset(grown)
                 if grown not in seen:
                     seen.add(grown)
                     nxt.append(grown)
@@ -292,7 +389,7 @@ def _table_is_radical(ring: FiniteRing, elems: frozenset[int]) -> bool:
 
 def _table_is_strongly_irreducible(ring: FiniteRing, elems: frozenset[int]) -> bool:
     # elementwise form: principal meets decide the general ideal condition
-    principal = [_principal_table_ideal(ring, r) for r in range(ring.size)]
+    principal = _principal_table_ideals(ring)
     rng = range(ring.size)
     for a in rng:
         for b in rng:
@@ -383,21 +480,14 @@ def _ideal_lattice(ring: FiniteRing) -> tuple[list[list[int]], list[list[int]]]:
 
     Indices follow `_all_table_ideals`, ordered by size.  The meet of two
     ideals is their intersection; their join (the ideal sum) is the first
-    ideal in that order containing both element sets, which sits at or after
-    the larger of the two.
+    ideal in that order containing both, the lowest set bit of the AND of
+    their masks of containing indices.
     """
     masks = [sum(1 << e for e in s) for s in _all_table_ideals(ring)]
     pos = {m: i for i, m in enumerate(masks)}
-    n = len(masks)
     meet = [[pos[a & b] for b in masks] for a in masks]
-    join = [[0] * n for _ in range(n)]
-    for i, a in enumerate(masks):
-        for j in range(i, n):
-            union = a | masks[j]
-            k = j
-            while union & ~masks[k]:
-                k += 1
-            join[i][j] = join[j][i] = k
+    above = [sum(1 << k for k, b in enumerate(masks) if not a & ~b) for a in masks]
+    join = [[(common & -common).bit_length() - 1 for common in map(a.__and__, above)] for a in above]
     return meet, join
 
 
@@ -464,13 +554,10 @@ def build_irr_space(ring: FiniteRing, ideal: RingIdeal, points: str = "irreducib
         raise ConsistencyError("a proper ideal always sits under an irreducible one")
 
     if ring.kind == "zmod":
-        n = ring.size
-        atoms = [n] + divisors_of(n)[:-1]  # by least element: the atom of n holds 0
-        labels = tuple("0" if g == n else str(g) for g in atoms)
+        labels = _zmod_atoms(ring.size)[0]
 
         def mask(b: RingIdeal) -> int:
-            d = b.generator
-            return sum(1 << i for i, g in enumerate(atoms) if g % d == 0)
+            return _zmod_class_mask(ring.size, b.generator)
     else:
         labels = tuple(map(str, range(ring.size)))
         mask = RingIdeal.element_mask
@@ -480,6 +567,22 @@ def build_irr_space(ring: FiniteRing, ideal: RingIdeal, points: str = "irreducib
         names=tuple(b.name for b in members),
         members=tuple(mask(b) for b in members),
     )
+
+
+@lru_cache(maxsize=32)
+def _zmod_atoms(n: int) -> tuple[tuple[str, ...], tuple[int, ...]]:
+    """The divisor classes of zmod(n) as a universe: their labels, and the gcd of each.
+
+    Ordered by least element, so the class of n, which holds 0, comes first.
+    """
+    atoms = (n,) + divisors_of(n)[:-1]
+    return tuple("0" if g == n else str(g) for g in atoms), atoms
+
+
+@lru_cache(maxsize=4096)
+def _zmod_class_mask(n: int, d: int) -> int:
+    """The divisor classes of zmod(n) inside the ideal (d): those whose gcd d divides."""
+    return sum(1 << i for i, g in enumerate(_zmod_atoms(n)[1]) if g % d == 0)
 
 
 def zmod_min_irreducible_generators(n: int, d: int) -> list[int]:

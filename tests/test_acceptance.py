@@ -362,6 +362,9 @@ def test_acceptance_9_cli_golden_bytes():
         (("check-theorems", "fixtures/zmod12.json"), "zmod12_theorems.json"),
         (("check-theorems", "fixtures/zr_pool235.json"), "zr_pool235_theorems.json"),
         (("check-theorems", "fixtures/f2xy_tables.json"), "f2xy_tables_theorems.json"),
+        (("analyze", "fixtures/z60_tables.json"), "z60_tables_analyze.json"),
+        (("decompose", "fixtures/z60_tables.json", "--oracle"), "z60_tables_decompose.json"),
+        (("check-theorems", "fixtures/z60_tables.json"), "z60_tables_theorems.json"),
         (("check-theorems", "fixtures/zmod2560.json"), "zmod2560_theorems.json"),
         (("check-theorems", "fixtures/two_minimal.json"), "two_minimal_theorems.json"),
         (("check-theorems", "fixtures/isolated_redundant.json"), "isolated_redundant_theorems.json"),

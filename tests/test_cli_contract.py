@@ -50,8 +50,11 @@ def _instance(tmp_path, obj):
         ("decompose", {"ring": {"tables": {"add": [[0, 1], [1, 0]], "mul": [[0, 0], [0, 1]]}}, "ideal": [5]},
          "ideal element 5"),
         ("decompose", {"ring": {"zmod": 12}, "ideal": True}, "field 'ideal'"),
+        *[("decompose", {"ring": {"tables": {"add": [[0, bad], [1, 0]], "mul": [[0, 0], [0, 1]]}}, "ideal": [0]},
+           "error: field 'ring.tables.add' must be a list of integer lists\n") for bad in (True, 1.5, [1])],
     ],
-    ids=["zr-members-not-a-list", "table-not-a-list", "ideal-element-out-of-range", "ideal-true"],
+    ids=["zr-members-not-a-list", "table-not-a-list", "ideal-element-out-of-range", "ideal-true",
+         "table-entry-true", "table-entry-float", "table-entry-list"],
 )
 def test_malformed_instance_exits_one(tmp_path, command, instance, field):
     proc = _run_twice([command, _instance(tmp_path, {"schema": 1, **instance})])

@@ -12,7 +12,10 @@
 - a call-counting test that one table-ring request builds the lattice tables
   once however often it asks whether the ring is arithmetical;
 - the row-wise ring-axiom check of `FiniteRing.from_tables` against a plain
-  triple loop, on product rings with one fault each: same first diagnostic.
+  triple loop, on product rings with one fault each: same first diagnostic;
+- its generator route, which confirms the axioms on additive generators:
+  never on a faulty table, always on the product rings of the benchmark,
+  and each of its three checks the only one to catch some faulty table.
 """
 
 import itertools
@@ -95,7 +98,8 @@ def test_non_arithmetical_rings_by_both_routes(tables):
 
 
 @pytest.mark.parametrize("tables", [lambda: product_tables((4, 2)), lambda: product_tables((2, 2, 2)),
-                                    f2xy_tables, z4x_tables], ids=["4x2", "2x2x2", "f2xy", "z4x"])
+                                    lambda: product_tables((4, 3, 5)), f2xy_tables, z4x_tables],
+                         ids=["4x2", "2x2x2", "4x3x5", "f2xy", "z4x"])
 def test_lattice_tables_are_intersection_and_sum(tables):
     ring = R.FiniteRing.from_tables(*tables())
     ideals = [R.RingIdeal(ring=ring, elements=s) for s in R._all_table_ideals(ring)]
@@ -282,3 +286,108 @@ def test_table_axioms_report_the_first_fault_of_a_triple_loop():
         assert str(info.value) == f"tables fail ring axioms: {want}"
     assert seen >= {"missing additive inverse", "operation not commutative", "addition not associative",
                     "multiplication not associative", "distributivity fails"}
+
+
+def _spy_pair_loop(monkeypatch):
+    """Record each run of the pair loop of `from_tables`, which runs whenever the generator route does not confirm."""
+    runs = []
+    loop = R._check_every_pair
+
+    def spy(*args):
+        runs.append(args)
+        return loop(*args)
+
+    monkeypatch.setattr(R, "_check_every_pair", spy)
+    return runs
+
+
+def test_generator_route_never_confirms_a_faulty_table(monkeypatch):
+    runs = _spy_pair_loop(monkeypatch)
+    rng = random.Random(5081)
+    routed = 0
+    for moduli in [(2, 3), (4, 3), (2, 2, 3), (2, 2, 2, 2)] * 60 + [(4, 3, 5)] * 10:
+        add, mul = broken_tables(rng, moduli)
+        want = axiom_fault_oracle(add, mul)
+        if want in (None, "no additive identity", "no multiplicative identity"):
+            continue  # sound, or refused before any associativity check
+        runs.clear()
+        with pytest.raises(R.InputError):
+            R.FiniteRing.from_tables(add, mul)
+        assert runs, want
+        # the route's own preconditions: commutative tables with additive inverses
+        add_t, mul_t = tuple(map(tuple, add)), tuple(map(tuple, mul))
+        zero = next(e for e in range(len(add)) if all(row[e] == a for a, row in enumerate(add)))
+        if add_t == tuple(zip(*add_t)) and mul_t == tuple(zip(*mul_t)) and all(zero in row for row in add):
+            assert not R._axioms_hold_on_generators(add_t, mul_t, zero), want
+            routed += 1
+    assert routed >= 100
+
+
+def _relabelled(add, mul, perm):
+    """The same ring with element x renamed perm[x]."""
+    n = len(add)
+    inv = sorted(range(n), key=perm.__getitem__)
+    return ([[perm[add[inv[i]][inv[j]]] for j in range(n)] for i in range(n)],
+            [[perm[mul[inv[i]][inv[j]]] for j in range(n)] for i in range(n)])
+
+
+@pytest.mark.parametrize("moduli", [(2, 2, 2, 2), (2, 2, 2, 2, 2), (4, 5), (4, 3, 5), (2, 2, 2, 3)],
+                         ids=lambda m: "x".join(map(str, m)))
+def test_generator_route_confirms_the_benchmark_product_rings(monkeypatch, moduli):
+    runs = _spy_pair_loop(monkeypatch)
+    add, mul = product_tables(moduli)
+    rng = random.Random(len(add))
+    for _ in range(4):
+        perm = list(range(len(add)))
+        rng.shuffle(perm)
+        ring = R.FiniteRing.from_tables(*_relabelled(add, mul, perm))
+        gens = R._additive_generators(ring.add, ring.zero)
+        assert gens is not None and 2 ** len(gens) <= ring.size
+    assert runs == []
+
+
+def _xor_tables(n, product):
+    """Tables on n = 2^k labels: + is XOR, * the bilinear extension of product on single bits."""
+    def mul(x, y):
+        out = 0
+        for i in range(n.bit_length() - 1):
+            for j in range(n.bit_length() - 1):
+                if x >> i & 1 and y >> j & 1:
+                    out ^= product(1 << i, 1 << j)
+        return out
+
+    return [[x ^ y for y in range(n)] for x in range(n)], [[mul(x, y) for y in range(n)] for x in range(n)]
+
+
+def _faulty_past_each_check():
+    """For each generator check, a table that fails only there among the three checks."""
+    # F2^4: 3 + 5 corrupted; no generator (a single bit) and no product x * g reads that entry
+    plus_add, plus_mul = product_tables((2, 2, 2, 2))
+    plus_add[3][5] = plus_add[5][3] = 7
+    # Z/4 with the labels 2 and 3 swapped in the product only: a monoid, not distributive
+    swap = [0, 1, 3, 2]
+    dist_add, dist_mul = product_tables((4,))
+    dist_mul = [[swap[dist_mul[swap[x]][swap[y]]] for y in range(4)] for x in range(4)]
+    # F2<1, e, f> with e e = f, e f = 0, f f = 1: commutative and bilinear, (e e) f != e (e f)
+    basis = {(1, 1): 1, (1, 2): 2, (1, 4): 4, (2, 2): 4, (2, 4): 0, (4, 4): 1}
+    times_add, times_mul = _xor_tables(8, lambda a, b: basis[min(a, b), max(a, b)])
+    return {
+        "_plus_associative_at": (plus_add, plus_mul),
+        "_distributive_at": (dist_add, dist_mul),
+        "_times_associative_at": (times_add, times_mul),
+    }
+
+
+@pytest.mark.parametrize("dropped", ["_plus_associative_at", "_distributive_at", "_times_associative_at"])
+def test_each_generator_check_is_needed(monkeypatch, dropped):
+    add, mul = _faulty_past_each_check()[dropped]
+    want = axiom_fault_oracle(add, mul)
+    assert want is not None
+    with pytest.raises(R.InputError) as info:
+        R.FiniteRing.from_tables(add, mul)
+    assert str(info.value) == f"tables fail ring axioms: {want}"
+
+    kept = tuple(c for c in R._GENERATOR_CHECKS if c.__name__ != dropped)
+    assert len(kept) == 2
+    monkeypatch.setattr(R, "_GENERATOR_CHECKS", kept)
+    R.FiniteRing.from_tables(add, mul)  # wrongly accepted without the dropped check
