@@ -94,12 +94,12 @@ def _additive_generators(add, zero: int) -> list[int] | None:
     the closure of the generators under adding a generator on the right, a
     subset of what they generate under any bracketing.  In an abelian group
     each new generator at least doubles it (the subgroup grows by a coset),
-    so a ring of n elements needs at most log2(n) generators.
+    so a ring of n elements needs at most log2(n) generators.  Every element
+    ends up reached: zero too, as (-g) + g, for + commutative with inverses.
     """
-    size = len(add)
     gens: list[int] = []
     reached = {zero}
-    for g in range(size):
+    for g in range(len(add)):
         if g in reached:
             continue
         gens.append(g)
@@ -111,7 +111,7 @@ def _additive_generators(add, zero: int) -> list[int] | None:
         if len(grown) < 2 * len(reached):
             return None
         reached = grown
-    return gens if len(reached) == size else None
+    return gens
 
 
 def _plus_associative_at(add, mul, gens) -> bool:
@@ -149,10 +149,11 @@ _GENERATOR_CHECKS = (_plus_associative_at, _distributive_at, _times_associative_
 def _axioms_hold_on_generators(add, mul, zero: int) -> bool:
     """Whether + and * are associative and * distributes over +, decided on additive generators.
 
-    Needs both tables commutative.  Each check holds for a set of elements
-    closed under + (given the checks before it), so passing on a generating
-    set of (R, +) proves it for every element, at one row comparison per
-    generator and element.  False means only that this route did not decide.
+    Needs both tables commutative and additive inverses.  Each check holds
+    for a set of elements closed under + (given the checks before it), so
+    passing on a generating set of (R, +) proves it for every element, at
+    one row comparison per generator and element.  False means only that
+    this route did not decide.
     """
     gens = _additive_generators(add, zero)
     return gens is not None and all(check(add, mul, gens) for check in _GENERATOR_CHECKS)

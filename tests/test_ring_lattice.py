@@ -15,7 +15,8 @@
   triple loop, on product rings with one fault each: same first diagnostic;
 - its generator route, which confirms the axioms on additive generators:
   never on a faulty table, always on the product rings of the benchmark,
-  and each of its three checks the only one to catch some faulty table.
+  each of its three checks the only one to catch some faulty table, and
+  its two preconditions (commutativity, additive inverses) each needed.
 """
 
 import itertools
@@ -376,6 +377,34 @@ def _faulty_past_each_check():
         "_distributive_at": (dist_add, dist_mul),
         "_times_associative_at": (times_add, times_mul),
     }
+
+
+def _upper_triangular_f2():
+    """2x2 upper triangular matrices over F2, label a + 2b + 4c for [[a, b], [0, c]]: a ring, not commutative."""
+    def mul(x, y):
+        a, b, c = x & 1, x >> 1 & 1, x >> 2
+        d, e, f = y & 1, y >> 1 & 1, y >> 2
+        return a & d | ((a & e) ^ (b & f)) << 1 | (c & f) << 2
+
+    return [[x ^ y for y in range(8)] for x in range(8)], [[mul(x, y) for y in range(8)] for x in range(8)]
+
+
+def _saturating_semiring():
+    """0..4 with sums and products capped at 4: commutative, associative, distributive, without negatives."""
+    return [[min(x + y, 4) for y in range(5)] for x in range(5)], [[min(x * y, 4) for y in range(5)] for x in range(5)]
+
+
+@pytest.mark.parametrize("tables, want", [(_upper_triangular_f2, "operation not commutative"),
+                                          (_saturating_semiring, "missing additive inverse")],
+                         ids=["not-commutative", "no-inverses"])
+def test_the_generator_route_needs_its_preconditions(tables, want):
+    # the route alone accepts these tables; the checks before it send them to the pair loop
+    add, mul = tables()
+    assert R._axioms_hold_on_generators(tuple(map(tuple, add)), tuple(map(tuple, mul)), 0)
+    assert axiom_fault_oracle(add, mul) == want
+    with pytest.raises(R.InputError) as info:
+        R.FiniteRing.from_tables(add, mul)
+    assert str(info.value) == f"tables fail ring axioms: {want}"
 
 
 @pytest.mark.parametrize("dropped", ["_plus_associative_at", "_distributive_at", "_times_associative_at"])
