@@ -463,12 +463,12 @@ def _zmod_strongly_irreducible(n: int, d: int) -> bool:
     (e) ∩ (f) = (lcm(e, f)), and (e) lies inside (d) iff d divides e.  lcm is
     monotone under divisibility, so a failing pair stays failing when each
     side is pushed up to a maximal divisor of n that d does not divide; only
-    pairs of those are tested.  A non-multiple e is maximal when no e * p,
-    p prime, is a non-multiple dividing n.
+    pairs of those are tested.  A divisor e of n misses d when v_p(e) <
+    v_p(d) for some prime p, so the maximal ones are n with one such
+    exponent lowered to v_p(d) - 1: n // p ** (v_p(n) - v_p(d) + 1), one per
+    prime p of d, where p ** (v_p(n) - v_p(d)) = gcd(n // d, p ** v_p(n)).
     """
-    primes = factorize(n)
-    rest = {e for e in divisors_of(n) if e % d}
-    top = [e for e in rest if not any(e * p in rest for p in primes)]
+    top = [n // (p * math.gcd(n // d, p ** e)) for p, e in factorize(n).items() if d % p == 0]
     for i, e in enumerate(top):
         for f in top[i + 1:]:
             if e * f // math.gcd(e, f) % d == 0:

@@ -1,7 +1,7 @@
 """Cross-operation identity suite: every instance must satisfy the theory.
 
-Each check pits one route against another (generator vs fast path, fast
-test vs exhaustive oracle, flag vs flag) and reports pass/fail/skip; a skip
+Each check pits one route against another (generated neighbourhoods vs
+order fast path, fast test vs exhaustive oracle, flag vs flag) and reports pass/fail/skip; a skip
 happens only when an enumeration would blow a cap.  The CLI's check-theorems
 command runs the suite and fails loudly with the violated check's name.
 """
@@ -55,7 +55,6 @@ def run_family_suite(family: PointFamily, cap: int = engine.DEFAULT_POINT_CAP) -
     out: list[CheckResult] = []
     space = family.space
     n = len(space)
-    generator_cap = topology.DEFAULT_GENERATOR_CAP
 
     ok, witness = validate_representation(family)
     out.append(_ok("family-represents-target") if ok else _bad(
@@ -64,41 +63,38 @@ def run_family_suite(family: PointFamily, cap: int = engine.DEFAULT_POINT_CAP) -
         return out
 
     # generator vs order fast paths
-    if n <= generator_cap:
-        name = "topology-generator-equivalence"
-        # every kind is generated first, so the checks below read all three
-        # even when one of them differs from its fast path
-        tops = {kind: topology.generate_topology(space, kind, cap=generator_cap) for kind in topology.KINDS}
-        bad = next((kind for kind, top in tops.items() if top.opens != topology.fast_opens(space, kind)
-                    or not topology.family_is_topology(top.opens, n, top.meets)), None)
-        out.append(_bad(name, f"{bad} topology differs from its order fast path") if bad else _ok(name))
+    name = "topology-generator-equivalence"
+    # every kind is generated first, so the checks below read all three
+    # even when one of them differs from its fast path; each kind's smallest
+    # open neighbourhoods are the order's own: down-sets, up-sets, singletons
+    tops = {kind: topology.generate_topology(space, kind) for kind in topology.KINDS}
+    expected = {topology.SPECTRAL: space.down, topology.INVERSE: space.up,
+                topology.PATCH: tuple(1 << i for i in range(n))}
+    bad = next((kind for kind, top in tops.items() if top.neighbourhoods != expected[kind]), None)
+    out.append(_bad(name, f"{bad} topology differs from its order fast path") if bad else _ok(name))
 
-        name = "specialization-order-matches-inclusion"
-        spec_top = tops[topology.SPECTRAL]
-        mism = [
-            (i, j)
-            for i in range(n)
-            for j in range(n)
-            if spec_top.specialization_leq(i, j) != space.leq(i, j)
-        ]
-        out.append(_bad(name, f"order mismatch at point pair {mism[0]}") if mism else _ok(name))
+    name = "specialization-order-matches-inclusion"
+    spec_top = tops[topology.SPECTRAL]
+    mism = [
+        (i, j)
+        for i in range(n)
+        for j in range(n)
+        if spec_top.specialization_leq(i, j) != space.leq(i, j)
+    ]
+    out.append(_bad(name, f"order mismatch at point pair {mism[0]}") if mism else _ok(name))
 
-        name = "closure-fast-path-vs-topology"
-        bad = None
-        subsets = range(1 << n) if n <= 10 else [0, space.full_mask] + [1 << i for i in range(n)]
-        for kind in topology.KINDS:
-            top = tops[kind]
-            for ymask in subsets:
-                if topology.closure_mask(space, ymask, kind) != top.closure_of(ymask):
-                    bad = (kind, ymask)
-                    break
-            if bad:
+    name = "closure-fast-path-vs-topology"
+    bad = None
+    subsets = range(1 << n) if n <= 10 else [0, space.full_mask] + [1 << i for i in range(n)]
+    for kind in topology.KINDS:
+        top = tops[kind]
+        for ymask in subsets:
+            if topology.closure_mask(space, ymask, kind) != top.closure_of(ymask):
+                bad = (kind, ymask)
                 break
-        out.append(_bad(name, f"closure mismatch in {bad[0]} at subset {bad[1]:b}") if bad else _ok(name))
-    else:
-        for name in ("topology-generator-equivalence", "specialization-order-matches-inclusion",
-                     "closure-fast-path-vs-topology"):
-            out.append(_skip(name, f"{n} points exceeds the generator cap of {generator_cap}"))
+        if bad:
+            break
+    out.append(_bad(name, f"closure mismatch in {bad[0]} at subset {bad[1]:b}") if bad else _ok(name))
 
     name = "closed-sets-covered-by-minimal-points"
     if n <= cap:
@@ -232,7 +228,8 @@ def run_ring_suite(ring: rings.FiniteRing, ideal: rings.RingIdeal | None,
                    "arithmetical" if arithmetical else "not arithmetical"))
 
     name = "strongly-irreducible-within-irreducible"
-    irr = {i.sort_key() for i in rings.enumerate_ideals(ring, "irreducible")}
+    irreducibles = rings.enumerate_ideals(ring, "irreducible")
+    irr = {i.sort_key() for i in irreducibles}
     sirr = {i.sort_key() for i in rings.enumerate_ideals(ring, "strongly_irreducible")}
     if not sirr <= irr:
         out.append(_bad(name, "a strongly irreducible ideal failed plain irreducibility"))
@@ -245,7 +242,7 @@ def run_ring_suite(ring: rings.FiniteRing, ideal: rings.RingIdeal | None,
         name = "irreducible-filter-matches-prime-powers"
         fac = rings.factorize(ring.size)
         formula = sorted(p ** k for p, e in fac.items() for k in range(1, e + 1))
-        got = sorted(i.generator for i in rings.enumerate_ideals(ring, "irreducible"))
+        got = sorted(i.generator for i in irreducibles)
         out.append(_ok(name) if got == formula else _bad(name, f"{got} vs {formula}"))
 
     targets = [ideal] if ideal is not None else rings.enumerate_ideals(ring, "proper")

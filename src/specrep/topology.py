@@ -4,9 +4,9 @@ A space is a finite family of subsets of a universe, ordered by inclusion.
 Three topologies live on it: the spectral topology (opens are the down-sets
 of the order), its inverse (opens are the up-sets), and the patch topology
 (discrete on finite spaces).  Every topological operation has two routes: a
-generator that builds the open family from the definitional subbasis, and an
-order-theoretic fast path.  The generator is exponential and therefore
-refuses spaces above a configurable point cap.
+generator that builds each point's smallest open neighbourhood from the
+definitional subbasis, and an order-theoretic fast path.  Both are
+polynomial in the number of points; no route enumerates the opens.
 
 Points are kept as element bitmasks over the universe; subsets of the point
 set are index bitmasks.  Public functions accept and return sorted tuples of
@@ -16,17 +16,14 @@ point indices so output order is deterministic.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property, lru_cache
 from typing import Iterable
 
-from .errors import CapExceeded, InputError, NotAntichain
+from .errors import InputError, NotAntichain
 
 SPECTRAL = "spectral"
 INVERSE = "inverse"
 PATCH = "patch"
 KINDS = (SPECTRAL, INVERSE, PATCH)
-
-DEFAULT_GENERATOR_CAP = 16
 
 
 def _bits(mask: int):
@@ -125,45 +122,24 @@ def _meets_around(opens: Iterable[int]) -> dict[int, int]:
 
 @dataclass(frozen=True)
 class Topology:
-    """An explicit open-set family on the point index set.
+    """A finite topology on the point index set, held as its neighbourhood vector.
 
-    opens is closed under binary union and intersection and contains the
-    empty set and the full set; origin tags which of the three standard
-    topologies it is.  Since finite meets of opens are open, each point has a
-    smallest open neighbourhood (the topology is Alexandrov), and closures
-    and the specialization order are read from these.
+    neighbourhoods[i] is U_i, the smallest open around point i; origin tags
+    which of the three standard topologies it is.  A finite topology is
+    Alexandrov, so the U_i fix it: the opens are exactly the unions of
+    them.  Closures and the specialization order are read from them.
     """
 
     size: int
     origin: str
-    opens: frozenset[int]
-
-    @cached_property
-    def meets(self) -> dict[int, int]:
-        """Point -> AND of the opens around it, one pass read by both
-        neighbourhoods and family_is_topology, and kept.
-
-        Not a field: equality, hashing and repr still see only the three
-        fields above.
-        """
-        return _meets_around(self.opens)
-
-    @cached_property
-    def neighbourhoods(self) -> tuple[int, ...]:
-        """U_i, the AND of the opens containing point i, kept.
-
-        U_i is open because finite meets of opens are open, so it is the
-        smallest open around i.
-        """
-        full = (1 << self.size) - 1
-        return tuple(self.meets.get(i, full) for i in range(self.size))
+    neighbourhoods: tuple[int, ...]
 
     def closure_of(self, ymask: int) -> int:
         """Smallest closed superset of Y: the points whose smallest open neighbourhood meets Y.
 
         A point lies outside the closure when some open around it avoids Y;
-        every open around i contains U_i, and U_i is itself open (finite
-        meets of opens are open), so that happens exactly when U_i avoids Y.
+        every open around i contains U_i, and U_i is itself open, so that
+        happens exactly when U_i avoids Y.
         """
         m = 0
         for i, u in enumerate(self.neighbourhoods):
@@ -174,65 +150,10 @@ class Topology:
     def specialization_leq(self, i: int, j: int) -> bool:
         """i <= j when j lies in the closure of {i}: opens around j all contain i.
 
-        All of them contain i exactly when their AND U_j does; that U_j is the
-        smallest open around j (finite meets of opens are open) makes this
-        the same order that closure_of gives.
+        All of them contain i exactly when the smallest one, U_j, does, so
+        this is the same order that closure_of gives.
         """
         return bool(self.neighbourhoods[j] >> i & 1)
-
-
-def family_is_topology(opens: Iterable[int], size: int, meets: dict[int, int] | None = None) -> bool:
-    """Check closure under binary union/intersection plus empty and full set.
-
-    Let U_i be the AND of the members containing point i, over every point
-    some member contains.  Each member is the union of the U_i of its points,
-    and the meet of two members the union of the U_i of their common points.
-    So when 0 and every o | U_i (o a member) are members, repeated unions
-    give every union and meet of members; conversely, a family closed under
-    both holds each U_i (a finite meet of members: finite meets of opens are
-    open) and each o | U_i.  The test is O(|opens| * points), not one pass
-    over every pair of opens.  meets, when given, must be _meets_around of
-    the opens (a Topology's `meets`), so the pass is not made twice.
-    """
-    fam = frozenset(opens)
-    if 0 not in fam or (1 << size) - 1 not in fam:
-        return False
-    around = (_meets_around(fam) if meets is None else meets).values()
-    return all(o | u in fam for o in fam for u in around)
-
-
-@lru_cache(maxsize=1)
-def _span_from_subbasis(seeds: tuple[int, ...], n: int) -> frozenset[int]:
-    """Open family generated by a subbasis: unions of finite intersections.
-
-    Memoised on the last call, so the inverse kind reuses the span the
-    spectral kind of the same space just built.
-    """
-    full = (1 << n) - 1
-    seeds = set(seeds)
-    basis = {full}
-    frontier = [full]
-    while frontier:
-        fresh = []
-        for b in frontier:
-            for s in seeds:
-                t = b & s
-                if t not in basis:
-                    basis.add(t)
-                    fresh.append(t)
-        frontier = fresh
-    by_point: list[list[int]] = [[] for _ in range(n)]
-    for s in basis:
-        for b in _bits(s):
-            by_point[b].append(s)
-    opens = {0}
-    for cand in range(1, full + 1):
-        for b in _bits(cand):
-            if not any(s & ~cand == 0 for s in by_point[b]):
-                break
-        else:
-            opens.add(cand)
-    return frozenset(opens)
 
 
 def spectral_subbasis(space: SpecSpace) -> list[int]:
@@ -257,58 +178,27 @@ def spectral_subbasis(space: SpecSpace) -> list[int]:
     return sorted({column for _, column in classes})
 
 
-def generate_topology(space: SpecSpace, kind: str, cap: int = DEFAULT_GENERATOR_CAP) -> Topology:
-    """Build a topology from its definitional subbasis.
+def generate_topology(space: SpecSpace, kind: str) -> Topology:
+    """Build a topology from its definitional subbasis, as its neighbourhood vector.
 
-    spectral: generated by the hull-kernel subbasis; inverse: the spectral
-    opens act as a basis of closed sets, so its opens are their complements;
-    patch: generated by the subbasic opens together with their complements.
-
-    Raises CapExceeded above `cap` points, since the open family can be
-    exponential; callers beyond the cap should use the order fast paths
-    (up_set / down_set / closure).
+    The seeds are the subbasic opens S for the spectral kind, their
+    complements for the inverse kind, and both for the patch kind.  The
+    opens are the unions of finite meets of seeds, so the smallest open U_i
+    around point i is the AND of the seeds that contain i (all points when
+    none does).  These U_i always form a topology: i lies in U_i, and when
+    j lies in U_i every seed around i holds j, so U_j is inside U_i; no
+    closure test is made.  The cost is O(|S| * points), with no
+    enumeration of the opens.
     """
     if kind not in KINDS:
         raise InputError(f"unknown topology kind: {kind!r}")
-    n = len(space)
-    if n > cap:
-        raise CapExceeded(
-            f"topology generation over {n} points exceeds the cap of {cap}; "
-            "use the order-theoretic fast paths instead"
-        )
     full = space.full_mask
-    sub = tuple(spectral_subbasis(space))
-    if kind == PATCH:
-        opens = _span_from_subbasis(sub + tuple(full ^ s for s in sub), n)
-    else:
-        opens = _span_from_subbasis(sub, n)
-        if kind == INVERSE:
-            opens = frozenset(full ^ o for o in opens)
-    return Topology(size=n, origin=kind, opens=opens)
-
-
-def fast_opens(space: SpecSpace, kind: str) -> frozenset[int]:
-    """Order-theoretic characterization of the same open family.
-
-    spectral opens are exactly the down-sets, inverse opens the up-sets, and
-    the patch topology is discrete.  Enumerates all subsets, so it is only
-    meant for spaces small enough to cross-check the generator.
-    """
-    if kind not in KINDS:
-        raise InputError(f"unknown topology kind: {kind!r}")
+    sub = spectral_subbasis(space)
+    complements = [full ^ s for s in sub]
+    seeds = sub if kind == SPECTRAL else complements if kind == INVERSE else sub + complements
+    meets = _meets_around(seeds)
     n = len(space)
-    full = space.full_mask
-    if kind == PATCH:
-        return frozenset(range(full + 1))
-    rel = space.down if kind == SPECTRAL else space.up
-    out = []
-    for m in range(full + 1):
-        for i in _bits(m):
-            if rel[i] & ~m:
-                break
-        else:
-            out.append(m)
-    return frozenset(out)
+    return Topology(size=n, origin=kind, neighbourhoods=tuple(meets.get(i, full) for i in range(n)))
 
 
 def up_mask(space: SpecSpace, ymask: int) -> int:
@@ -376,7 +266,7 @@ def closure(space: SpecSpace, ys: Iterable[int], kind: str) -> tuple[int, ...]:
     The spectral closure is the up-set of Y, the inverse closure the
     down-set, and the patch closure is Y itself (finite spaces have discrete
     patch topology).  Agrees with Topology.closure_of on the generated
-    topology whenever the space is under the generator cap.
+    topology.
     """
     return indices_of(closure_mask(space, space.point_mask(ys), kind))
 

@@ -24,6 +24,57 @@ def random_spec_space(rng: random.Random, max_universe: int = 6, max_points: int
     return SpecSpace(points=tuple(sorted(points)), universe_size=n)
 
 
+def span_from_subbasis(seeds, n: int) -> frozenset[int]:
+    """Open family generated by a subbasis: unions of finite intersections.
+
+    Every finite intersection of seeds is grown by breadth-first meets, then
+    each of the 2^n candidate sets is kept when every point of it has such
+    an intersection around it inside the set.
+    """
+    full = (1 << n) - 1
+    seeds = set(seeds)
+    basis = {full}
+    frontier = [full]
+    while frontier:
+        fresh = []
+        for b in frontier:
+            for s in seeds:
+                t = b & s
+                if t not in basis:
+                    basis.add(t)
+                    fresh.append(t)
+        frontier = fresh
+    by_point = [[s for s in basis if s >> b & 1] for b in range(n)]
+    return frozenset(cand for cand in range(full + 1) if all(
+        any(s & ~cand == 0 for s in by_point[b]) for b in range(n) if cand >> b & 1))
+
+
+def reference_opens(space: SpecSpace, kind: str) -> frozenset[int]:
+    """The opens of a topology kind by definition, the reference for topology.generate_topology.
+
+    The subbasic open of a universe element is the set of points not
+    containing it.  spectral: their span; inverse: the complements of the
+    spectral opens (the spectral opens act as a basis of closed sets);
+    patch: the span of the subbasic opens together with their complements.
+    """
+    n = len(space)
+    full = space.full_mask
+    sub = tuple(sum(1 << i for i, p in enumerate(space.points) if not p >> e & 1)
+                for e in range(space.universe_size))
+    if kind == "patch":
+        return span_from_subbasis(sub + tuple(full ^ s for s in sub), n)
+    opens = span_from_subbasis(sub, n)
+    return opens if kind == "spectral" else frozenset(full ^ o for o in opens)
+
+
+def opens_of(top) -> frozenset[int]:
+    """Every union of a Topology's smallest open neighbourhoods: its open family."""
+    opens = {0}
+    for u in top.neighbourhoods:
+        opens |= {o | u for o in opens}
+    return frozenset(opens)
+
+
 def random_representation_family(
     rng: random.Random, max_universe: int = 6, max_points: int = 10
 ) -> PointFamily:

@@ -21,7 +21,7 @@ from specrep import zrdesk as Z
 from specrep.setsystems import represents_mask, to_spec_space
 from specrep.topology import indices_of
 
-from helpers import family_from, random_representation_family, random_spec_space
+from helpers import family_from, opens_of, random_representation_family, random_spec_space, reference_opens
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 GOLDEN = pathlib.Path(__file__).resolve().parent / "golden"
@@ -40,12 +40,11 @@ def test_acceptance_1_topology_oracle_equivalence():
     start = time.time()
     families = 0
     mismatches = 0
-    for _ in range(200):
+    for _ in range(400):
         space = random_spec_space(rng, max_universe=6, max_points=10)
         families += 1
         for kind in T.KINDS:
-            generated = T.generate_topology(space, kind).opens
-            if generated != T.fast_opens(space, kind):
+            if opens_of(T.generate_topology(space, kind)) != reference_opens(space, kind):
                 mismatches += 1
     elapsed = time.time() - start
     ok = mismatches == 0 and elapsed < 10.0
@@ -366,6 +365,7 @@ def test_acceptance_9_cli_golden_bytes():
         (("decompose", "fixtures/z60_tables.json", "--oracle"), "z60_tables_decompose.json"),
         (("check-theorems", "fixtures/z60_tables.json"), "z60_tables_theorems.json"),
         (("check-theorems", "fixtures/zmod2560.json"), "zmod2560_theorems.json"),
+        (("check-theorems", "fixtures/zmod393216.json"), "zmod393216_theorems.json"),
         (("check-theorems", "fixtures/two_minimal.json"), "two_minimal_theorems.json"),
         (("check-theorems", "fixtures/isolated_redundant.json"), "isolated_redundant_theorems.json"),
         (("check-theorems", "fixtures/setsys13.json"), "setsys13_theorems.json"),

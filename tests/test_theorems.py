@@ -184,24 +184,19 @@ CLASSIFIED_CHECKS = (
 )
 
 
-def test_family_suite_spans_once_and_meets_once_per_kind(monkeypatch):
-    # the inverse kind reuses the spectral span, and the topology test reads
-    # the pass that gives each kind's neighbourhoods
-    meets = Counter()
-    real = T._meets_around
+def test_family_suite_reads_the_subbasis_once_per_kind(monkeypatch):
+    calls = Counter()
+    real = T.spectral_subbasis
 
-    def counted(opens):
-        meets["calls"] += 1
-        return real(opens)
+    def counted(space):
+        calls["subbasis"] += 1
+        return real(space)
 
-    monkeypatch.setattr(T, "_meets_around", counted)
+    monkeypatch.setattr(T, "spectral_subbasis", counted)
     for family in (i1_family(), family_from("abcd", "abcd", "", {"P": "ab", "Q": "bc", "R": "cd", "S": "a"})):
-        meets.clear()
-        T._span_from_subbasis.cache_clear()
+        calls.clear()
         assert_no_failures(theorems.run_family_suite(family))
-        assert meets["calls"] == len(T.KINDS)
-        info = T._span_from_subbasis.cache_info()
-        assert (info.misses, info.hits) == (2, 1)
+        assert calls["subbasis"] == len(T.KINDS)
 
 
 def _rep_masks(family):
@@ -400,14 +395,21 @@ def test_family_suite_scans_once_and_classifies_each_pair_once(monkeypatch):
 
 
 def _drop_an_open(kind):
-    """generate_topology with its largest proper open dropped from the `kind` topology."""
+    """generate_topology with an open dropped from the `kind` topology.
+
+    The first neighbourhood U_i short of every point is widened by the
+    lowest point outside it, so U_i is no longer the smallest open around i.
+    """
     real = T.generate_topology
 
-    def faulty(space, k, cap=T.DEFAULT_GENERATOR_CAP):
-        top = real(space, k, cap=cap)
+    def faulty(space, k):
+        top = real(space, k)
         if k != kind:
             return top
-        return T.Topology(top.size, top.origin, top.opens - {max(top.opens - {space.full_mask})})
+        us = list(top.neighbourhoods)
+        i = next(i for i, u in enumerate(us) if u != space.full_mask)
+        us[i] |= ~us[i] & (us[i] + 1)
+        return T.Topology(top.size, top.origin, tuple(us))
     return faulty
 
 

@@ -3,14 +3,14 @@
 import random
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from specrep.errors import CapExceeded, InputError, NotAntichain
+from specrep.errors import InputError, NotAntichain
 from specrep import topology as T
 from specrep.setsystems import to_spec_space
 
-from helpers import i1_family, random_spec_space
+from helpers import i1_family, opens_of, random_spec_space, reference_opens
 
 
 @pytest.fixture
@@ -25,18 +25,20 @@ def test_points_must_be_distinct():
 
 def test_i1_spectral_opens_are_the_five_down_sets(i1):
     top = T.generate_topology(i1, "spectral")
-    assert top.opens == frozenset({0b000, 0b001, 0b010, 0b011, 0b111})
+    assert top.neighbourhoods == (0b001, 0b010, 0b111)
+    assert opens_of(top) == frozenset({0b000, 0b001, 0b010, 0b011, 0b111})
 
 
 def test_patch_topology_is_discrete(i1):
     top = T.generate_topology(i1, "patch")
-    assert top.opens == frozenset(range(8))
+    assert top.neighbourhoods == (0b001, 0b010, 0b100)
+    assert opens_of(top) == frozenset(range(8))
 
 
 def test_single_point_space_has_two_opens():
     space = T.SpecSpace(points=(0b1,), universe_size=1)
     for kind in T.KINDS:
-        assert T.generate_topology(space, kind).opens == frozenset({0, 1})
+        assert opens_of(T.generate_topology(space, kind)) == frozenset({0, 1})
 
 
 def test_i1_up_down_min_max(i1):
@@ -72,12 +74,12 @@ def test_antichain_inverse_discrete(i1):
 
 
 def test_antichain_discreteness_matches_generated_topology(i1):
-    top = T.generate_topology(i1, "inverse")
+    opens = opens_of(T.generate_topology(i1, "inverse"))
     for y in ((0, 1), (0,), (1,), (2,)):
         ymask = i1.point_mask(y)
         fast = T.antichain_inverse_discrete(i1, y)
         slow = all(
-            any(o >> b & 1 and o & ymask == 1 << b for o in top.opens)
+            any(o >> b & 1 and o & ymask == 1 << b for o in opens)
             for b in y
         )
         assert fast == slow == True  # noqa: E712
@@ -99,11 +101,13 @@ def test_trace_criterion_on_chain():
     assert set(witnesses) == {0, 1, 2}
 
 
-def test_generator_cap():
-    space = T.SpecSpace(points=tuple(1 << i for i in range(17)), universe_size=17)
-    with pytest.raises(CapExceeded):
-        T.generate_topology(space, "spectral")
-    T.generate_topology(space, "spectral", cap=17)  # explicit override works
+def _order_neighbourhoods(space, kind):
+    """Each kind's smallest open neighbourhoods read off the order: down-sets, up-sets, singletons."""
+    if kind == "spectral":
+        return space.down
+    if kind == "inverse":
+        return space.up
+    return tuple(1 << i for i in range(len(space)))
 
 
 def test_generator_matches_fast_paths_random():
@@ -112,87 +116,17 @@ def test_generator_matches_fast_paths_random():
         space = random_spec_space(rng, max_universe=5, max_points=7)
         for kind in T.KINDS:
             top = T.generate_topology(space, kind)
-            assert top.opens == T.fast_opens(space, kind)
-            assert T.family_is_topology(top.opens, len(space))
+            assert top.neighbourhoods == _order_neighbourhoods(space, kind)
+            assert opens_of(top) == reference_opens(space, kind)
 
 
-def test_family_missing_a_union_meet_or_bound_is_not_a_topology():
-    top = T.generate_topology(T.SpecSpace(points=(0b01, 0b10, 0b11), universe_size=2), "spectral")
-    opens = set(top.opens)
-    assert opens == {0b000, 0b001, 0b010, 0b011, 0b111}
-    assert T.family_is_topology(opens, 3)
-    for missing in (0b011, 0b000, 0b111):  # the union of 0b001 and 0b010, the empty set, the full set
-        assert not T.family_is_topology(opens - {missing}, 3)
-    assert not T.family_is_topology({0b000, 0b011, 0b110, 0b111}, 3)  # 0b011 & 0b110 is missing
-
-
-def pairwise_is_topology(opens, size):
-    """Reference: 0 and the full set are members, and every pair's union and meet are too."""
-    fam = set(opens)
-    full = (1 << size) - 1
-    if 0 not in fam or full not in fam:
-        return False
-    items = sorted(fam)
-    for i, a in enumerate(items):
-        for b in items[i + 1:]:
-            if a | b not in fam or a & b not in fam:
-                return False
-    return True
-
-
-def _closed_under_union_and_meet(masks):
-    fam = set(masks)
-    while True:
-        more = {op(a, b) for a in fam for b in fam for op in (int.__or__, int.__and__)} - fam
-        if not more:
-            return fam
-        fam |= more
-
-
-FAMILY_SHAPES = ("any", "closed", "closed-minus-one", "closed-without-empty", "closed-without-full")
-
-
-@st.composite
-def mask_families(draw):
-    """(shape, masks, size): 1-5 points, and masks that may carry bits at or above size."""
-    size = draw(st.integers(min_value=1, max_value=5))
-    width = size + draw(st.integers(min_value=0, max_value=2))
-    shape = draw(st.sampled_from(FAMILY_SHAPES))
-    seeds = draw(st.sets(st.integers(min_value=0, max_value=(1 << width) - 1), max_size=6))
-    if shape == "any":
-        return shape, seeds, size
-    fam = _closed_under_union_and_meet(seeds | {0, (1 << size) - 1})
-    if shape == "closed-minus-one":
-        fam.discard(draw(st.sampled_from(sorted(fam))))
-    elif shape == "closed-without-empty":
-        fam.discard(0)
-    elif shape == "closed-without-full":
-        fam.discard((1 << size) - 1)
-    return shape, fam, size
-
-
-@settings(max_examples=400, derandomize=True, deadline=None)
-@given(mask_families())
-@example(("any", {0b00, 0b01, 0b10, 0b11}, 1))  # closed, with a bit above the size
-# every o | U_i over the points below the size is a member, but 0b101 & 0b110 is not
-@example(("any", {0b000, 0b001, 0b010, 0b011, 0b101, 0b110, 0b111}, 2))
-def test_family_is_topology_agrees_with_the_pairwise_test(drawn):
-    shape, masks, size = drawn
-    want = pairwise_is_topology(masks, size)
-    assert T.family_is_topology(masks, size) == want
-    if shape == "closed":
-        assert want
-    assert pairwise_is_topology({0b00, 0b01, 0b10, 0b11}, 1)
-    assert not pairwise_is_topology({0b000, 0b001, 0b010, 0b100}, 1)
-
-
-def _closure_by_scan(top, ymask):
+def _closure_by_scan(opens, size, ymask):
     """Definition: the complement of the union of the opens avoiding Y."""
     avoiding = 0
-    for o in top.opens:
+    for o in opens:
         if o & ymask == 0:
             avoiding |= o
-    return ((1 << top.size) - 1) ^ avoiding
+    return ((1 << size) - 1) ^ avoiding
 
 
 def test_neighbourhoods_closures_and_specialization_match_definitions_random():
@@ -202,14 +136,15 @@ def test_neighbourhoods_closures_and_specialization_match_definitions_random():
         n = len(space)
         for kind in T.KINDS:
             top = T.generate_topology(space, kind)
+            opens = reference_opens(space, kind)
             for i, u in enumerate(top.neighbourhoods):
-                assert u in top.opens and u >> i & 1
-                assert all(u & ~o == 0 for o in top.opens if o >> i & 1)
+                assert u in opens and u >> i & 1
+                assert all(u & ~o == 0 for o in opens if o >> i & 1)
             for ymask in range(space.full_mask + 1):
-                assert top.closure_of(ymask) == _closure_by_scan(top, ymask)
+                assert top.closure_of(ymask) == _closure_by_scan(opens, n, ymask)
             for i in range(n):
                 for j in range(n):
-                    assert top.specialization_leq(i, j) == all(o >> i & 1 for o in top.opens if o >> j & 1)
+                    assert top.specialization_leq(i, j) == all(o >> i & 1 for o in opens if o >> j & 1)
 
 
 def test_specialization_order_matches_inclusion_random():
@@ -249,7 +184,9 @@ def test_closed_sets_have_minimal_covers_random():
 def test_generator_matches_fast_paths_hypothesis(points):
     space = T.SpecSpace(points=tuple(points), universe_size=5)
     for kind in T.KINDS:
-        assert T.generate_topology(space, kind).opens == T.fast_opens(space, kind)
+        top = T.generate_topology(space, kind)
+        assert top.neighbourhoods == _order_neighbourhoods(space, kind)
+        assert opens_of(top) == reference_opens(space, kind)
 
 
 @settings(max_examples=60, deadline=None)
