@@ -29,11 +29,13 @@ from .topology import INVERSE, PATCH, SPECTRAL, SpecSpace, _bits, indices_of, mi
 
 DEFAULT_POINT_CAP = 20
 
-# The exhaustive routes hold up to 2^n up-sets or intersection-table entries
-# for n points, each about BYTES_PER_ENTRY bytes in CPython (an 8-byte list
-# slot plus an int object of about 32 bytes).  POINT_CAP_CEILING is the
-# largest point cap whose 2^n entries fit ENUMERATION_BUDGET: 24 points,
-# about 670 MB for one table.
+# The exhaustive routes can hold up to 2^n masks for n points: the up-set
+# lists, the minimal-closed search's frontier and the theorem suite's table.
+# Each is about BYTES_PER_ENTRY bytes in CPython (an 8-byte list slot plus an
+# int object of about 32 bytes).  POINT_CAP_CEILING is the largest point cap
+# whose 2^n entries fit ENUMERATION_BUDGET: 24 points, about 670 MB.  The
+# analysis's own intersection table is two half tables (SplitTable), 2^12 +
+# 2^12 entries at 24 points, so the ceiling no longer rests on it.
 BYTES_PER_ENTRY = 40
 ENUMERATION_BUDGET = 1 << 30
 POINT_CAP_CEILING = (ENUMERATION_BUDGET // BYTES_PER_ENTRY).bit_length() - 1
@@ -93,14 +95,38 @@ def subset_intersections(full: int, members) -> list[int]:
     return inter
 
 
+class SplitTable:
+    """The intersections of every subfamily, held as two half tables.
+
+    lo is subset_intersections over the first h members and hi over the
+    rest, so the intersection chosen by mask s is lo[s & (2^h - 1)] &
+    hi[s >> h]: 2^h + 2^(n - h) entries in place of 2^n.  The mask stages
+    read lo and hi inline, since a call per read costs more than the read.
+    h is n // 2.  len() is the number of entries.
+    """
+
+    __slots__ = ("lo", "hi", "h")
+
+    def __init__(self, full: int, members):
+        h = self.h = len(members) // 2
+        self.lo = subset_intersections(full, members[:h])
+        self.hi = subset_intersections(full, members[h:])
+
+    def __len__(self) -> int:
+        return len(self.lo) + len(self.hi)
+
+    def __getitem__(self, s: int) -> int:
+        return self.lo[s & len(self.lo) - 1] & self.hi[s >> self.h]
+
+
 @lru_cache(maxsize=1)
-def intersection_table(family: PointFamily) -> list[int]:
-    """The family's subset_intersections over D.
+def intersection_table(family: PointFamily) -> SplitTable:
+    """The family's SplitTable over D.
 
     Memoised for the last family so that every analysis of one family shares
     one build; do not mutate it.
     """
-    return subset_intersections(family.context.full_mask, family.members)
+    return SplitTable(family.context.full_mask, family.members)
 
 
 @dataclass(frozen=True)
@@ -207,7 +233,7 @@ def strongly_irredundant_oracle(family: PointFamily, zs, b: int, cap: int = DEFA
 
 
 def minimal_closed_core(inter, up, down, fixed: int, target: int) -> list[int]:
-    """Minimal closed representations as masks, given the intersection table.
+    """Minimal closed representations as masks, given the intersection SplitTable.
 
     Walks the up-sets as upset_masks does and tests each grown up-set y as
     it is produced.  If y represents, growth stops (its extensions contain
@@ -220,6 +246,9 @@ def minimal_closed_core(inter, up, down, fixed: int, target: int) -> list[int]:
       inside C unchanged, and adding points never changes that;
     * or y with every point still to come fails to represent.
     """
+    lo, h = inter.lo, inter.h
+    hi = [x & fixed for x in inter.hi]  # C folded in once: every read below is taken inside C
+    lmask = len(lo) - 1
     out = []
     frontier = [0]
     rest = (1 << len(up)) - 1
@@ -229,23 +258,26 @@ def minimal_closed_core(inter, up, down, fixed: int, target: int) -> list[int]:
         above = up[p] ^ bit
         kept = []
         for y in frontier:
-            if inter[y | rest] & fixed == target:
+            s = y | rest
+            if lo[s & lmask] & hi[s >> h] == target:
                 kept.append(y)
             if above & ~y:
                 continue
             y |= bit
-            here = inter[y] & fixed
+            here = lo[y & lmask] & hi[y >> h]
             reach = y if here == target else y | rest
             m = y
             while m:
                 low = m & -m
-                if down[low.bit_length() - 1] & reach == low and inter[y ^ low] & fixed == here:
-                    break
+                if down[low.bit_length() - 1] & reach == low:
+                    s = y ^ low
+                    if lo[s & lmask] & hi[s >> h] == here:
+                        break
                 m ^= low
             else:
                 if here == target:
                     out.append(y)
-                elif inter[reach] & fixed == target:
+                elif lo[reach & lmask] & hi[reach >> h] == target:
                     kept.append(y)
         frontier = kept
     if not out:
@@ -267,6 +299,8 @@ def _minimal_points_checked(closed, inter, up, down, fixed: int, target: int) ->
     distinct closed masks (the search yields each mask once) give distinct
     z, since each z regenerates its own y.
     """
+    lo, hi, h = inter.lo, inter.hi, inter.h
+    lmask = len(lo) - 1
     minreps = []
     for y in closed:
         z = 0
@@ -276,7 +310,7 @@ def _minimal_points_checked(closed, inter, up, down, fixed: int, target: int) ->
             if down[low.bit_length() - 1] & y == low:
                 z |= low
             m ^= low
-        if inter[z] & fixed != target:
+        if lo[z & lmask] & hi[z >> h] & fixed != target:
             raise ConsistencyError("minimal points of a closed representation must represent")
         regen = 0
         m = z
@@ -284,8 +318,9 @@ def _minimal_points_checked(closed, inter, up, down, fixed: int, target: int) ->
             low = m & -m
             b = low.bit_length() - 1
             regen |= up[b]
+            s, t = z ^ low, (z | up[b]) & ~low
             # both legs: strong implies irredundant only for a monotone table
-            if inter[z ^ low] & fixed == target or inter[(z | up[b]) & ~low] & fixed == target:
+            if lo[s & lmask] & hi[s >> h] & fixed == target or lo[t & lmask] & hi[t >> h] & fixed == target:
                 raise ConsistencyError("a minimal point of a minimal representation is redundant")
             m ^= low
         if regen != y:
@@ -461,10 +496,13 @@ def analysis_core(inter, minimal_count: int, up, down, fixed: int, target: int):
     None).  Raises ConsistencyError unless the core represents exactly when
     there is one minimal representation.
     """
+    lo, hi, h = inter.lo, inter.hi, inter.h
+    lmask = len(lo) - 1
     full_points = (1 << len(down)) - 1
     crit = 0
     for b, d in enumerate(down):
-        if inter[full_points ^ d] & fixed != target:
+        s = full_points ^ d
+        if lo[s & lmask] & hi[s >> h] & fixed != target:
             crit |= 1 << b
     cset = 0
     m = crit
@@ -473,7 +511,7 @@ def analysis_core(inter, minimal_count: int, up, down, fixed: int, target: int):
         if down[low.bit_length() - 1] & crit == low:
             cset |= low
         m ^= low
-    cset_represents = inter[cset] & fixed == target
+    cset_represents = lo[cset & lmask] & hi[cset >> h] & fixed == target
     if (minimal_count == 1) != cset_represents:
         raise ConsistencyError("critical-core representation does not match minimal-representation count")
 
@@ -484,10 +522,11 @@ def analysis_core(inter, minimal_count: int, up, down, fixed: int, target: int):
         while m:
             low = m & -m
             b = low.bit_length() - 1
-            if inter[(cset | up[b]) & ~low] & fixed != target:
+            t = (cset | up[b]) & ~low
+            if lo[t & lmask] & hi[t >> h] & fixed != target:
                 s |= low
             m ^= low
-        if inter[s] & fixed == target:
+        if lo[s & lmask] & hi[s >> h] & fixed == target:
             srep = s
     return crit, cset, cset_represents, srep
 

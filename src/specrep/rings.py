@@ -449,12 +449,24 @@ def enumerate_ideals(ring: FiniteRing, kind: str = "proper") -> list[RingIdeal]:
 
 
 def _zmod_reducible(d: int) -> bool:
-    cands = [e for e in divisors_of(d) if e != d]
-    for i, e in enumerate(cands):
-        for f in cands[i:]:
-            if e * f // math.gcd(e, f) == d:
-                return True
-    return False
+    """Whether (d) = (e) ∩ (f) for two ideals (e), (f) strictly containing it.
+
+    In a finite lattice an element below the top is the meet of two strictly
+    larger elements exactly when it is the meet of all of them (fold the
+    rest into one side).  The ideals strictly containing (d) are the (e) for
+    the divisors e of d other than d, and their meet is (lcm of those e).
+    So one lcm fold over the proper divisors decides it, without the
+    prime-power formula that irreducible-filter-matches-prime-powers checks
+    this filter against.  (Pairs of maximal proper divisors d // p would
+    not do: their lcm is d whenever d has two primes, so that test is the
+    formula itself.)
+    """
+    if d == 1:
+        return False
+    m = 1
+    for e in divisors_of(d)[:-1]:
+        m = m * e // math.gcd(m, e)
+    return m == d
 
 
 def _zmod_strongly_irreducible(n: int, d: int) -> bool:

@@ -22,6 +22,7 @@ from typing import Iterable, Iterator
 
 from .engine import (
     DEFAULT_POINT_CAP,
+    SplitTable,
     _minimal_points_checked,
     _upsets,
     analysis_core,
@@ -433,7 +434,7 @@ def pool_uniqueness_oracle(pool: PrimePool, cap: int = DEFAULT_POINT_CAP) -> Poo
         m = len(t_bits)
         full_pts = (1 << m) - 1
         up, down = inclusion_order(members)
-        inter = subset_intersections(full, members)
+        inter = SplitTable(full, members)
         target = full ^ tmask
 
         smask = (tmask - 1) & tmask

@@ -330,3 +330,17 @@ def pairwise_strongly_irreducible(n: int, d: int) -> bool:
             if (e * f // math.gcd(e, f)) % d == 0 and e % d != 0 and f % d != 0:
                 return False
     return True
+
+
+def pairwise_reducible(d: int) -> bool:
+    """(d) reducible in zmod: (d) = (lcm(e, f)) for some pair of divisors e, f of d other than d.
+
+    The reference for rings._zmod_reducible, which folds the lcm of all the
+    proper divisors at once.
+    """
+    cands = [e for e in rings.divisors_of(d) if e != d]
+    for i, e in enumerate(cands):
+        for f in cands[i:]:
+            if e * f // math.gcd(e, f) == d:
+                return True
+    return False

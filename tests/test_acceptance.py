@@ -369,6 +369,7 @@ def test_acceptance_9_cli_golden_bytes():
         (("check-theorems", "fixtures/two_minimal.json"), "two_minimal_theorems.json"),
         (("check-theorems", "fixtures/isolated_redundant.json"), "isolated_redundant_theorems.json"),
         (("check-theorems", "fixtures/setsys13.json"), "setsys13_theorems.json"),
+        (("analyze", "fixtures/setsys13.json"), "setsys13_analyze.json"),
     ]
     bad = []
     for argv, golden_name in cases:

@@ -24,7 +24,7 @@ from specrep.errors import ConsistencyError
 from specrep.setsystems import PointFamily
 
 from helpers import (Brute, bfs_table_ideals, families_of_size, family_from, i1_family,
-                     pairwise_strongly_irreducible, random_representation_family)
+                     pairwise_reducible, pairwise_strongly_irreducible, random_representation_family)
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 FIXTURES = ROOT / "fixtures"
@@ -74,7 +74,7 @@ def test_oracles_read_no_fast_path(monkeypatch):
     def forbidden(*args, **kwargs):
         raise AssertionError("an oracle read a fast path")
 
-    for name in ("intersection_table", "subset_intersections", "upset_masks", "_upsets",
+    for name in ("intersection_table", "SplitTable", "subset_intersections", "upset_masks", "_upsets",
                  "_linear_extension", "represents_mask"):
         monkeypatch.setattr(E, name, forbidden)
     monkeypatch.setattr(setsystems, "represents_mask", forbidden)
@@ -198,3 +198,10 @@ def test_zmod_strong_irreducibility_equals_the_pairwise_test():
     for n in sorted(moduli):
         for d in R.divisors_of(n)[1:]:
             assert R._zmod_strongly_irreducible(n, d) == pairwise_strongly_irreducible(n, d), (n, d)
+
+
+def test_zmod_reducibility_equals_the_pairwise_test():
+    # every divisor of every n <= 3000 is some d <= 3000
+    divisors = set(range(1, 3001)) | set(R.divisors_of(720_720)) | set(R.divisors_of(735_134_400))
+    for d in sorted(divisors):
+        assert R._zmod_reducible(d) == pairwise_reducible(d), d

@@ -502,17 +502,27 @@ def _flip_critical_mask(real):
     return faulty
 
 
+def _first_member_full(real):
+    def faulty(family):
+        members = (family.context.full_mask,) + family.members[1:]
+        return E.SplitTable(family.context.full_mask, members)
+    return faulty
+
+
 AT_MOST_ONE = "at-most-one-strongly-irredundant-representation"
+MINIMAL_POINT_CHECKS = {
+    "minimal-representation-equivalences": "fail", "unique-minimal-criterion": "fail",
+    "strongly-irredundant-existence": "fail", AT_MOST_ONE: "skip",
+    "tight-reps-in-distinct-minimal-reps": "skip"}
 
 # stage -> (fault, the checks whose status changes from a clean run)
 STAGE_FAULTS = {
     "analysis_core-critical": ("analysis_core", _flip_first_critical, {
         "unique-minimal-criterion": "fail", AT_MOST_ONE: "skip"}),
     "analysis_core-srep": ("analysis_core", _no_srep, {AT_MOST_ONE: "fail"}),
-    "minimal-points": ("_minimal_points_checked", _raise_consistency, {
-        "minimal-representation-equivalences": "fail", "unique-minimal-criterion": "fail",
-        "strongly-irredundant-existence": "fail", AT_MOST_ONE: "skip",
-        "tight-reps-in-distinct-minimal-reps": "skip"}),
+    "minimal-points": ("_minimal_points_checked", _raise_consistency, MINIMAL_POINT_CHECKS),
+    # the suite's flags come from its own raw table, so a faulty analysis table shows
+    "intersection_table": ("intersection_table", _first_member_full, MINIMAL_POINT_CHECKS),
     "critical_mask": ("critical_mask", _flip_critical_mask, {
         "critical-fast-path-vs-oracle": "fail", "unique-minimal-criterion": "fail", AT_MOST_ONE: "skip"}),
 }

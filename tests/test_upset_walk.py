@@ -3,17 +3,20 @@
 Every engine answer below is compared with a definition-level enumeration
 (`helpers.Brute`), over all 2^n subfamilies, on random families of up to 12
 points.  A call-counting test pins down that one `analyze` builds the
-intersection table once and runs the minimal-closed search once.
+intersection table once and runs the minimal-closed search once.  The split
+intersection table is read against subset_intersections on every mask, and
+its size and memory are bounded at 24 points.
 """
 
 import functools
 import json
+import tracemalloc
 
-from hypothesis import given, settings
+from hypothesis import given, settings, strategies as st
 
 from specrep import cli
 from specrep import engine as E
-from specrep.setsystems import to_spec_space
+from specrep.setsystems import ContextTriple, PointFamily, to_spec_space
 
 from helpers import Brute, families
 
@@ -116,3 +119,43 @@ def test_analyze_builds_one_table_and_runs_one_search(tmp_path, monkeypatch, cap
     assert payload["minimal_representations"]
     assert len(builds) == 1
     assert len(searches) == 1
+
+
+@st.composite
+def member_families(draw, max_points=16):
+    """A family of 0 to max_points distinct members over 20 elements; the table needs no representation."""
+    n = draw(st.integers(min_value=0, max_value=max_points))
+    members = draw(st.lists(st.integers(min_value=0, max_value=(1 << 20) - 1), min_size=n, max_size=n, unique=True))
+    ctx = ContextTriple(tuple(f"e{i}" for i in range(20)), 1, 0)
+    return PointFamily(ctx, tuple(f"P{i}" for i in range(n)), tuple(members))
+
+
+@settings(max_examples=40, derandomize=True, deadline=None)
+@given(member_families())
+def test_split_table_reads_every_subfamily_intersection(family):
+    _clear()
+    n = len(family)
+    want = E.subset_intersections(family.context.full_mask, family.members)
+    table = E.intersection_table(family)
+    lo, hi, h = table.lo, table.hi, table.h
+    lmask = len(lo) - 1
+    assert h == n // 2
+    assert len(table) == (1 << h) + (1 << (n - h))
+    assert [lo[s & lmask] & hi[s >> h] for s in range(1 << n)] == want
+    assert [table[s] for s in range(1 << n)] == want
+
+
+def test_a_24_point_table_holds_two_halves():
+    members = tuple(((1 << 40) - 1) ^ (0b111 << i) for i in range(24))
+    family = PointFamily(ContextTriple(tuple(f"e{i}" for i in range(40)), 1, 0),
+                         tuple(f"P{i}" for i in range(24)), members)
+    _clear()
+    tracemalloc.start()
+    try:
+        table = E.intersection_table(family)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+        _clear()
+    assert len(table) <= 2 << 12
+    assert peak < 1 << 20

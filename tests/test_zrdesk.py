@@ -5,6 +5,7 @@ import pathlib
 import random
 from fractions import Fraction
 from itertools import combinations, product
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings
@@ -412,9 +413,11 @@ def test_each_engine_minimal_points_check_can_fire(closed, represents, up, messa
     space, fixed, target = family.space, family.context.fixed_mask, family.context.target_mask
     inter = E.intersection_table(family)
     assert E._minimal_points_checked([0b111], inter, space.up, space.down, fixed, target) == [0b011]
-    inter = list(inter)
+    # the stages read only lo, hi and h: the whole table in lo, so single entries can change
+    full = family.context.full_mask
+    inter = SimpleNamespace(lo=E.subset_intersections(full, family.members), hi=[full], h=len(family))
     for y in represents:
-        inter[y] = target
+        inter.lo[y] = target
     with pytest.raises(ConsistencyError) as info:
         E._minimal_points_checked(closed, inter, up or space.up, space.down, fixed, target)
     assert str(info.value) == message
