@@ -291,6 +291,59 @@ def _payload_check_theorems(instance: Instance, args) -> dict:
     }
 
 
+_encode_string = json.encoder.encode_basestring_ascii
+
+
+def _write_json(value, out: list, pad: str) -> None:
+    """Append value to out as json.dumps(value, indent=2, sort_keys=True) writes it at indentation pad.
+
+    json.dumps with an indent runs the pure-Python encoder, which costs more
+    than this walk over the few types the payloads hold; any other value is
+    handed to json.dumps itself.
+    """
+    if type(value) is str:
+        out.append(_encode_string(value))
+    elif value is None:
+        out.append("null")
+    elif value is True:
+        out.append("true")
+    elif value is False:
+        out.append("false")
+    elif type(value) is int:
+        out.append(int.__repr__(value))
+    elif type(value) in (list, tuple):
+        if not value:
+            out.append("[]")
+            return
+        inner = pad + "  "
+        sep = "[\n" + inner
+        for item in value:
+            out.append(sep)
+            _write_json(item, out, inner)
+            sep = ",\n" + inner
+        out.append("\n" + pad + "]")
+    elif type(value) is dict and all(type(key) is str for key in value):
+        if not value:
+            out.append("{}")
+            return
+        inner = pad + "  "
+        sep = "{\n" + inner
+        for key in sorted(value):
+            out.append(sep + _encode_string(key) + ": ")
+            _write_json(value[key], out, inner)
+            sep = ",\n" + inner
+        out.append("\n" + pad + "}")
+    else:
+        out.append(json.dumps(value, indent=2, sort_keys=True).replace("\n", "\n" + pad))
+
+
+def render_json(value) -> str:
+    """json.dumps(value, indent=2, sort_keys=True), byte for byte."""
+    out: list[str] = []
+    _write_json(value, out, "")
+    return "".join(out)
+
+
 def _render_text(command: str, payload: dict) -> str:
     lines: list[str] = []
     if command == "analyze":
@@ -487,7 +540,7 @@ def main(argv=None) -> int:
         sys.stdout.write(dot)
     elif args.format == "json":
         envelope = {"schema": SCHEMA_VERSION, "command": args.command, **payload}
-        sys.stdout.write(json.dumps(envelope, indent=2, sort_keys=True) + "\n")
+        sys.stdout.write(render_json(envelope) + "\n")
     else:
         sys.stdout.write(_render_text(args.command, payload))
     if args.command == "check-theorems" and not payload["passed"]:

@@ -30,12 +30,13 @@ from .topology import INVERSE, PATCH, SPECTRAL, SpecSpace, _bits, indices_of, mi
 DEFAULT_POINT_CAP = 20
 
 # The exhaustive routes can hold up to 2^n masks for n points: the up-set
-# lists, the minimal-closed search's frontier and the theorem suite's table.
-# Each is about BYTES_PER_ENTRY bytes in CPython (an 8-byte list slot plus an
-# int object of about 32 bytes).  POINT_CAP_CEILING is the largest point cap
-# whose 2^n entries fit ENUMERATION_BUDGET: 24 points, about 670 MB.  The
+# lists and the theorem suite's table.  Each is about BYTES_PER_ENTRY bytes
+# in CPython (an 8-byte list slot plus an int object of about 32 bytes).
+# POINT_CAP_CEILING is the largest point cap whose 2^n entries fit
+# ENUMERATION_BUDGET: 24 points, about 670 MB.  The minimal-closed search
+# holds no frontier (a few masks per level, at most n levels), and the
 # analysis's own intersection table is two half tables (SplitTable), 2^12 +
-# 2^12 entries at 24 points, so the ceiling no longer rests on it.
+# 2^12 entries at 24 points, so the ceiling rests on neither.
 BYTES_PER_ENTRY = 40
 ENUMERATION_BUDGET = 1 << 30
 POINT_CAP_CEILING = (ENUMERATION_BUDGET // BYTES_PER_ENTRY).bit_length() - 1
@@ -50,11 +51,11 @@ def _require_cap(n: int, cap: int, what: str) -> None:
         raise CapExceeded(f"{what} over {n} points exceeds the cap of {cap}")
 
 
-@lru_cache(maxsize=64)
 def _linear_extension(up: tuple[int, ...]) -> tuple[int, ...]:
-    """Point indices, every point after all points strictly above it.
+    """Point indices, every point after all points strictly above it (the order _upsets grows in).
 
-    Memoised because bulk sweeps walk one order for many targets.
+    A point has fewer points above it than each point below it, so sorting
+    by the size of the up-set is enough.
     """
     return tuple(sorted(range(len(up)), key=[u.bit_count() for u in up].__getitem__))
 
@@ -235,51 +236,94 @@ def strongly_irredundant_oracle(family: PointFamily, zs, b: int, cap: int = DEFA
 def minimal_closed_core(inter, up, down, fixed: int, target: int) -> list[int]:
     """Minimal closed representations as masks, given the intersection SplitTable.
 
-    Walks the up-sets as upset_masks does and tests each grown up-set y as
-    it is produced.  If y represents, growth stops (its extensions contain
-    it), and y is kept when dropping any of its minimal points breaks
-    representation; dropping a non-minimal point leaves no up-set, so this
-    local test decides global minimality.  Otherwise y is dropped when no
-    extension can be a minimal representation:
-    * some point of y stays minimal whatever comes later (no point below it
-      is in y or still to come), yet dropping it leaves the intersection
-      inside C unchanged, and adding points never changes that;
-    * or y with every point still to come fails to represent.
+    A minimal closed representation is up(z) for an antichain z, and it is
+    found as a transversal: with E the atoms C \\ A and avoid[b] the atoms
+    that member b lacks, up(z) represents iff every atom is avoided by some
+    b in z.  It is minimal iff every b in z keeps an atom of priv[b] (avoid[b]
+    minus what the points strictly above b avoid) that no other point of z
+    avoids, since up(z) without b still holds those points.  The search adds
+    one avoider of the uncovered atom with the fewest candidate avoiders at a
+    time (MMCS: each transversal is reached once, as a sibling's candidates
+    exclude the avoiders tried before it) and prunes as soon as some chosen
+    b has no atom of priv[b] left that it alone covers.  It keeps a few
+    masks per level and at most n levels.  A point whose member misses part
+    of A spoils every up-set holding it, so its down-set is barred.
     """
-    lo, h = inter.lo, inter.h
-    hi = [x & fixed for x in inter.hi]  # C folded in once: every read below is taken inside C
-    lmask = len(lo) - 1
+    lo, hi, h = inter.lo, inter.hi, inter.h
+    atoms = fixed & ~target
+    n = len(up)
+    avoid = []
+    barred = 0
+    for b in range(n):
+        m = lo[1 << b] if b < h else hi[1 << (b - h)]
+        if target & ~m:
+            barred |= down[b]
+        avoid.append(atoms & ~m)
+    priv = []
+    cand = 0
+    for b in range(n):
+        bit = 1 << b
+        shared = 0
+        m = up[b] & ~bit
+        while m:
+            low = m & -m
+            shared |= avoid[low.bit_length() - 1]
+            m ^= low
+        priv.append(avoid[b] & ~shared)
+        if priv[b] and not barred & bit:
+            cand |= bit
+    avoiders = {}  # atom bit -> the candidates avoiding it
+    m = cand
+    while m:
+        low = m & -m
+        a = avoid[low.bit_length() - 1]
+        while a:
+            c = a & -a
+            avoiders[c] = avoiders.get(c, 0) | low
+            a ^= c
+        m ^= low
+
     out = []
-    frontier = [0]
-    rest = (1 << len(up)) - 1
-    for p in _linear_extension(tuple(up)):
-        bit = 1 << p
-        rest ^= bit
-        above = up[p] ^ bit
-        kept = []
-        for y in frontier:
-            s = y | rest
-            if lo[s & lmask] & hi[s >> h] == target:
-                kept.append(y)
-            if above & ~y:
-                continue
-            y |= bit
-            here = lo[y & lmask] & hi[y >> h]
-            reach = y if here == target else y | rest
-            m = y
-            while m:
-                low = m & -m
-                if down[low.bit_length() - 1] & reach == low:
-                    s = y ^ low
-                    if lo[s & lmask] & hi[s >> h] == here:
+    chosen = []
+
+    def search(once: int, twice: int, cand: int) -> None:
+        """Extend the chosen points; once / twice hold the atoms they cover at least once / twice."""
+        uncovered = atoms & ~once
+        if not uncovered:
+            y = 0
+            for b in chosen:
+                y |= up[b]
+            out.append(y)
+            return
+        fewest = n + 1
+        m = uncovered
+        while m:
+            low = m & -m
+            c = avoiders[low] & cand
+            k = c.bit_count()
+            if k < fewest:
+                if not k:
+                    return
+                fewest, branch = k, c
+            m ^= low
+        cand &= ~branch
+        while branch:
+            low = branch & -branch
+            branch ^= low
+            v = low.bit_length() - 1
+            if priv[v] & uncovered:  # v covers an atom of its own first
+                more = twice | once & avoid[v]
+                for b in chosen:
+                    if not priv[b] & ~more:
                         break
-                m ^= low
-            else:
-                if here == target:
-                    out.append(y)
-                elif lo[reach & lmask] & hi[reach >> h] == target:
-                    kept.append(y)
-        frontier = kept
+                else:
+                    chosen.append(v)
+                    search(once | avoid[v], more, cand)
+                    chosen.pop()
+            cand |= low
+
+    if len(avoiders) == atoms.bit_count():  # else some atom has no candidate avoider
+        search(0, 0, cand)
     if not out:
         raise ConsistencyError("a representation must contain a minimal closed one")
     if len(out) > 1:

@@ -127,8 +127,11 @@ class PointFamily:
 def intersection_mask(family: PointFamily, points_mask: int) -> int:
     """Intersection of the chosen members; the empty choice intersects to D."""
     m = family.context.full_mask
-    for i in _bits(points_mask):
-        m &= family.members[i]
+    members = family.members
+    while points_mask:
+        low = points_mask & -points_mask
+        m &= members[low.bit_length() - 1]
+        points_mask ^= low
     return m
 
 

@@ -35,7 +35,12 @@ def _bits(mask: int):
 
 
 def indices_of(mask: int) -> tuple[int, ...]:
-    return tuple(_bits(mask))
+    out = []
+    while mask:
+        low = mask & -mask
+        out.append(low.bit_length() - 1)
+        mask ^= low
+    return tuple(out)
 
 
 def inclusion_order(points) -> tuple[tuple[int, ...], tuple[int, ...]]:

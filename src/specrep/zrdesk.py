@@ -281,9 +281,11 @@ def _sliced_target(m: int, local, up, down) -> list[tuple]:
     ConsistencyError.  With corrupted members it is the one the per-check
     route raises at the first failing S in sweep order.  On a faulty order
     both routes raise, but not always with the same message:
-    minimal_closed_core prunes its search with the faulty down sets, so the
-    per-check route meets other closed up-sets first (a flipped bit of one
-    down set can give "must represent" there and "fail to regenerate" here).
+    minimal_closed_core reads the order through the up sets (the down sets
+    only bar the points below a member that misses the target), while this
+    sweep takes its closed up-sets from the faulty down sets, so the two
+    routes meet different closed up-sets first (a flipped bit of one down
+    set can give "must represent" there and "fail to regenerate" here).
     The records are label-free, one per failing s in sweep order (S
     descending): (s, unique_bad, srep_bad, the j whose witness is not prime
     j, crit_bad), which the sweep renders as the uniqueness, strongly

@@ -8,8 +8,9 @@ import string
 from hypothesis import strategies as st
 
 from specrep import rings
+from specrep.errors import ConsistencyError
 from specrep.setsystems import ContextTriple, PointFamily, validate_representation
-from specrep.topology import SpecSpace
+from specrep.topology import SpecSpace, indices_of
 
 
 def random_spec_space(rng: random.Random, max_universe: int = 6, max_points: int = 10) -> SpecSpace:
@@ -226,6 +227,61 @@ def families_of_size(draw, n):
     members[-1] &= ~extra
     ctx = ContextTriple(tuple("abcdefg"[:u]), fixed, target)
     return PointFamily(ctx, tuple(f"P{i}" for i in range(n)), tuple(members))
+
+
+def walk_minimal_closed(inter, up, down, fixed: int, target: int) -> list[int]:
+    """Minimal closed representations by an up-set walk: the reference for engine.minimal_closed_core.
+
+    Takes the engine search's arguments and gives its answer: masks sorted
+    by their point indices, or ConsistencyError when there are none.  Grows
+    up-sets along a linear extension from the top and tests each grown
+    up-set y as it is produced.  If y represents, growth stops (its
+    extensions contain it), and y is kept when dropping any of its minimal
+    points breaks representation; dropping a non-minimal point leaves no
+    up-set, so this local test decides global minimality.  Otherwise y is
+    dropped when no extension can be a minimal representation:
+    * some point of y stays minimal whatever comes later (no point below it
+      is in y or still to come), yet dropping it leaves the intersection
+      inside C unchanged, and adding points never changes that;
+    * or y with every point still to come fails to represent.
+    """
+    lo, h = inter.lo, inter.h
+    hi = [x & fixed for x in inter.hi]  # C folded in once: every read below is taken inside C
+    lmask = len(lo) - 1
+    out = []
+    frontier = [0]
+    rest = (1 << len(up)) - 1
+    for p in sorted(range(len(up)), key=[u.bit_count() for u in up].__getitem__):
+        bit = 1 << p
+        rest ^= bit
+        above = up[p] ^ bit
+        kept = []
+        for y in frontier:
+            s = y | rest
+            if lo[s & lmask] & hi[s >> h] == target:
+                kept.append(y)
+            if above & ~y:
+                continue
+            y |= bit
+            here = lo[y & lmask] & hi[y >> h]
+            reach = y if here == target else y | rest
+            m = y
+            while m:
+                low = m & -m
+                if down[low.bit_length() - 1] & reach == low:
+                    s = y ^ low
+                    if lo[s & lmask] & hi[s >> h] == here:
+                        break
+                m ^= low
+            else:
+                if here == target:
+                    out.append(y)
+                elif lo[reach & lmask] & hi[reach >> h] == target:
+                    kept.append(y)
+        frontier = kept
+    if not out:
+        raise ConsistencyError("a representation must contain a minimal closed one")
+    return sorted(out, key=indices_of)
 
 
 class Brute:

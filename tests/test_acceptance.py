@@ -370,6 +370,8 @@ def test_acceptance_9_cli_golden_bytes():
         (("check-theorems", "fixtures/isolated_redundant.json"), "isolated_redundant_theorems.json"),
         (("check-theorems", "fixtures/setsys13.json"), "setsys13_theorems.json"),
         (("analyze", "fixtures/setsys13.json"), "setsys13_analyze.json"),
+        (("minimal", "fixtures/setsys20.json"), "setsys20_minimal.json"),
+        (("analyze", "fixtures/setsys20.json"), "setsys20_analyze.json"),
     ]
     bad = []
     for argv, golden_name in cases:

@@ -5,6 +5,8 @@ import json
 import math
 import pathlib
 
+from hypothesis import given, settings, strategies as st
+
 from specrep import cli, engine, rings, setsystems, theorems, zrdesk
 
 FIXTURES = pathlib.Path(__file__).resolve().parent.parent / "fixtures"
@@ -31,6 +33,24 @@ def test_analyze_i1(capsys):
     assert payload["minimal_representations"] == [["B1", "B2"]]
     assert payload["points"]["B1"]["witnesses"]["irredundant"] == "c"
     assert payload["points"]["B2"]["witnesses"]["irredundant"] == "b"
+
+
+_LEAVES = (st.none() | st.booleans() | st.integers() | st.integers(min_value=-(1 << 200), max_value=1 << 200)
+           | st.text() | st.sampled_from(["", "\\", '"', "\n\t\x00\x7f", "\u00e9\u2603\U0001f600", "</script>"])
+           | st.floats(allow_nan=True))
+_PAYLOADS = st.recursive(
+    _LEAVES,
+    lambda inner: (st.lists(inner, max_size=4) | st.lists(inner, max_size=3).map(tuple)
+                   | st.dictionaries(st.text(), inner, max_size=4)
+                   | st.dictionaries(st.integers(), inner, max_size=3)),
+    max_leaves=30,
+)
+
+
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(_PAYLOADS)
+def test_render_json_equals_json_dumps(payload):
+    assert cli.render_json(payload) == json.dumps(payload, indent=2, sort_keys=True)
 
 
 def test_analyze_deterministic(capsys):

@@ -120,11 +120,13 @@ def test_a_flipped_critical_mask_fails_analyze_critical_and_the_suite(monkeypatc
         _clear()
 
 
-def test_minimal_oracle_catches_a_faulty_linear_extension(monkeypatch, capsys, tmp_path):
-    """A linear extension listed bottom-up misleads the search and the up-set walk, not the oracle.
+def test_minimal_oracle_catches_a_search_that_loses_a_candidate(monkeypatch, capsys, tmp_path):
+    """A search handed an order with P2 above P3 loses a closed representation; the oracle does not.
 
-    On this family the walk misses the closed representation {P1, P3, P4},
-    so the search and an oracle built on upset_masks agree on one minimal
+    The atoms are b and d, avoided by P1 (b), P2 (d) and P3 (d).  With P2
+    above P3, P3 shares its one atom with a point above it, so its priv
+    entry is empty and the search never chooses it: it misses {P1, P3, P4},
+    and the fast path that reads the search agrees with it on one minimal
     closed representation; the raw scan finds both.
     """
     points = {"P1": "acde", "P2": "bce", "P3": "ab", "P4": "abcd"}
@@ -135,8 +137,12 @@ def test_minimal_oracle_catches_a_faulty_linear_extension(monkeypatch, capsys, t
     assert run(capsys, "minimal", str(path), "--oracle")[0] == 0
     assert E.minimal_closed_oracle(fam) == ((0, 1), (0, 2, 3))
 
-    real = E._linear_extension
-    monkeypatch.setattr(E, "_linear_extension", lambda up: real(up)[::-1])
+    real = E.minimal_closed_core
+
+    def p2_above_p3(inter, up, down, fixed, target):
+        return real(inter, up[:2] + (up[2] | 0b0010,) + up[3:], down, fixed, target)
+
+    monkeypatch.setattr(E, "minimal_closed_core", p2_above_p3)
     try:
         code, out, _ = run(capsys, "minimal", str(path))
         assert code == 0 and json.loads(out)["minimal_closed_representations"] == [["P1", "P2"]]

@@ -1,24 +1,35 @@
-"""The output-sensitive up-set walk and the shared minimal-closed search.
+"""The up-set listing and the shared minimal-closed search.
 
 Every engine answer below is compared with a definition-level enumeration
 (`helpers.Brute`), over all 2^n subfamilies, on random families of up to 12
-points.  A call-counting test pins down that one `analyze` builds the
-intersection table once and runs the minimal-closed search once.  The split
-intersection table is read against subset_intersections on every mask, and
-its size and memory are bounded at 24 points.
+points.  The minimal-closed search, a transversal search over the atoms'
+avoiders, is also compared with the up-set walk it replaced
+(`helpers.walk_minimal_closed`) on families of 13 to 20 points, and with
+Brute on families whose members miss part of A.  A call-counting test pins
+down that one `analyze` builds the intersection table once and runs the
+minimal-closed search once.  The split intersection table is read against
+subset_intersections on every mask, and its size and memory are bounded at
+24 points.
 """
 
 import functools
 import json
+import pathlib
+import random
+import sys
 import tracemalloc
 
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from specrep import cli
 from specrep import engine as E
+from specrep.errors import ConsistencyError
 from specrep.setsystems import ContextTriple, PointFamily, to_spec_space
 
-from helpers import Brute, families
+from helpers import Brute, families, walk_minimal_closed
+
+sys.path.insert(0, str(pathlib.Path(__file__).resolve().parent.parent / "bench"))
+import workloads  # noqa: E402  (bench/workloads.py: the set-system instances)
 
 
 def _clear():
@@ -82,6 +93,61 @@ def test_build_report_with_oracles_raises_nothing(family):
     _clear()
     report = E.build_report(family, oracle=True)
     assert report.exhaustive
+
+
+def _search_args(family):
+    space, ctx = family.space, family.context
+    return E.SplitTable(ctx.full_mask, family.members), space.up, space.down, ctx.fixed_mask, ctx.target_mask
+
+
+def test_search_equals_the_up_set_walk_on_13_to_20_points():
+    rng = random.Random(2214)
+    sizes = []
+    for _ in range(150):
+        n = rng.randint(13, 20)
+        inst = workloads.setsys_instance(rng, n, rng.randint(n + 4, 28), rng.uniform(0.3, 0.9))
+        ctx = ContextTriple.from_labels(inst["universe"], inst["C"], inst["A"])
+        args = _search_args(PointFamily.from_labels(ctx, inst["points"]))
+        got = E.minimal_closed_core(*args)
+        assert got == walk_minimal_closed(*args)
+        sizes.append(len(got))
+    assert max(sizes) > 100  # some families have many minimal closed representations
+
+
+@st.composite
+def unvalidated_families(draw, max_points=12):
+    """Distinct members over up to 7 elements, some of which miss part of A, a nonempty proper subset of C."""
+    u = draw(st.integers(min_value=2, max_value=7))
+    full = (1 << u) - 1
+    fixed = draw(st.integers(min_value=3, max_value=full).filter(lambda c: c.bit_count() >= 2))
+    target = draw(st.integers(min_value=1, max_value=full)) & fixed
+    if target == fixed:
+        target &= target - 1
+    members = draw(st.lists(st.integers(min_value=0, max_value=full), min_size=1, max_size=max_points, unique=True))
+    ctx = ContextTriple(tuple("abcdefg"[:u]), fixed, target)
+    return PointFamily(ctx, tuple(f"P{i}" for i in range(len(members))), tuple(members))
+
+
+@settings(max_examples=150, derandomize=True, deadline=None)
+@given(unvalidated_families())
+def test_search_bars_the_points_below_a_member_missing_part_of_a(family):
+    # no up-set holding a point below such a member represents; the walk
+    # bounds by y with every point still to come, which such a member spoils,
+    # so there it finds only some of the minimal closed representations
+    target = family.context.target_mask
+    assume(target and any(target & ~m for m in family.members))
+    want = [sum(1 << i for i in y) for y in Brute(family).minimal_closed()]
+    args = _search_args(family)
+    try:
+        got = E.minimal_closed_core(*args)
+    except ConsistencyError:
+        got = []
+    assert got == want
+    try:
+        walked = walk_minimal_closed(*args)
+    except ConsistencyError:
+        walked = []
+    assert set(walked) <= set(want)
 
 
 def test_analyze_builds_one_table_and_runs_one_search(tmp_path, monkeypatch, capsys):
