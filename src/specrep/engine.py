@@ -18,10 +18,10 @@ subfamily can only shrink the intersection, never below the target):
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from functools import cached_property, lru_cache, partial, reduce
-from itertools import chain, compress
-from operator import and_
+from operator import and_, or_
 
 from .errors import CapExceeded, ConsistencyError, NotARepresentation
 from .setsystems import PointFamily, intersection_mask, represents_mask, require_representation
@@ -34,16 +34,14 @@ DEFAULT_POINT_CAP = 20
 # in CPython (an 8-byte list slot plus an int object of about 32 bytes).
 # POINT_CAP_CEILING is the largest point cap whose 2^n entries fit
 # ENUMERATION_BUDGET: 24 points, about 670 MB.  The minimal-closed search
-# holds no frontier (a few masks per level, at most n levels), and the
+# holds no frontier (a few masks per level, at most n levels), the
 # analysis's own intersection table is two half tables (SplitTable), 2^12 +
-# 2^12 entries at 24 points, so the ceiling rests on neither.
+# 2^12 entries at 24 points, and the oracles' scan is bit-sliced: about
+# n + 6 integers of 2^n bits (see point_slices), 0.4 MB at 17 points and
+# 60 MB at 24.  So the ceiling rests on none of them.
 BYTES_PER_ENTRY = 40
 ENUMERATION_BUDGET = 1 << 30
 POINT_CAP_CEILING = (ENUMERATION_BUDGET // BYTES_PER_ENTRY).bit_length() - 1
-
-# The oracles scan all 2^n subsets in blocks of 2^ORACLE_BLOCK_BITS (see
-# _raw_subset_blocks), so their tables stay small whatever n is.
-ORACLE_BLOCK_BITS = 12
 
 
 def _require_cap(n: int, cap: int, what: str) -> None:
@@ -247,18 +245,30 @@ def minimal_closed_core(inter, up, down, fixed: int, target: int) -> list[int]:
     exclude the avoiders tried before it) and prunes as soon as some chosen
     b has no atom of priv[b] left that it alone covers.  It keeps a few
     masks per level and at most n levels.  A point whose member misses part
-    of A spoils every up-set holding it, so its down-set is barred.
+    of A spoils every up-set holding it, so its down-set is barred.  Atoms
+    avoided by the same points are interchangeable, so the atoms are split
+    point by point into such classes, and one atom stands for each.
     """
     lo, hi, h = inter.lo, inter.hi, inter.h
-    atoms = fixed & ~target
     n = len(up)
-    avoid = []
+    members = [lo[1 << b] if b < h else hi[1 << (b - h)] for b in range(n)]
+    classes = [(fixed & ~target, 0)]  # (atoms that the same points avoid, those points)
+    for b, m in enumerate(members):
+        bit = 1 << b
+        split = []
+        for c, col in classes:
+            kept = c & m
+            if kept:
+                split.append((kept, col))
+            if kept != c:
+                split.append((c ^ kept, col | bit))
+        classes = split
+    atoms = sum(c & -c for c, _ in classes)
+    avoid = [atoms & ~m for m in members]
     barred = 0
-    for b in range(n):
-        m = lo[1 << b] if b < h else hi[1 << (b - h)]
+    for b, m in enumerate(members):
         if target & ~m:
             barred |= down[b]
-        avoid.append(atoms & ~m)
     priv = []
     cand = 0
     for b in range(n):
@@ -272,16 +282,7 @@ def minimal_closed_core(inter, up, down, fixed: int, target: int) -> list[int]:
         priv.append(avoid[b] & ~shared)
         if priv[b] and not barred & bit:
             cand |= bit
-    avoiders = {}  # atom bit -> the candidates avoiding it
-    m = cand
-    while m:
-        low = m & -m
-        a = avoid[low.bit_length() - 1]
-        while a:
-            c = a & -a
-            avoiders[c] = avoiders.get(c, 0) | low
-            a ^= c
-        m ^= low
+    avoiders = {c & -c: col & cand for c, col in classes}  # atom -> the candidates avoiding it
 
     out = []
     chosen = []
@@ -322,12 +323,12 @@ def minimal_closed_core(inter, up, down, fixed: int, target: int) -> list[int]:
                     chosen.pop()
             cand |= low
 
-    if len(avoiders) == atoms.bit_count():  # else some atom has no candidate avoider
+    if all(avoiders.values()):  # else some atom has no candidate avoider
         search(0, 0, cand)
     if not out:
         raise ConsistencyError("a representation must contain a minimal closed one")
-    if len(out) > 1:
-        out.sort(key=indices_of)
+    if len(out) > 1:  # canonical order is that of the binary digits from bit 0 up, with set before unset
+        out.sort(key=lambda y, flip=str.maketrans("01", "10"): bin(y)[:1:-1].translate(flip))
     return out
 
 
@@ -385,71 +386,79 @@ def critical_mask(family: PointFamily) -> int:
     return crit
 
 
-def _raw_subset_blocks(family: PointFamily):
-    """Every subset of the points, 2^k at a time, from the raw members.
+def point_slices(n: int) -> list[int]:
+    """H[j] for j < n: the 2^n-bit integer whose bit z says that point j is in z.
 
-    Yields (base, inter, close) per block, with k = min(n, ORACLE_BLOCK_BITS)
-    and base running over the multiples of 2^k: for lo < 2^k, inter[lo] is
-    the intersection of the members chosen by base | lo (the empty choice
-    intersects to D) and close[lo] the OR of their up-masks, so base | lo is
-    an up-set iff close[lo] == base | lo.  The tables over the low k points
-    are built once by doubling; each block folds its high points in from the
-    raw members.  Nothing here reads the intersection table, the up-set walk
-    or represents_mask, so the oracles on it stay independent of the fast
-    paths.  Memory is bounded by blocks: the low tables and the tables of
-    the block in hand, 2^k entries each, whatever n is.
+    Each is a byte pattern repeated over 2^n / 8 bytes: linear in 2^n, where
+    a division by 2^(2^(j+1)) - 1 would be quadratic.
     """
-    members = family.members
-    up = family.space.up
-    full = family.context.full_mask
-    k = min(len(members), ORACLE_BLOCK_BITS)
-    inter = [full]
-    close = [0]
-    for m, u in zip(members[:k], up[:k]):
-        inter += [x & m for x in inter]
-        close += [c | u for c in close]
-    yield 0, inter, close
-    for high in range(1, 1 << (len(members) - k)):
-        hm, hu = full, 0
-        for i in range(k, len(members)):
-            if high >> (i - k) & 1:
-                hm &= members[i]
-                hu |= up[i]
-        yield high << k, list(map(hm.__and__, inter)), list(map(hu.__or__, close))
+    size = max(1 << n >> 3, 1)
+    every = (1 << (1 << n)) - 1  # below 3 points the one byte holds more than 2^n bits
+    out = []
+    for j in range(n):
+        k = 1 << j >> 3
+        unit = bytes(k) + b"\xff" * k if k else b"\xaa\xcc\xf0"[j:j + 1]
+        out.append(int.from_bytes(unit * (size // len(unit)), "little") & every)
+    return out
 
 
-def _representing_upsets(family: PointFamily):
-    """An iterator over the up-sets that represent, ascending, by the raw blocked scan."""
-    ctx = family.context
-    fixed, target = ctx.fixed_mask, ctx.target_mask
-    return chain.from_iterable(
-        compress(close, map(and_, map(int.__eq__, close, range(base, base + len(close))),
-                            map(target.__eq__, map(fixed.__and__, inter))))
-        for base, inter, close in _raw_subset_blocks(family)
-    )
+def _set_bits(x: int):
+    """The set bits of x, ascending, read from its nonzero bytes."""
+    data = x.to_bytes((x.bit_length() + 7) >> 3, "little")
+    for byte in re.finditer(b"[^\0]", data):
+        for b in _bits(data[byte.start()]):
+            yield byte.start() << 3 | b
+
+
+def _represents_slice(family: PointFamily) -> tuple[list[int], int]:
+    """(H, R): the point slices and R, whose bit z says that the members chosen by z represent.
+
+    No point of z may lack part of A, and each element of C \\ A must be
+    lacked by a point of z: z must lie in the OR of H[j] over the points
+    lacking it, one column per such set of points.
+    """
+    H = point_slices(len(family))
+    target = family.context.target_mask
+    columns = {sum(1 << j for j, m in enumerate(family.members) if not m >> e & 1)
+               for e in _bits(family.context.fixed_mask & ~target)}
+    R = (1 << (1 << len(H))) - 1
+    for lack in columns:
+        R &= reduce(or_, [H[j] for j in _bits(lack)], 0)
+    return H, R & ~reduce(or_, [h for h, m in zip(H, family.members) if target & ~m], 0)
+
+
+def _closed_representations_slice(family: PointFamily, cap: int) -> tuple[list[int], int]:
+    """(H, R) of _represents_slice, R kept to the up-sets: z holding j holds every point above j."""
+    _require_cap(len(family), cap, "closed-representation enumeration")
+    require_representation(family)
+    H, R = _represents_slice(family)
+    for j, u in enumerate(family.space.up):
+        above = [H[k] for k in _bits(u & ~(1 << j))]
+        if above:
+            R &= ~H[j] | reduce(and_, above)
+    return H, R
 
 
 def critical_points_oracle(family: PointFamily, cap: int = DEFAULT_POINT_CAP) -> tuple[int, ...]:
-    """Intersect every closed representation, found by the raw blocked scan."""
-    _require_cap(len(family), cap, "closed-representation enumeration")
-    require_representation(family)
-    return indices_of(reduce(and_, _representing_upsets(family), family.space.full_mask))
+    """Intersect every closed representation, found by the raw bit-sliced scan (all points if none)."""
+    H, closed = _closed_representations_slice(family, cap)
+    return tuple(j for j, h in enumerate(H) if not closed & ~h)
 
 
 def minimal_closed_oracle(family: PointFamily, cap: int = DEFAULT_POINT_CAP) -> tuple[tuple[int, ...], ...]:
     """Minimal closed representations by scanning every subset, in canonical order.
 
-    Keeps the up-sets that represent, found by the raw blocked scan, and
-    that contain no other representing up-set.  Up-sets are taken by size,
-    so each one is compared with the minimal ones kept so far.
+    below gets bit s when a closed representation of the raw bit-sliced scan
+    lies inside s (the subset zeta transform, a shift by 2^j per point); a
+    closed representation s is minimal iff no s minus one point has it.
     """
-    _require_cap(len(family), cap, "closed-representation enumeration")
-    require_representation(family)
-    minimal: list[int] = []
-    for y in sorted(_representing_upsets(family), key=int.bit_count):
-        if not any(x & ~y == 0 for x in minimal):
-            minimal.append(y)
-    return tuple(sorted(indices_of(y) for y in minimal))
+    H, closed = _closed_representations_slice(family, cap)
+    below = closed
+    for j, h in enumerate(H):
+        below |= below << (1 << j) & h
+    for j, h in enumerate(H):
+        closed &= ~(h & below << (1 << j))
+    return tuple(sorted(map(indices_of, _set_bits(closed))))
 
 
 @dataclass(frozen=True)

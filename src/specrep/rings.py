@@ -17,7 +17,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import compress
 from operator import itemgetter
 
 from .errors import CapExceeded, ConsistencyError, InputError
@@ -679,25 +678,15 @@ def irredundant_decomposition(
 def _irredundant_subfamilies(family: PointFamily) -> list[int]:
     """Masks of the irredundant representations among all subfamilies, ascending.
 
-    One "represents" flag per subfamily from the raw blocked scan of the
-    engine's oracles, then the drop-one test on the flags.
+    From R of the engine oracles' raw bit-sliced scan (bit z: z represents),
+    z is irredundant iff it represents and, for each member j of z (bit z of
+    H[j]), z minus j does not: bit z of R << 2^j is clear.
     """
-    ctx = family.context
-    fixed, target = ctx.fixed_mask, ctx.target_mask
-    represents = bytearray()
-    for _, inter, _ in engine._raw_subset_blocks(family):
-        represents += bytes(map(target.__eq__, map(fixed.__and__, inter)))
-    hits = []
-    for s in compress(range(len(represents)), represents):
-        m = s
-        while m:
-            low = m & -m
-            if represents[s ^ low]:
-                break
-            m ^= low
-        else:
-            hits.append(s)
-    return hits
+    H, R = engine._represents_slice(family)
+    irredundant = R
+    for j, h in enumerate(H):
+        irredundant &= ~(h & R << (1 << j))
+    return list(engine._set_bits(irredundant))
 
 
 def _verify_decomposition(ring: FiniteRing, ideal: RingIdeal, dec: list[RingIdeal], cap: int) -> None:

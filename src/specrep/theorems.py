@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
-from itertools import chain, combinations
+from itertools import combinations
 
 from . import engine, rings, topology, zrdesk
 from .errors import CapExceeded, ConsistencyError, SpecrepError
@@ -123,8 +123,8 @@ def run_family_suite(family: PointFamily, cap: int = engine.DEFAULT_POINT_CAP) -
     out.append(_ok(name) if held else _bad(name, "trace criterion failed on the maximal points"))
 
     # engine-side checks on the full family plus every sub-representation we
-    # can afford, read from the raw members: up to the cap one 2^n table from
-    # the oracles' blocked scan gives the sub-representations, and each flag
+    # can afford, read from the raw members: up to the cap one 2^n table,
+    # doubled member by member, gives the sub-representations, and each flag
     # comes from engine._member_gains, the test classify_member wraps.  As
     # classify_member sets tight = strong and isolated_patch = True, the tight
     # representations are the strong ones and no strong/tight or patch
@@ -133,7 +133,9 @@ def run_family_suite(family: PointFamily, cap: int = engine.DEFAULT_POINT_CAP) -
     fixed, target = ctx.fixed_mask, ctx.target_mask
     exhaustive = n <= EXHAUSTIVE_SUBFAMILY_CAP
     if exhaustive:
-        table = list(chain.from_iterable(block for _, block, _ in engine._raw_subset_blocks(family)))
+        table = [ctx.full_mask]
+        for m in family.members:
+            table += [x & m for x in table]
         inter = table.__getitem__
         zmasks = [z for z in range(1, space.full_mask + 1) if table[z] & fixed == target]
     else:

@@ -27,6 +27,7 @@ from .engine import (
     _upsets,
     analysis_core,
     minimal_closed_core,
+    point_slices,
     subset_intersections,
 )
 from .errors import CapExceeded, ConsistencyError, InputError, NotARepresentation
@@ -249,12 +250,11 @@ SLICE_BITS = 10
 def _slice_basis(w: int) -> tuple[tuple[int, ...], list[int]]:
     """(H, U) over the local fixed-ring masks s < 2^w, as 2^w-bit integers.
 
-    H[j] holds the s that contain bit j and U[e] the s that contain e;
-    U is built by doubling and is shared, so never mutate it.
+    H[j] holds the s that contain bit j (engine.point_slices) and U[e] the
+    s that contain e; U is built by doubling and is shared, so never mutate it.
     """
-    every = (1 << (1 << w)) - 1
-    H = tuple((((1 << (1 << j)) - 1) << (1 << j)) * (every // ((1 << (2 << j)) - 1)) for j in range(w))
-    U = [every]
+    H = tuple(point_slices(w))
+    U = [(1 << (1 << w)) - 1]
     for h in H:
         U += [u & h for u in U]
     return H, U

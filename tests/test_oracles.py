@@ -1,19 +1,22 @@
-"""The exhaustive oracles on the raw blocked subset scan, and the ring filters beside them.
+"""The exhaustive oracles on the raw bit-sliced subset scan, and the ring filters beside them.
 
 `critical_points_oracle`, `minimal_closed_oracle` and the uniqueness scan of
-`rings._verify_decomposition` read every subset of a family through
-`engine._raw_subset_blocks`, 2^ORACLE_BLOCK_BITS subsets at a time.  They
-are compared with the per-subset definitions of `helpers.Brute` at block
-widths below, at and above the point count; they must not touch any fast
-path; and each of them must still catch a faulty fast path.  The table-ring
-ideal enumeration and the zmod strong-irreducibility filter are compared
-with their former, plainer versions kept in `helpers`.
+`rings._irredundant_subfamilies` read every subset of a family at once: each
+verdict on a subfamily z is bit z of a 2^n-bit integer, built from the raw
+members and the point slices H[j] (bit z set iff point j is in z).  The
+slices are compared with that definition, and the oracles with the
+per-subset definitions of `helpers.Brute` at every point count up to 14;
+they must not touch any fast path, must catch a flipped slice bit, and hold
+about n + 6 integers of 2^n bits.  The table-ring ideal enumeration and the
+zmod strong-irreducibility filter are compared with their former, plainer
+versions kept in `helpers`.
 """
 
 import json
 import pathlib
 import random
 import sys
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
@@ -21,7 +24,7 @@ from hypothesis import strategies as st
 
 from specrep import cli, engine as E, rings as R, setsystems, theorems
 from specrep.errors import ConsistencyError
-from specrep.setsystems import PointFamily
+from specrep.setsystems import ContextTriple, PointFamily
 
 from helpers import (Brute, bfs_table_ideals, families_of_size, family_from, i1_family,
                      pairwise_reducible, pairwise_strongly_irreducible, random_representation_family)
@@ -30,8 +33,6 @@ ROOT = pathlib.Path(__file__).resolve().parent.parent
 FIXTURES = ROOT / "fixtures"
 sys.path.insert(0, str(ROOT / "bench"))
 import workloads  # noqa: E402  (bench/workloads.py: the workload shapes and moduli)
-
-BLOCK_WIDTHS = (1, 2, 12)  # so that n > k, n = k and n < k all occur; 12 is the default
 
 
 def _clear():
@@ -47,35 +48,48 @@ def run(capsys, *argv):
     return code, captured.out, captured.err
 
 
-@settings(max_examples=60, derandomize=True, deadline=None)
-@given(st.integers(min_value=1, max_value=12).flatmap(families_of_size))
-def test_oracles_match_per_subset_definitions_at_every_block_width(family):
+def _setsys_family(rng, n):
+    inst = workloads.setsys_instance(rng, n, rng.randint(n + 4, n + 10), rng.uniform(0.3, 0.8))
+    ctx = ContextTriple.from_labels(inst["universe"], inst["C"], inst["A"])
+    return PointFamily.from_labels(ctx, inst["points"])
+
+
+def assert_oracles_match_brute(family):
     brute = Brute(family)
-    n = len(family)
-    inter_want = [brute.intersection(s) for s in range(1 << n)]
-    close_want = [brute.closure(s) for s in range(1 << n)]
-    for bits in BLOCK_WIDTHS:
-        with pytest.MonkeyPatch.context() as m:
-            m.setattr(E, "ORACLE_BLOCK_BITS", bits)
-            k = min(n, bits)
-            blocks = list(E._raw_subset_blocks(family))
-            assert [base for base, _, _ in blocks] == list(range(0, 1 << n, 1 << k))
-            # the memory bound: every table has 2^k entries, whatever n is
-            assert all(len(inter) == len(close) == 1 << k for _, inter, close in blocks)
-            assert [x for _, inter, _ in blocks for x in inter] == inter_want
-            assert [c for _, _, close in blocks for c in close] == close_want
-            assert E.critical_points_oracle(family) == brute.critical()
-            assert list(E.minimal_closed_oracle(family)) == brute.minimal_closed()
-            assert R._irredundant_subfamilies(family) == brute.irredundant()
+    assert E.critical_points_oracle(family) == brute.critical()
+    assert list(E.minimal_closed_oracle(family)) == brute.minimal_closed()
+    assert R._irredundant_subfamilies(family) == brute.irredundant()
+
+
+def test_point_slices_hold_bit_j_of_every_z():
+    for n in range(17):
+        H = E.point_slices(n)
+        assert len(H) == n
+        for j, h in enumerate(H):
+            assert h == sum(1 << z for z in range(1 << n) if z >> j & 1), (n, j)
+
+
+@settings(max_examples=8, derandomize=True, deadline=None)
+@given(st.data())
+def test_oracles_match_per_subset_definitions(data):
+    for n in range(1, 13):
+        assert_oracles_match_brute(data.draw(families_of_size(n), label=f"{n} points"))
+
+
+def test_oracles_match_per_subset_definitions_on_13_and_14_points():
+    rng = random.Random(1314)
+    for n in (13, 13, 14, 14):
+        assert_oracles_match_brute(_setsys_family(rng, n))
 
 
 def test_oracles_read_no_fast_path(monkeypatch):
-    """The rewritten routes use neither the intersection table, nor the up-set walk, nor represents_mask."""
+    """The oracles use neither the intersection table, the up-set walk, represents_mask nor any mask stage."""
     def forbidden(*args, **kwargs):
         raise AssertionError("an oracle read a fast path")
 
     for name in ("intersection_table", "SplitTable", "subset_intersections", "upset_masks", "_upsets",
-                 "_linear_extension", "represents_mask"):
+                 "_linear_extension", "represents_mask", "minimal_closed_core", "_minimal_points_checked",
+                 "analysis_core", "critical_mask"):
         monkeypatch.setattr(E, name, forbidden)
     monkeypatch.setattr(setsystems, "represents_mask", forbidden)
     rng = random.Random(1313)
@@ -84,6 +98,69 @@ def test_oracles_read_no_fast_path(monkeypatch):
         E.critical_points_oracle(fam)
         E.minimal_closed_oracle(fam)
         R._irredundant_subfamilies(fam)
+
+
+def _flipped_slices(j, z, real=E.point_slices):
+    def faulty(n):
+        H = real(n)
+        H[j] ^= 1 << z
+        return H
+    return faulty
+
+
+def test_a_flipped_slice_bit_fails_the_oracle_command_it_reaches(monkeypatch, capsys, tmp_path):
+    """Every single-bit fault of a point slice that changes an oracle's answer makes the command exit 4.
+
+    Each answer is compared with Brute: where the faulty critical points
+    differ, `critical --oracle` and `analyze --oracle` must exit 4; where the
+    minimal closed representations differ, `minimal --oracle`; where the
+    irredundant subfamilies differ, `decompose --oracle`, whose uniqueness
+    scan they are.  A fault that changes no answer must change no exit code.
+    """
+    points = {"P1": "acde", "P2": "bce", "P3": "ab", "P4": "abcd"}
+    path = tmp_path / "family.json"
+    path.write_text(json.dumps({"schema": 1, "universe": list("abcde"), "C": list("bd"), "A": [],
+                                "points": {name: list(m) for name, m in points.items()}}), encoding="utf-8")
+    cases = [(str(FIXTURES / "i1.json"), i1_family()), (str(path), family_from("abcde", "bd", "", points))]
+    ring = R.FiniteRing.zmod(30)
+    ring_family = R.build_irr_space(ring, R.zmod_ideal(ring, 30))
+    caught = {"critical": 0, "minimal": 0, "decompose": 0}
+    try:
+        for file, fam in cases + [(None, ring_family)]:
+            brute = Brute(fam)
+            for j in range(len(fam)):
+                for z in range(1 << len(fam)):
+                    monkeypatch.setattr(E, "point_slices", _flipped_slices(j, z))
+                    if file is None:
+                        bad = R._irredundant_subfamilies(fam) != brute.irredundant()
+                        argv = ("decompose", "--ring", "zmod:30", "--ideal", "0", "--oracle")
+                        assert run(capsys, *argv)[0] == (4 if bad else 0), (j, z)
+                        caught["decompose"] += bad
+                        continue
+                    crit_bad = E.critical_points_oracle(fam) != brute.critical()
+                    min_bad = list(E.minimal_closed_oracle(fam)) != brute.minimal_closed()
+                    for command, bad in (("critical", crit_bad), ("analyze", crit_bad), ("minimal", min_bad)):
+                        assert run(capsys, command, file, "--oracle")[0] == (4 if bad else 0), (file, command, j, z)
+                    caught["critical"] += crit_bad
+                    caught["minimal"] += min_bad
+    finally:
+        _clear()
+    assert all(caught.values()), caught
+
+
+@pytest.mark.parametrize("oracle", [E.critical_points_oracle, E.minimal_closed_oracle])
+def test_an_oracle_holds_about_n_plus_6_slices_at_22_points(oracle):
+    n = 22
+    family = _setsys_family(random.Random(22), n)
+    family.space  # the point order is built before the trace: the bound is on the scan
+    tracemalloc.start()
+    try:
+        oracle(family, cap=n)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # the n slices, R, the zeta transform's copy and its temporaries, with one slice to spare
+    assert peak <= (n + 7) << n >> 3, peak
 
 
 def _flip_point_zero(real):
@@ -154,8 +231,7 @@ def test_minimal_oracle_catches_a_search_that_loses_a_candidate(monkeypatch, cap
         _clear()
 
 
-@pytest.mark.parametrize("bits", BLOCK_WIDTHS)
-def test_a_non_unique_decomposition_still_raises(monkeypatch, bits):
+def test_a_non_unique_decomposition_still_raises(monkeypatch):
     """zmod(30) over (0) with (6) added: {(5), (6)} is a second irredundant representation.
 
     Every member of the true decomposition (2), (3), (5) stays strongly
@@ -172,7 +248,6 @@ def test_a_non_unique_decomposition_still_raises(monkeypatch, bits):
         return PointFamily(fam.context, fam.names + ("(6)",), fam.members + (six,))
 
     monkeypatch.setattr(R, "build_irr_space", with_six)
-    monkeypatch.setattr(E, "ORACLE_BLOCK_BITS", bits)
     with pytest.raises(ConsistencyError, match="not unique"):
         R.irredundant_decomposition(ring, zero, verify=True)
 

@@ -53,19 +53,6 @@ def test_family_suite_random():
         assert_no_failures(theorems.run_family_suite(fam))
 
 
-def test_family_suite_reads_every_block_of_the_raw_scan(monkeypatch):
-    # below the default width the suite's table spans several blocks, and a
-    # block it skipped would drop sub-representations or misread flags
-    rng = random.Random(60225)
-    families = [random_representation_family(rng, max_universe=9, max_points=10) for _ in range(60)]
-    for fam in [f for f in families if len(f) >= 3][:25]:
-        got = {}
-        for bits in (1, 2, 12):
-            monkeypatch.setattr(E, "ORACLE_BLOCK_BITS", bits)
-            got[bits] = theorems.run_family_suite(fam)
-        assert got[1] == got[2] == got[12], fam
-
-
 def test_ring_suite():
     ring = R.FiniteRing.zmod(12)
     assert_no_failures(theorems.run_ring_suite(ring, R.zmod_ideal(ring, 6)))
@@ -378,14 +365,15 @@ def test_family_suite_scans_once_and_classifies_each_pair_once(monkeypatch):
         counts.clear()
         E.unique_minimal_analysis.cache_clear()
         with monkeypatch.context() as m:
-            m.setattr(E, "_raw_subset_blocks", counted("blocks", E._raw_subset_blocks))
+            m.setattr(E, "point_slices", counted("slices", E.point_slices))
             m.setattr(E, "_member_gains", counted("gains", E._member_gains))
             m.setattr(E, "classify_member", counted("classify", E.classify_member))
             m.setattr(E, "critical_mask", counted("critical", E.critical_mask))
             results = theorems.run_family_suite(family)
         assert_no_failures(results)
-        # one raw scan is critical_points_oracle's, one classifies up to the cap
-        assert counts["blocks"] == 1 + exhaustive
+        # the one bit-sliced scan is critical_points_oracle's; the suite's own
+        # table up to the cap doubles the raw members
+        assert counts["slices"] == 1
         assert counts["classify"] == 0
         # each (representation, member) pair once, and once more in the
         # up-closure of a representation that is not closed

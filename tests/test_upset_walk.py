@@ -5,7 +5,8 @@ Every engine answer below is compared with a definition-level enumeration
 points.  The minimal-closed search, a transversal search over the atoms'
 avoiders, is also compared with the up-set walk it replaced
 (`helpers.walk_minimal_closed`) on families of 13 to 20 points, and with
-Brute on families whose members miss part of A.  A call-counting test pins
+Brute on families whose members miss part of A, and on families whose
+atoms are copied so that some are avoided by the same points.  A call-counting test pins
 down that one `analyze` builds the intersection table once and runs the
 minimal-closed search once.  The split intersection table is read against
 subset_intersections on every mask, and its size and memory are bounded at
@@ -112,6 +113,25 @@ def test_search_equals_the_up_set_walk_on_13_to_20_points():
         assert got == walk_minimal_closed(*args)
         sizes.append(len(got))
     assert max(sizes) > 100  # some families have many minimal closed representations
+
+
+@settings(max_examples=80, derandomize=True, deadline=None)
+@given(families(), st.data())
+def test_search_is_unchanged_by_interchangeable_atoms(family, data):
+    # copies of an element of C lie in the same members, so the copies of an
+    # atom are avoided by the same points and merge into one class
+    ctx = family.context
+    u = len(ctx.universe)
+    copied = data.draw(st.lists(st.sampled_from(range(u)), min_size=1, max_size=6), label="copied elements")
+    fixed, target, members = ctx.fixed_mask, ctx.target_mask, list(family.members)
+    for k, e in enumerate(copied):
+        fixed |= (fixed >> e & 1) << (u + k)
+        target |= (target >> e & 1) << (u + k)
+        members = [m | (m >> e & 1) << (u + k) for m in members]
+    universe = ctx.universe + tuple(f"{ctx.universe[e]}'{k}" for k, e in enumerate(copied))
+    wider = PointFamily(ContextTriple(universe, fixed, target), family.names, tuple(members))
+    want = [sum(1 << i for i in y) for y in Brute(family).minimal_closed()]
+    assert E.minimal_closed_core(*_search_args(wider)) == E.minimal_closed_core(*_search_args(family)) == want
 
 
 @st.composite
