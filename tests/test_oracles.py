@@ -231,11 +231,15 @@ def test_minimal_oracle_catches_a_search_that_loses_a_candidate(monkeypatch, cap
         _clear()
 
 
-def test_a_non_unique_decomposition_still_raises(monkeypatch):
+@pytest.mark.parametrize("at", (1, 2, 12))
+def test_a_non_unique_decomposition_still_raises(monkeypatch, at):
     """zmod(30) over (0) with (6) added: {(5), (6)} is a second irredundant representation.
 
     Every member of the true decomposition (2), (3), (5) stays strongly
-    irredundant, so only the uniqueness scan can refuse it.
+    irredundant, so only the uniqueness scan can refuse it.  (6) is put at
+    point index `at`: 1 and 2 read slices of H built within one byte, 12 one
+    built from repeated bytes.  The points padded in before it lack 0, the
+    one element of A, so they lie in no representation.
     """
     ring = R.FiniteRing.zmod(30)
     zero = R.zmod_ideal(ring, 30)
@@ -244,8 +248,14 @@ def test_a_non_unique_decomposition_still_raises(monkeypatch):
 
     def with_six(ring, ideal, points="irreducible"):
         fam = real(ring, ideal, points)
+        assert fam.context.universe[0] == "0" and fam.context.target_mask == 1
         six = sum(1 << i for i, label in enumerate(fam.context.universe) if int(label) % 6 == 0)
-        return PointFamily(fam.context, fam.names + ("(6)",), fam.members + (six,))
+        pad = range(1, at - len(fam) + 1)
+        names = fam.names + tuple(f"pad{m}" for m in pad)
+        members = fam.members + tuple(m << 1 for m in pad)
+        out = PointFamily(fam.context, names[:at] + ("(6)",) + names[at:], members[:at] + (six,) + members[at:])
+        assert out.names.index("(6)") == at
+        return out
 
     monkeypatch.setattr(R, "build_irr_space", with_six)
     with pytest.raises(ConsistencyError, match="not unique"):
