@@ -29,16 +29,16 @@ from .topology import INVERSE, PATCH, SPECTRAL, SpecSpace, _bits, indices_of, mi
 
 DEFAULT_POINT_CAP = 20
 
-# The exhaustive routes can hold up to 2^n masks for n points: the up-set
-# lists and the theorem suite's table.  Each is about BYTES_PER_ENTRY bytes
-# in CPython (an 8-byte list slot plus an int object of about 32 bytes).
-# POINT_CAP_CEILING is the largest point cap whose 2^n entries fit
-# ENUMERATION_BUDGET: 24 points, about 670 MB.  The minimal-closed search
-# holds no frontier (a few masks per level, at most n levels), the
-# analysis's own intersection table is two half tables (SplitTable), 2^12 +
-# 2^12 entries at 24 points, and the oracles' scan is bit-sliced: about
-# n + 6 integers of 2^n bits (see point_slices), 0.4 MB at 17 points and
-# 60 MB at 24.  So the ceiling rests on none of them.
+# The one exhaustive route that can hold up to 2^n masks for n points is the
+# up-set list.  Each is about BYTES_PER_ENTRY bytes in CPython (an 8-byte
+# list slot plus an int object of about 32 bytes).  POINT_CAP_CEILING is the
+# largest point cap whose 2^n entries fit ENUMERATION_BUDGET: 24 points,
+# about 670 MB.  The minimal-closed search holds no frontier (a few masks
+# per level, at most n levels), the analysis's own intersection table is two
+# half tables (SplitTable), 2^12 + 2^12 entries at 24 points, and the
+# oracles' scan and the theorem suite's checks are bit-sliced: each holds a
+# few more than n integers of 2^n bits at a time (see point_slices), tens of
+# MB at 24 points.  So the ceiling rests on none of them.
 BYTES_PER_ENTRY = 40
 ENUMERATION_BUDGET = 1 << 30
 POINT_CAP_CEILING = (ENUMERATION_BUDGET // BYTES_PER_ENTRY).bit_length() - 1
@@ -402,6 +402,33 @@ def point_slices(n: int) -> list[int]:
     return out
 
 
+def clear_point(x: int, h: int, j: int) -> int:
+    """x read without point j: bit z of the result is bit z minus {j} of x (h is H[j] of point_slices)."""
+    low = x & ~h
+    return low | low << (1 << j)
+
+
+def force_point(x: int, h: int, j: int) -> int:
+    """x read with point j: bit z of the result is bit z plus {j} of x (h is H[j] of point_slices)."""
+    high = x & h
+    return high | high >> (1 << j)
+
+
+def _member_gain_slices(H, R, up, b: int) -> tuple[int, int]:
+    """_member_gains of member b on every subfamily at once, as (irr, strong).
+
+    R is the represents slice of _represents_slice.  Bit z of irr says that
+    z holds b and z minus b does not represent; bit z of strong, that z
+    holds b and z with b replaced by the points strictly above it does not.
+    Where z represents, these are b's two gains being nonzero.
+    """
+    h = H[b]
+    replaced = R
+    for k in _bits(up[b] & ~(1 << b)):
+        replaced = force_point(replaced, H[k], k)
+    return h & ~clear_point(R, h, b), h & ~clear_point(replaced, h, b)
+
+
 def _set_bits(x: int):
     """The set bits of x, ascending, read from its nonzero bytes."""
     data = x.to_bytes((x.bit_length() + 7) >> 3, "little")
@@ -427,11 +454,14 @@ def _represents_slice(family: PointFamily) -> tuple[list[int], int]:
     return H, R & ~reduce(or_, [h for h, m in zip(H, family.members) if target & ~m], 0)
 
 
-def _closed_representations_slice(family: PointFamily, cap: int) -> tuple[list[int], int]:
-    """(H, R) of _represents_slice, R kept to the up-sets: z holding j holds every point above j."""
+def _closed_representations_slice(family: PointFamily, cap: int, scan=None) -> tuple[list[int], int]:
+    """(H, R) of _represents_slice, R kept to the up-sets: z holding j holds every point above j.
+
+    scan is the family's (H, R) when the caller holds it already.
+    """
     _require_cap(len(family), cap, "closed-representation enumeration")
     require_representation(family)
-    H, R = _represents_slice(family)
+    H, R = scan or _represents_slice(family)
     for j, u in enumerate(family.space.up):
         above = [H[k] for k in _bits(u & ~(1 << j))]
         if above:
@@ -439,9 +469,12 @@ def _closed_representations_slice(family: PointFamily, cap: int) -> tuple[list[i
     return H, R
 
 
-def critical_points_oracle(family: PointFamily, cap: int = DEFAULT_POINT_CAP) -> tuple[int, ...]:
-    """Intersect every closed representation, found by the raw bit-sliced scan (all points if none)."""
-    H, closed = _closed_representations_slice(family, cap)
+def critical_points_oracle(family: PointFamily, cap: int = DEFAULT_POINT_CAP, scan=None) -> tuple[int, ...]:
+    """Intersect every closed representation, found by the raw bit-sliced scan (all points if none).
+
+    scan is the family's (H, R) of _represents_slice when the caller holds it already.
+    """
+    H, closed = _closed_representations_slice(family, cap, scan)
     return tuple(j for j, h in enumerate(H) if not closed & ~h)
 
 
@@ -455,9 +488,9 @@ def minimal_closed_oracle(family: PointFamily, cap: int = DEFAULT_POINT_CAP) -> 
     H, closed = _closed_representations_slice(family, cap)
     below = closed
     for j, h in enumerate(H):
-        below |= below << (1 << j) & h
+        below |= clear_point(below, h, j)
     for j, h in enumerate(H):
-        closed &= ~(h & below << (1 << j))
+        closed &= ~(h & clear_point(below, h, j))
     return tuple(sorted(map(indices_of, _set_bits(closed))))
 
 

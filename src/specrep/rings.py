@@ -371,8 +371,10 @@ def _zmod_proper_divisors(ring: FiniteRing) -> list[int]:
 
 
 def _table_is_prime(ring: FiniteRing, elems: frozenset[int]) -> bool:
-    rng = range(ring.size)
-    return all(a in elems or b in elems for a in rng for b in rng if ring.mul[a][b] in elems)
+    """No product of two elements outside the ideal lies inside it."""
+    outside = [a for a in range(ring.size) if a not in elems]
+    mul = ring.mul
+    return not any(mul[a][b] in elems for a in outside for b in outside)
 
 
 def _table_is_radical(ring: FiniteRing, elems: frozenset[int]) -> bool:
@@ -388,12 +390,15 @@ def _table_is_radical(ring: FiniteRing, elems: frozenset[int]) -> bool:
 
 
 def _table_is_strongly_irreducible(ring: FiniteRing, elems: frozenset[int]) -> bool:
-    # elementwise form: principal meets decide the general ideal condition
+    # elementwise form: principal meets decide the general ideal condition,
+    # over the pairs of distinct elements outside the ideal: the meet is
+    # symmetric, and (a) holds a, so (a) alone never lies inside the ideal
     principal = _principal_table_ideals(ring)
-    rng = range(ring.size)
-    for a in rng:
-        for b in rng:
-            if principal[a] & principal[b] <= elems and a not in elems and b not in elems:
+    outside = [a for a in range(ring.size) if a not in elems]
+    for i, a in enumerate(outside):
+        pa = principal[a]
+        for b in outside[i + 1:]:
+            if pa & principal[b] <= elems:
                 return False
     return True
 
@@ -507,17 +512,25 @@ def _ideal_lattice(ring: FiniteRing) -> tuple[list[list[int]], list[list[int]]]:
 def is_arithmetical(ring: FiniteRing) -> bool:
     """Distributivity of the ideal lattice, the finite commutative criterion.
 
-    Decided once per ring on the meet/join index tables: for every i and j,
-    the row k -> i ∧ (j ∨ k) must equal the row k -> (i ∧ j) ∨ (i ∧ k).
+    Decided once per ring on the meet/join index tables: a finite lattice
+    is distributive iff every join-irreducible element is join-prime.  An
+    ideal j is join-irreducible when the join of the ideals strictly below
+    it is not j, and join-prime when the join of the ideals not above j is
+    not above j either (j above some a ∨ b would put j below that join).
+    Index 0 is the zero ideal, the bottom, which is neither.
     """
     if ring.kind == "zmod":
         return True
     meet, join = _ideal_lattice(ring)
-    for mi in meet:
-        for j, jj in enumerate(join):
-            jm = join[mi[j]]
-            if list(map(mi.__getitem__, jj)) != list(map(jm.__getitem__, mi)):
-                return False
+    for j in range(1, len(meet)):
+        below = not_above = 0
+        for k, jk in enumerate(meet[j]):
+            if jk != j:  # j is not below k
+                not_above = join[not_above][k]
+                if jk == k:
+                    below = join[below][k]
+        if below != j and meet[j][not_above] == j:
+            return False
     return True
 
 
@@ -680,12 +693,12 @@ def _irredundant_subfamilies(family: PointFamily) -> list[int]:
 
     From R of the engine oracles' raw bit-sliced scan (bit z: z represents),
     z is irredundant iff it represents and, for each member j of z (bit z of
-    H[j]), z minus j does not: bit z of R << 2^j is clear.
+    H[j]), z minus j does not (engine.clear_point).
     """
     H, R = engine._represents_slice(family)
     irredundant = R
     for j, h in enumerate(H):
-        irredundant &= ~(h & R << (1 << j))
+        irredundant &= ~(h & engine.clear_point(R, h, j))
     return list(engine._set_bits(irredundant))
 
 

@@ -2,23 +2,43 @@
 
 Each check pits one route against another (generated neighbourhoods vs
 order fast path, fast test vs exhaustive oracle, flag vs flag) and reports pass/fail/skip; a skip
-happens only when an enumeration would blow a cap.  The CLI's check-theorems
-command runs the suite and fails loudly with the violated check's name.
+happens only when an enumeration would blow a cap or a fact the check builds
+on did not hold.  The CLI's check-theorems command runs the suite and fails
+loudly with the violated check's name.
+
+The family suite checks the definitions on every sub-representation of a
+family within the point cap, bit-sliced: each fact about the subfamilies z is
+one 2^n-bit integer whose bit z says that it holds for z, read through the
+subset zeta transform in the Boolean semiring (Bjorklund, Husfeldt, Kaski and
+Koivisto, STOC 2007) with broadword operations, so no check walks the 2^n
+subfamilies in Python.  Two checks still enumerate: the antichain check its
+antichains, up to ANTICHAIN_SCAN_CAP points, and the closure check every
+subset, up to 10 points.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import partial
+from functools import reduce
 from itertools import combinations
+from operator import and_, or_
 
 from . import engine, rings, topology, zrdesk
 from .errors import CapExceeded, ConsistencyError, SpecrepError
-from .setsystems import PointFamily, intersection_mask, validate_representation
+from .setsystems import PointFamily, validate_representation
 from .topology import indices_of
 
-EXHAUSTIVE_SUBFAMILY_CAP = 12
+# antichains-inverse-discrete checks every sub-antichain, and an antichain of
+# n points has 2^n of them, so that check scans all subsets up to this size only
+ANTICHAIN_SCAN_CAP = 12
+
+FLAG_CHECKS = (
+    "irredundance-flag-hierarchy",
+    "irredundant-implies-isolated",
+    "critical-irredundant-implies-strongly",
+    "tight-equals-irredundant-in-up-closure",
+)
 
 
 @dataclass(frozen=True)
@@ -110,8 +130,14 @@ def run_family_suite(family: PointFamily, cap: int = engine.DEFAULT_POINT_CAP) -
     name = "antichains-inverse-discrete"
     bad = None
     antichains = [topology.min_mask(space, space.full_mask), topology.max_mask(space, space.full_mask)]
-    if n <= EXHAUSTIVE_SUBFAMILY_CAP:
-        antichains = [m for m in range(1, space.full_mask + 1) if topology.is_antichain(space, m)]
+    if n <= ANTICHAIN_SCAN_CAP:
+        # bit z of comparable: some point j of z meets z elsewhere in up[j] | down[j], or lies outside it
+        slices = engine.point_slices(n)
+        comparable = 0
+        for j, h in enumerate(slices):
+            rel = space.up[j] | space.down[j]
+            comparable |= h & reduce(or_, [slices[k] for k in indices_of(rel ^ 1 << j)], 0)
+        antichains = engine._set_bits(((1 << (1 << n)) - 1) & ~comparable)
     for am in antichains:
         if am and not topology.antichain_inverse_discrete(space, indices_of(am)):
             bad = am
@@ -122,59 +148,56 @@ def run_family_suite(family: PointFamily, cap: int = engine.DEFAULT_POINT_CAP) -
     held, _ = topology.noetherian_trace_holds(space, topology.max_elements(space, range(n)))
     out.append(_ok(name) if held else _bad(name, "trace criterion failed on the maximal points"))
 
-    # engine-side checks on the full family plus every sub-representation we
-    # can afford, read from the raw members: up to the cap one 2^n table,
-    # doubled member by member, gives the sub-representations, and each flag
-    # comes from engine._member_gains, the test classify_member wraps.  As
+    # engine-side checks on every sub-representation, bit-sliced: each fact
+    # is one 2^n-bit integer whose bit z says that it holds for subfamily z.
+    # R (z represents) is the oracles' raw scan, engine._represents_slice, so
+    # the flags stay independent of the fast paths they check, and each
+    # member's flags are engine._member_gain_slices, _member_gains on every z
+    # at once.  Each check reports its lowest z, then its lowest point b.  As
     # classify_member sets tight = strong and isolated_patch = True, the tight
     # representations are the strong ones and no strong/tight or patch
     # disagreement can arise, so neither is tested.
-    ctx = family.context
-    fixed, target = ctx.fixed_mask, ctx.target_mask
-    exhaustive = n <= EXHAUSTIVE_SUBFAMILY_CAP
-    if exhaustive:
-        table = [ctx.full_mask]
-        for m in family.members:
-            table += [x & m for x in table]
-        inter = table.__getitem__
-        zmasks = [z for z in range(1, space.full_mask + 1) if table[z] & fixed == target]
-    else:
-        inter = partial(intersection_mask, family)
-        zmasks = [space.full_mask]
     analysis = engine.unique_minimal_analysis(family, cap)
-    crit = analysis.critical
-    crit_mask = space.point_mask(crit)
-
-    hier = iso = corr = removal = None
-    strong_reps = []
-    for zmask in zmasks:
-        upz = topology.up_mask(space, zmask)
-        all_strong = True
-        for b in indices_of(zmask):
-            irr, strong = map(bool, engine._member_gains(inter, space.up, zmask, b, fixed, target))
-            all_strong = all_strong and strong
-            if strong and not irr:
-                hier = hier or (b, zmask)
-            if irr and space.down[b] & zmask != 1 << b:
-                iso = iso or (b, zmask)
-            if crit_mask >> b & 1 and irr and not strong:
-                corr = corr or (b, zmask)
-            if upz != zmask and strong != bool(engine._member_gains(inter, space.up, upz, b, fixed, target)[0]):
-                removal = removal or (b, zmask)
-        if all_strong:
-            strong_reps.append(zmask)
-    out.append(_bad("irredundance-flag-hierarchy", f"violated at point {hier[0]} in {hier[1]:b}") if hier
-               else _ok("irredundance-flag-hierarchy"))
-    out.append(_bad("irredundant-implies-isolated", f"violated at point {iso[0]} in {iso[1]:b}") if iso
-               else _ok("irredundant-implies-isolated"))
-    out.append(_bad("critical-irredundant-implies-strongly", f"violated at point {corr[0]} in {corr[1]:b}")
-               if corr else _ok("critical-irredundant-implies-strongly"))
-    out.append(_bad("tight-equals-irredundant-in-up-closure", f"violated at point {removal[0]} in {removal[1]:b}")
-               if removal else _ok("tight-equals-irredundant-in-up-closure"))
+    within_cap = n <= cap
+    if within_cap:
+        scan = H, R = engine._represents_slice(family)
+        up, down = space.up, space.down
+        crit = analysis.critical
+        crit_mask = space.point_mask(crit)
+        not_closed = 0  # z holding a point whose up-set leaves z
+        for j, h in enumerate(H):
+            above = [H[k] for k in indices_of(up[j] & ~(1 << j))]
+            if above:
+                not_closed |= h & ~reduce(and_, above)
+        first: list[tuple[int, int] | None] = [None] * len(FLAG_CHECKS)
+        strong_reps = R  # z whose every member is strongly irredundant in z
+        for b, h in enumerate(H):
+            irr, strong = engine._member_gain_slices(H, R, up, b)
+            irr &= R
+            strong &= R
+            strong_reps &= strong | ~h
+            # bit z: up(z) minus b represents, i.e. b is redundant in up(z)
+            up_without_b = _read_at_up_sets(engine.clear_point(R, h, b), H, up)
+            # bit z: down[b] meets z in more than b (all z when down[b] lacks b)
+            meets_below = reduce(or_, [H[k] for k in indices_of(down[b] ^ 1 << b)], 0)
+            # strong but redundant; irredundant but not isolated; critical and
+            # irredundant but not strong; in a z that is not an up-set, strong
+            # but redundant in up(z), or irredundant there but not strong
+            hits = (strong & ~irr, irr & meets_below, irr & ~strong if crit_mask >> b & 1 else 0,
+                    R & h & not_closed & ~(strong ^ up_without_b))
+            for i, hit in enumerate(hits):
+                if hit:
+                    z = (hit & -hit).bit_length() - 1
+                    if first[i] is None or z < first[i][1]:
+                        first[i] = (b, z)
+        for name, hit in zip(FLAG_CHECKS, first):
+            out.append(_bad(name, f"violated at point {hit[0]} in {hit[1]:b}") if hit else _ok(name))
+    else:
+        out += [_skip(name, f"{n} points exceeds the cap of {cap}") for name in FLAG_CHECKS]
 
     name = "critical-fast-path-vs-oracle"
-    if n <= cap:
-        slow = engine.critical_points_oracle(family, cap)
+    if within_cap:
+        slow = engine.critical_points_oracle(family, cap, scan)
         out.append(_ok(name) if crit == slow else _bad(
             name, f"fast {crit} vs oracle {slow}"))
     else:
@@ -187,39 +210,86 @@ def run_family_suite(family: PointFamily, cap: int = engine.DEFAULT_POINT_CAP) -
         "strongly-irredundant-existence", lambda: engine.strongly_irredundant_representation(family, cap))]
 
     name = "at-most-one-strongly-irredundant-representation"
-    if unique_check.status == "pass" and exhaustive:
-        if analysis.cset_represents:
-            expect = None if analysis.strongly_irredundant_rep is None else space.point_mask(
-                analysis.strongly_irredundant_rep)
-            if expect is None or strong_reps != [expect]:
-                out.append(_bad(name, "strongly irredundant representations are not the predicted set"))
-            else:
-                out.append(_ok(name))
-        else:
-            out.append(_ok(name, "no uniqueness claim without a represented critical core"))
+    if not within_cap:
+        out.append(_skip(name, f"{n} points exceeds the cap of {cap}"))
+    elif unique_check.status != "pass":
+        out.append(_skip(name, f"{unique_check.name} did not pass"))
+    elif not analysis.cset_represents:
+        out.append(_ok(name, "no uniqueness claim without a represented critical core"))
+    elif analysis.strongly_irredundant_rep is None or strong_reps != 1 << space.point_mask(
+            analysis.strongly_irredundant_rep):
+        out.append(_bad(name, "strongly irredundant representations are not the predicted set"))
     else:
-        out.append(_skip(name, "exhaustive sub-family search out of reach"))
+        out.append(_ok(name))
 
     name = "tight-reps-in-distinct-minimal-reps"
-    if minimal_check.status == "pass" and exhaustive:
-        min_masks = [space.point_mask(z) for z in analysis.minimal_representations]
-        items = [(z, frozenset(m for m in min_masks if z & ~m == 0)) for z in strong_reps]
-        bad = None
-        for i, (za, ca) in enumerate(items):
-            if not ca:
-                bad = f"tight representation {za:b} lies in no minimal representation"
-                break
-            for zb, cb in items[i + 1:]:
-                if ca & cb:
-                    bad = f"tight representations {za:b} and {zb:b} share a minimal representation"
-                    break
-            if bad:
-                break
-        out.append(_bad(name, bad) if bad else _ok(name))
+    if not within_cap:
+        out.append(_skip(name, f"{n} points exceeds the cap of {cap}"))
+    elif minimal_check.status != "pass":
+        out.append(_skip(name, f"{minimal_check.name} did not pass"))
     else:
-        out.append(_skip(name, "exhaustive sub-family search out of reach"))
+        bad = _first_shared_or_lonely(strong_reps, H, [space.point_mask(z) for z in analysis.minimal_representations])
+        out.append(_bad(name, bad) if bad else _ok(name))
 
     return out
+
+
+def _read_at_up_sets(x: int, H, up) -> int:
+    """x read at up-sets: bit z of the result is bit up(z) of x, for a partial order given by its up-masks.
+
+    One conditional force per point j: where z holds j, read x with the
+    points above j put in.  Points put in by one force make later forces
+    fire too, so on an order that is not transitive this reads x at a set
+    past the one-step up(z).
+    """
+    for j, h in enumerate(H):
+        above = up[j] & ~(1 << j)
+        if above:
+            forced = x
+            for k in indices_of(above):
+                forced = engine.force_point(forced, H[k], k)
+            x = x & ~h | forced & h
+    return x
+
+
+def _below(x: int, H) -> int:
+    """Bit z of the result: z lies inside some set whose bit is set in x (a subset zeta transform)."""
+    for j, h in enumerate(H):
+        x |= engine.force_point(x, h, j)
+    return x
+
+
+def _first_shared_or_lonely(strong_reps: int, H, min_masks) -> str | None:
+    """The first fault of tight-reps-in-distinct-minimal-reps, or None.
+
+    In ascending order of the tight representations za: za lies in no
+    minimal representation, or shares one with a later tight representation
+    zb (the least such zb).  twice holds the sets with at least two tight
+    representations inside (a subset zeta transform with counts saturating
+    at two); the least tight representation inside such a minimal
+    representation m has a later one in m, so the first za is the least
+    tight representation that is lonely or lies in such an m.
+    """
+    bits = bytearray(max(1 << len(H) >> 3, 1))
+    for m in min_masks:
+        bits[m >> 3] |= 1 << (m & 7)
+    minimal = int.from_bytes(bits, "little")
+    once, twice = strong_reps, 0
+    for j, h in enumerate(H):
+        more_once, more_twice = h & engine.clear_point(once, h, j), h & engine.clear_point(twice, h, j)
+        twice |= more_twice | once & more_once
+        once |= more_once
+    lonely = strong_reps & ~_below(minimal, H)
+    bad = lonely | strong_reps & _below(minimal & twice, H)
+    if not bad:
+        return None
+    za = (bad & -bad).bit_length() - 1
+    if lonely >> za & 1:
+        return f"tight representation {za:b} lies in no minimal representation"
+    holders = reduce(and_, [H[j] for j in indices_of(za)], minimal)
+    later = strong_reps & _below(holders, H) & -(2 << za)
+    zb = (later & -later).bit_length() - 1
+    return f"tight representations {za:b} and {zb:b} share a minimal representation"
 
 
 def run_ring_suite(ring: rings.FiniteRing, ideal: rings.RingIdeal | None,
@@ -312,8 +382,8 @@ def run_zr_suite(pool: zrdesk.PrimePool, family: PointFamily | None,
         return v
 
     # per ring, not per pair: its spec, its encoded mask and its probe vector;
-    # meets go in a dict keyed by mask (e1 & e2 is the mask of t1 | t2), since
-    # a truncated list may lack them
+    # meets go in a dict keyed by mask (e1 & e2 is the mask of t1 | t2),
+    # seeded with the listed rings, since a truncated list may lack them
     rings_of = []
     for t in subsets:
         spec = zrdesk.OverringSpec(pool, t)
@@ -321,7 +391,7 @@ def run_zr_suite(pool: zrdesk.PrimePool, family: PointFamily | None,
         for p in t:
             m |= 1 << index[p]
         rings_of.append((t, spec, low ^ m, probe_vector(spec)))
-    meets: dict[int, int] = {}
+    meets = {e: v for _, _, e, v in rings_of}
     bad = None
     for t1, r1, e1, v1 in rings_of:
         for t2, r2, e2, v2 in rings_of:

@@ -16,6 +16,7 @@ point indices so output order is deterministic.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Iterable
 
 from .errors import InputError, NotAntichain
@@ -139,17 +140,32 @@ class Topology:
     origin: str
     neighbourhoods: tuple[int, ...]
 
+    @cached_property
+    def _columns(self) -> tuple[int, ...]:
+        """columns[j]: the points i whose U_i holds point j."""
+        columns = [0] * max(u.bit_length() for u in self.neighbourhoods)
+        for i, u in enumerate(self.neighbourhoods):
+            while u:
+                low = u & -u
+                columns[low.bit_length() - 1] |= 1 << i
+                u ^= low
+        return tuple(columns)
+
     def closure_of(self, ymask: int) -> int:
         """Smallest closed superset of Y: the points whose smallest open neighbourhood meets Y.
 
         A point lies outside the closure when some open around it avoids Y;
         every open around i contains U_i, and U_i is itself open, so that
-        happens exactly when U_i avoids Y.
+        happens exactly when U_i avoids Y.  The closure is the OR of the
+        columns of the points of Y, kept on the topology.
         """
+        columns = self._columns
+        ymask &= (1 << len(columns)) - 1
         m = 0
-        for i, u in enumerate(self.neighbourhoods):
-            if u & ymask:
-                m |= 1 << i
+        while ymask:
+            low = ymask & -ymask
+            m |= columns[low.bit_length() - 1]
+            ymask ^= low
         return m
 
     def specialization_leq(self, i: int, j: int) -> bool:
@@ -208,32 +224,46 @@ def generate_topology(space: SpecSpace, kind: str) -> Topology:
 
 def up_mask(space: SpecSpace, ymask: int) -> int:
     m = 0
-    for i in _bits(ymask):
-        m |= space.up[i]
+    up = space.up
+    while ymask:
+        low = ymask & -ymask
+        m |= up[low.bit_length() - 1]
+        ymask ^= low
     return m
 
 
 def down_mask(space: SpecSpace, ymask: int) -> int:
     m = 0
-    for i in _bits(ymask):
-        m |= space.down[i]
+    down = space.down
+    while ymask:
+        low = ymask & -ymask
+        m |= down[low.bit_length() - 1]
+        ymask ^= low
     return m
 
 
 def min_mask(space: SpecSpace, ymask: int) -> int:
     """Members of Y with no other member of Y strictly below them."""
     m = 0
-    for i in _bits(ymask):
-        if space.down[i] & ymask == 1 << i:
-            m |= 1 << i
+    down = space.down
+    rest = ymask
+    while rest:
+        low = rest & -rest
+        if down[low.bit_length() - 1] & ymask == low:
+            m |= low
+        rest ^= low
     return m
 
 
 def max_mask(space: SpecSpace, ymask: int) -> int:
     m = 0
-    for i in _bits(ymask):
-        if space.up[i] & ymask == 1 << i:
-            m |= 1 << i
+    up = space.up
+    rest = ymask
+    while rest:
+        low = rest & -rest
+        if up[low.bit_length() - 1] & ymask == low:
+            m |= low
+        rest ^= low
     return m
 
 

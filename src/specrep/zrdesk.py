@@ -104,7 +104,8 @@ class OverringSpec:
 
 def membership(ring: OverringSpec, q) -> bool:
     """Exact membership of a rational: no retained prime may divide the denominator."""
-    q = Fraction(q)
+    if not isinstance(q, Fraction):
+        q = Fraction(q)
     den = q.denominator
     return all(den % p for p in ring.retained)
 

@@ -7,8 +7,8 @@ import string
 
 from hypothesis import strategies as st
 
-from specrep import rings
-from specrep.errors import ConsistencyError
+from specrep import engine, rings, topology
+from specrep.errors import ConsistencyError, SpecrepError
 from specrep.setsystems import ContextTriple, PointFamily, validate_representation
 from specrep.topology import SpecSpace, indices_of
 
@@ -400,3 +400,102 @@ def pairwise_reducible(d: int) -> bool:
             if e * f // math.gcd(e, f) == d:
                 return True
     return False
+
+
+SUBFAMILY_CHECKS = (
+    "irredundance-flag-hierarchy",
+    "irredundant-implies-isolated",
+    "critical-irredundant-implies-strongly",
+    "tight-equals-irredundant-in-up-closure",
+    "at-most-one-strongly-irredundant-representation",
+    "tight-reps-in-distinct-minimal-reps",
+)
+
+
+def subfamily_checks_by_loop(family: PointFamily, cap: int = engine.DEFAULT_POINT_CAP) -> dict:
+    """The six sub-representation checks of theorems.run_family_suite, by a loop over every subfamily.
+
+    The reference for the bit-sliced suite, on a valid representation within
+    the cap.  One 2^n intersection table is doubled over the raw members; each
+    representing z is read in ascending order, each member b of z in
+    ascending order, and b's flags come from engine._member_gains.  Each flag
+    check keeps its first (b, z).  It reads the order from family.space and
+    the minimal representations, critical points and strongly irredundant
+    representation from the family's analysis, as the suite does.  Returns
+    {name: (status, detail)}.
+    """
+    space = family.space
+    ctx = family.context
+    fixed, target = ctx.fixed_mask, ctx.target_mask
+    table = [ctx.full_mask]
+    for m in family.members:
+        table += [x & m for x in table]
+    inter = table.__getitem__
+    analysis = engine.unique_minimal_analysis(family, cap)
+    crit_mask = space.point_mask(analysis.critical)
+
+    hier = iso = corr = removal = None
+    strong_reps = []
+    for zmask in range(1, space.full_mask + 1):
+        if table[zmask] & fixed != target:
+            continue
+        upz = topology.up_mask(space, zmask)
+        all_strong = True
+        for b in indices_of(zmask):
+            irr, strong = map(bool, engine._member_gains(inter, space.up, zmask, b, fixed, target))
+            all_strong = all_strong and strong
+            if strong and not irr:
+                hier = hier or (b, zmask)
+            if irr and space.down[b] & zmask != 1 << b:
+                iso = iso or (b, zmask)
+            if crit_mask >> b & 1 and irr and not strong:
+                corr = corr or (b, zmask)
+            if upz != zmask and strong != bool(engine._member_gains(inter, space.up, upz, b, fixed, target)[0]):
+                removal = removal or (b, zmask)
+        if all_strong:
+            strong_reps.append(zmask)
+    out = {}
+    for name, hit in zip(SUBFAMILY_CHECKS, (hier, iso, corr, removal)):
+        out[name] = ("fail", f"violated at point {hit[0]} in {hit[1]:b}") if hit else ("pass", "")
+
+    def fails(read):
+        try:
+            read()
+        except SpecrepError:
+            return True
+        return False
+
+    name = SUBFAMILY_CHECKS[4]
+    if fails(lambda: analysis.unique):
+        out[name] = ("skip", "unique-minimal-criterion did not pass")
+    elif not analysis.cset_represents:
+        out[name] = ("pass", "no uniqueness claim without a represented critical core")
+    elif analysis.strongly_irredundant_rep is None or strong_reps != [
+            space.point_mask(analysis.strongly_irredundant_rep)]:
+        out[name] = ("fail", "strongly irredundant representations are not the predicted set")
+    else:
+        out[name] = ("pass", "")
+
+    name = SUBFAMILY_CHECKS[5]
+    if fails(lambda: analysis.minimal_representations):
+        out[name] = ("skip", "minimal-representation-equivalences did not pass")
+        return out
+    bad = first_shared_or_lonely_by_loop(strong_reps, [space.point_mask(z) for z in analysis.minimal_representations])
+    out[name] = ("fail", bad) if bad else ("pass", "")
+    return out
+
+
+def first_shared_or_lonely_by_loop(strong_reps, min_masks) -> str | None:
+    """The first fault of tight-reps-in-distinct-minimal-reps, by a loop over the ascending tight representations.
+
+    The reference for theorems._first_shared_or_lonely: the first za that
+    lies in no minimal representation, or shares one with a later zb.
+    """
+    items = [(z, frozenset(m for m in min_masks if z & ~m == 0)) for z in strong_reps]
+    for i, (za, ca) in enumerate(items):
+        if not ca:
+            return f"tight representation {za:b} lies in no minimal representation"
+        for zb, cb in items[i + 1:]:
+            if ca & cb:
+                return f"tight representations {za:b} and {zb:b} share a minimal representation"
+    return None

@@ -98,6 +98,61 @@ def test_non_arithmetical_rings_by_both_routes(tables):
     assert distributive_oracle(ring) is False
 
 
+def times(first, second):
+    """Operation tables of the product ring of two table rings, element (a, b) numbered a * |second| + b."""
+    n2 = len(second[0])
+
+    def table(k):
+        return [[first[k][a1][a2] * n2 + second[k][b1][b2] for a2 in range(len(first[0])) for b2 in range(n2)]
+                for a1 in range(len(first[0])) for b1 in range(n2)]
+
+    return table(0), table(1)
+
+
+@pytest.mark.parametrize("tables", [lambda: times(f2xy_tables(), product_tables((2,))),
+                                    lambda: times(z4x_tables(), product_tables((3,))),
+                                    lambda: times(product_tables((2,)), z4x_tables())],
+                         ids=["f2xy-x-z2", "z4x-x-z3", "z2-x-z4x"])
+def test_products_with_a_non_arithmetical_factor_by_both_routes(tables):
+    # a product lattice is distributive iff each factor's is, and the factors here are
+    # the two non-arithmetical rings above, so each lattice has join-irreducibles on both sides
+    ring = R.FiniteRing.from_tables(*tables())
+    assert R.is_arithmetical(ring) is False
+    assert distributive_oracle(ring) is False
+
+
+def dual_number_tables():
+    """F2[x]/(x^2): index a + 2b encodes a + b*x; x is the one nonzero element whose square is 0."""
+    mul = [[(i & 1) * (j & 1) | (((i & 1) * (j >> 1) ^ (i >> 1) * (j & 1)) << 1) for j in range(4)] for i in range(4)]
+    return [[i ^ j for j in range(4)] for i in range(4)], mul
+
+
+def _pairs_prime(ring, elems):
+    """Primality by every pair of ring elements: the reference for rings._table_is_prime."""
+    rng = range(ring.size)
+    return all(a in elems or b in elems for a in rng for b in rng if ring.mul[a][b] in elems)
+
+
+def _pairs_strongly_irreducible(ring, elems):
+    """The principal-meet criterion on every pair of elements: the reference for
+    rings._table_is_strongly_irreducible."""
+    principal = [frozenset(row) for row in ring.mul]
+    rng = range(ring.size)
+    return not any(principal[a] & principal[b] <= elems and a not in elems and b not in elems
+                   for a in rng for b in rng)
+
+
+@pytest.mark.parametrize("tables", [lambda: product_tables((4, 2)), lambda: product_tables((2, 3, 4)),
+                                    f2xy_tables, z4x_tables, lambda: times(f2xy_tables(), product_tables((2,))),
+                                    dual_number_tables],
+                         ids=["4x2", "2x3x4", "f2xy", "z4x", "f2xy-x-z2", "f2-dual-numbers"])
+def test_element_filters_match_their_pairwise_definitions(tables):
+    ring = R.FiniteRing.from_tables(*tables())
+    for elems in R._all_table_ideals(ring):
+        assert R._table_is_prime(ring, elems) == _pairs_prime(ring, elems)
+        assert R._table_is_strongly_irreducible(ring, elems) == _pairs_strongly_irreducible(ring, elems)
+
+
 @pytest.mark.parametrize("tables", [lambda: product_tables((4, 2)), lambda: product_tables((2, 2, 2)),
                                     lambda: product_tables((4, 3, 5)), f2xy_tables, z4x_tables],
                          ids=["4x2", "2x2x2", "4x3x5", "f2xy", "z4x"])

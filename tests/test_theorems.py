@@ -1,5 +1,6 @@
 """The invariant suite must pass on fixtures and randomized instances."""
 
+import json
 import pathlib
 import random
 from collections import Counter
@@ -8,17 +9,20 @@ from itertools import combinations
 
 import pytest
 
+from specrep import cli
 from specrep import engine as E
 from specrep import rings as R
+from specrep import setsystems as S
 from specrep import theorems
 from specrep import topology as T
 from specrep import zrdesk as Z
 from specrep.cli import load_instance
-from specrep.errors import ConsistencyError
-from specrep.setsystems import represents_mask, to_spec_space
-from specrep.topology import indices_of
+from specrep.errors import ConsistencyError, SpecrepError
+from specrep.setsystems import PointFamily, represents_mask
+from specrep.topology import SpecSpace
 
-from helpers import family_from, i1_family, random_representation_family
+from helpers import (SUBFAMILY_CHECKS, family_from, first_shared_or_lonely_by_loop, i1_family,
+                     random_representation_family, subfamily_checks_by_loop)
 
 
 FIXTURES = pathlib.Path(__file__).resolve().parent.parent / "fixtures"
@@ -159,16 +163,9 @@ def test_encoding_faithfulness_catches_a_faulty_membership(monkeypatch, primes, 
     assert faithfulness(pool) == theorems.CheckResult("encoding-faithfulness", "fail", want)
 
 
-# --- the engine-side half of run_family_suite against its per-check loops
+# --- the bit-sliced sub-representation checks against the per-subfamily loop
 
-CLASSIFIED_CHECKS = (
-    "irredundance-flag-hierarchy",
-    "irredundant-implies-isolated",
-    "critical-irredundant-implies-strongly",
-    "tight-equals-irredundant-in-up-closure",
-    "at-most-one-strongly-irredundant-representation",
-    "tight-reps-in-distinct-minimal-reps",
-)
+HIER, ISO, CORR, REMOVAL, AT_MOST_ONE, DISTINCT = SUBFAMILY_CHECKS
 
 
 def test_family_suite_reads_the_subbasis_once_per_kind(monkeypatch):
@@ -186,73 +183,157 @@ def test_family_suite_reads_the_subbasis_once_per_kind(monkeypatch):
         assert calls["subbasis"] == len(T.KINDS)
 
 
-def _rep_masks(family):
-    return [z for z in range(1, 1 << len(family)) if represents_mask(family, z)]
+def _clear_engine_caches():
+    for obj in vars(E).values():
+        if callable(getattr(obj, "cache_clear", None)):
+            obj.cache_clear()
 
 
-def reference_classified_checks(family):
-    """The checks that read classify_member, one loop per check, each rescanning
-    and reclassifying; for families within the exhaustive sub-family cap."""
-    space = to_spec_space(family)
-    crit_mask = space.point_mask(E.unique_minimal_analysis(family).critical)
+def _sliced_and_looped(family):
+    """The six checks by the suite and by the loop, each from fresh caches, as {name: (status, detail)}."""
+    _clear_engine_caches()
+    got = {r.name: (r.status, r.detail) for r in theorems.run_family_suite(family) if r.name in SUBFAMILY_CHECKS}
+    _clear_engine_caches()
+    want = subfamily_checks_by_loop(family)
+    _clear_engine_caches()
+    return got, want
+
+
+def _fixture_families(most):
+    """The families that check-theorems runs the family suite on, from every fixture of at most `most` points."""
     out = []
-
-    hier = iso = corr = removal = None
-    for zmask in _rep_masks(family):
-        zs = indices_of(zmask)
-        upz = T.up_mask(space, zmask)
-        for b in zs:
-            cls = E.classify_member(family, zs, b)
-            if (cls.strongly_irredundant and not cls.irredundant) or (
-                    cls.strongly_irredundant != cls.tightly_irredundant):
-                hier = hier or (b, zmask)
-            if cls.irredundant and not (cls.isolated_spectral and cls.isolated_patch):
-                iso = iso or (b, zmask)
-            if crit_mask >> b & 1 and cls.irredundant and not cls.strongly_irredundant:
-                corr = corr or (b, zmask)
-            if upz != zmask:
-                in_up = E.classify_member(family, indices_of(upz), b)
-                if cls.tightly_irredundant != in_up.irredundant:
-                    removal = removal or (b, zmask)
-    for name, hit in zip(CLASSIFIED_CHECKS, (hier, iso, corr, removal)):
-        out.append((name, "fail", f"violated at point {hit[0]} in {hit[1]:b}") if hit else (name, "pass", ""))
-
-    name = CLASSIFIED_CHECKS[4]
-    analysis = E.unique_minimal_analysis(family)
-    strong_reps = []
-    for zmask in _rep_masks(family):
-        zs = indices_of(zmask)
-        if all(E.classify_member(family, zs, b).strongly_irredundant for b in zs):
-            strong_reps.append(zmask)
-    if not analysis.cset_represents:
-        out.append((name, "pass", "no uniqueness claim without a represented critical core"))
-    elif analysis.strongly_irredundant_rep is None or strong_reps != [
-            space.point_mask(analysis.strongly_irredundant_rep)]:
-        out.append((name, "fail", "strongly irredundant representations are not the predicted set"))
-    else:
-        out.append((name, "pass", ""))
-
-    name = CLASSIFIED_CHECKS[5]
-    min_masks = [space.point_mask(z) for z in E.unique_minimal_analysis(family).minimal_representations]
-    containers = {}
-    for zmask in _rep_masks(family):
-        zs = indices_of(zmask)
-        if all(E.classify_member(family, zs, b).tightly_irredundant for b in zs):
-            containers[zmask] = frozenset(m for m in min_masks if zmask & ~m == 0)
-    bad = None
-    items = list(containers.items())
-    for i, (za, ca) in enumerate(items):
-        if not ca:
-            bad = f"tight representation {za:b} lies in no minimal representation"
-            break
-        for zb, cb in items[i + 1:]:
-            if ca & cb:
-                bad = f"tight representations {za:b} and {zb:b} share a minimal representation"
-                break
-        if bad:
-            break
-    out.append((name, "fail", bad) if bad else (name, "pass", ""))
+    for path in sorted(FIXTURES.glob("*.json")):
+        try:
+            inst = load_instance(str(path))
+        except SpecrepError:
+            continue
+        if inst.kind == "ring":
+            if inst.ideal is None or not R.is_arithmetical(inst.ring):
+                continue
+            family = R.build_irr_space(inst.ring, inst.ideal)
+        else:
+            family = inst.family
+        if family is not None and len(family) <= most:
+            out.append((path.name, family))
     return out
+
+
+def test_sliced_checks_match_the_loop_on_random_families():
+    rng = random.Random(60225)
+    for _ in range(40):
+        family = random_representation_family(rng, max_universe=8, max_points=12)
+        got, want = _sliced_and_looped(family)
+        assert got == want, family
+
+
+def test_sliced_checks_match_the_loop_on_the_fixtures():
+    # the loop takes 2^n Python steps, so the 18- and 20-point fixtures are left to the suite alone
+    cases = _fixture_families(13)
+    assert {"i1.json", "setsys13.json", "zmod2560.json", "zr_pool235.json"} <= {name for name, _ in cases}
+    for name, family in cases:
+        got, want = _sliced_and_looped(family)
+        assert got == want, name
+        assert {status for status, _ in got.values()} == {"pass"}, name
+
+
+def _with_up(family, up):
+    """A copy of family whose order is the given up-masks (and their transpose as down-masks).
+
+    The copy equals the family, so the engine's caches must be cleared around it.
+    """
+    n = len(family)
+    space = SpecSpace(family.members, len(family.context.universe))
+    object.__setattr__(space, "up", tuple(up))
+    object.__setattr__(space, "down", tuple(sum(1 << i for i in range(n) if up[i] >> j & 1) for j in range(n)))
+    faulty = PointFamily(family.context, family.names, family.members)
+    vars(faulty)["space"] = space
+    return faulty
+
+
+def _drop_a_cover(family, k):
+    """The order without its k-th cover i < j (nothing strictly between): still a partial order."""
+    space = family.space
+    covers = [(i, j) for i in range(len(family)) for j in range(len(family))
+              if i != j and space.up[i] & space.down[j] == 1 << i | 1 << j]
+    if k >= len(covers):
+        return None
+    i, j = covers[k]
+    return _with_up(family, [u & ~(1 << j) if a == i else u for a, u in enumerate(space.up)])
+
+
+def _add_a_relation(family, k):
+    """The order with i < j added for its k-th incomparable pair, closed transitively: still a partial order."""
+    space = family.space
+    pairs = [(i, j) for i in range(len(family)) for j in range(len(family))
+             if i != j and not (space.up[i] | space.down[i]) >> j & 1]
+    if k >= len(pairs):
+        return None
+    i, j = pairs[k]
+    return _with_up(family, [u | space.up[j] if space.down[i] >> a & 1 else u for a, u in enumerate(space.up)])
+
+
+def _patched_analysis(stage, change):
+    """A fault in one analysis stage: change(output, family) replaces what E.<stage> returns."""
+    def patch(monkeypatch, family):
+        real = getattr(E, stage)
+        monkeypatch.setattr(E, stage, lambda *args: change(real(*args), family))
+    return patch
+
+
+def _srep_without_its_lowest_point(out, family):
+    crit, cset, cset_represents, srep = out
+    return crit, cset, cset_represents, None if srep is None else srep & srep - 1
+
+
+def _first_minimal_rep_without_its_lowest_point(minreps, family):
+    return [minreps[0] & minreps[0] - 1] + minreps[1:]
+
+
+def _first_minimal_rep_with_one_more_point(minreps, family):
+    outside = ~minreps[0] & (1 << len(family)) - 1
+    return [minreps[0] | outside & -outside] + minreps[1:]
+
+
+def _critical_mask_with_one_more_point(crit, family):
+    outside = ~crit & (1 << len(family)) - 1
+    return crit | outside & -outside
+
+
+def _strong_forced_on(monkeypatch, family):
+    """A per-member fact both routes read, faulted alike: every point redundant in the full family Z
+    is strongly irredundant in Z, in the gains of the loop and in the slices of the suite."""
+    full = (1 << len(family)) - 1
+    redundant = [b for b in range(len(family)) if represents_mask(family, full ^ 1 << b)]
+    if not redundant:
+        return False
+    gains, slices = E._member_gains, E._member_gain_slices
+
+    def faulty_gains(inter, up, zmask, b, fixed, target):
+        gained, gained_strong = gains(inter, up, zmask, b, fixed, target)
+        return gained, fixed & ~target if zmask == full and b in redundant else gained_strong
+
+    def faulty_slices(H, R, up, b):
+        irr, strong = slices(H, R, up, b)
+        return irr, strong | (1 << full if b in redundant else 0)
+
+    monkeypatch.setattr(E, "_member_gains", faulty_gains)
+    monkeypatch.setattr(E, "_member_gain_slices", faulty_slices)
+    return True
+
+
+# each fault, and exactly the checks it fails on some fault family.  Dropping a
+# cover keeps every one of the six facts true (a subset of j that leaves the
+# up-set of i is still inside j), so it checks only that the routes agree.
+ORDER_FAULTS = {"drop-a-cover": (_drop_a_cover, set()), "add-a-relation": (_add_a_relation, {ISO, CORR, REMOVAL})}
+PATCH_FAULTS = {
+    "srep-without-a-point": (_patched_analysis("analysis_core", _srep_without_its_lowest_point), {AT_MOST_ONE}),
+    "minimal-rep-shrunk": (_patched_analysis("_minimal_points_checked", _first_minimal_rep_without_its_lowest_point),
+                           {DISTINCT}),
+    "minimal-rep-grown": (_patched_analysis("_minimal_points_checked", _first_minimal_rep_with_one_more_point),
+                          {DISTINCT}),
+    "critical-point-added": (_patched_analysis("critical_mask", _critical_mask_with_one_more_point), {CORR}),
+    "strong-forced-on": (_strong_forced_on, {HIER, AT_MOST_ONE, DISTINCT}),
+}
 
 
 def _fault_families():
@@ -261,95 +342,61 @@ def _fault_families():
         i1_family(),
         family_from("abcd", "abc", "a", {"B1": "ab", "B2": "ac", "V": "ad"}),
         family_from("abcde", "abcde", "a", {"B1": "abd", "B2": "ace", "P": "ade"}),
-    ] + [random_representation_family(rng, max_points=7) for _ in range(12)]
+    ] + [random_representation_family(rng, max_universe=7, max_points=9) for _ in range(40)]
 
 
-def _fault_plan(family, fault):
-    """(representation mask or None, member or None for all of them, what to force on its gains).
-
-    Tight irredundance is the strong flag by construction, so every fault
-    acts on the strong gain: forced on (with or without the plain gain),
-    forced off, or flipped (which flips the tight flag with it).
-    """
-    space = to_spec_space(family)
-    minimal = sorted(space.point_mask(z) for z in E.unique_minimal_analysis(family).minimal_representations)
-    reps = _rep_masks(family)
-    non_minimal = [z for z in reps if z not in minimal] + [None]
-    if fault == "strong-on-in-a-non-minimal-rep":
-        return non_minimal[0], None, "strong-on"
-    if fault == "irredundant-and-strong-on-in-a-non-minimal-rep":
-        return non_minimal[0], None, "both-on"
-    if fault == "tight-flipped-on-one-member":
-        return reps[-1], indices_of(reps[-1])[-1], "strong-flipped"
-    if fault == "strong-off-on-one-member-of-a-minimal-rep":
-        return minimal[0], indices_of(minimal[0])[0], "strong-off"
-    raise AssertionError(fault)
+def test_distinct_minimal_reps_check_reports_the_loops_first_fault():
+    rng = random.Random(60226)
+    for _ in range(300):
+        n = rng.randint(1, 6)
+        strong_reps = sorted(rng.sample(range(1, 1 << n), rng.randint(0, min(6, (1 << n) - 1))))
+        min_masks = rng.sample(range(1, 1 << n), rng.randint(0, min(4, (1 << n) - 1)))
+        sliced = sum(1 << z for z in strong_reps)
+        assert theorems._first_shared_or_lonely(sliced, E.point_slices(n), min_masks) == \
+            first_shared_or_lonely_by_loop(strong_reps, min_masks), (n, strong_reps, min_masks)
 
 
-def _forced_gains(gained, gained_strong, fixed, target, force):
-    some = fixed & ~target  # nonempty, as A is a proper subset of C
-    if force == "strong-on":
-        return gained, some
-    if force == "both-on":
-        return some, some
-    if force == "strong-off":
-        return gained, 0
-    return gained, 0 if gained_strong else some
+def test_faults_reach_every_subfamily_check():
+    reached = set().union(*(checks for _, checks in ORDER_FAULTS.values()),
+                          *(checks for _, checks in PATCH_FAULTS.values()))
+    assert reached == set(SUBFAMILY_CHECKS)
 
 
-HIER, ISO, CORR, REMOVAL, AT_MOST_ONE, DISTINCT = CLASSIFIED_CHECKS
-
-# each fault, and exactly the checks it fails on some fault family
-FAULT_REACHES = {
-    "strong-on-in-a-non-minimal-rep": {HIER, REMOVAL, AT_MOST_ONE, DISTINCT},
-    "irredundant-and-strong-on-in-a-non-minimal-rep": {ISO, REMOVAL, AT_MOST_ONE, DISTINCT},
-    "tight-flipped-on-one-member": {HIER, CORR, AT_MOST_ONE, DISTINCT},
-    "strong-off-on-one-member-of-a-minimal-rep": {CORR, REMOVAL, AT_MOST_ONE},
-}
-
-
-def test_helper_faults_reach_every_check_the_classification_faults_reached():
-    # the checks that faults injected into classify_member failed before the
-    # suite read engine._member_gains directly
-    assert set().union(*FAULT_REACHES.values()) >= {HIER, AT_MOST_ONE, DISTINCT}
-
-
-@pytest.mark.parametrize("fault", FAULT_REACHES)
-def test_family_suite_matches_per_check_loops_under_a_faulty_classification(monkeypatch, fault):
-    """A fault in the helper reaches the suite and classify_member alike, and
-    the suite reports what the per-check loops over classify_member report."""
-    real = E._member_gains
+@pytest.mark.parametrize("fault", ORDER_FAULTS)
+def test_sliced_checks_report_the_loops_first_witness_on_a_faulty_order(fault):
+    make, reaches = ORDER_FAULTS[fault]
     failed = set()
     for family in _fault_families():
-        fault_zmask, member, force = _fault_plan(family, fault)
-        if fault_zmask is None:
-            continue
-
-        def faulty(inter, up, zmask, b, fixed, target):
-            gained, gained_strong = real(inter, up, zmask, b, fixed, target)
-            if up is family.space.up and zmask == fault_zmask and member in (None, b):
-                return _forced_gains(gained, gained_strong, fixed, target, force)
-            return gained, gained_strong
-
-        clean = theorems.run_family_suite(family)
-        monkeypatch.setattr(E, "_member_gains", faulty)
-        got = [(r.name, r.status, r.detail) for r in theorems.run_family_suite(family)]
-        want = {name: (name, status, detail) for name, status, detail in reference_classified_checks(family)}
-        monkeypatch.setattr(E, "_member_gains", real)
-        assert got == [want.get(r.name, (r.name, r.status, r.detail)) for r in clean], family
-        failed |= {name for name, status, _ in got if status == "fail"}
-    assert failed == FAULT_REACHES[fault]
+        for k in range(6):
+            faulty = make(family, k)
+            if faulty is None:
+                break
+            got, want = _sliced_and_looped(faulty)
+            assert got == want, (family, k)
+            failed |= {name for name, (status, _) in got.items() if status == "fail"}
+    assert failed == reaches
 
 
-def test_family_suite_scans_once_and_classifies_each_pair_once(monkeypatch):
+@pytest.mark.parametrize("fault", PATCH_FAULTS)
+def test_sliced_checks_report_the_loops_first_witness_under_a_patched_fact(monkeypatch, fault):
+    patch, reaches = PATCH_FAULTS[fault]
+    failed = set()
+    for family in _fault_families():
+        with monkeypatch.context() as m:
+            if patch(m, family) is False:
+                continue
+            got, want = _sliced_and_looped(family)
+        assert got == want, family
+        failed |= {name for name, (status, _) in got.items() if status == "fail"}
+    assert failed == reaches
+
+
+def test_family_suite_scans_once_with_no_per_subfamily_call(monkeypatch):
     rng = random.Random(60224)
-    families = [random_representation_family(rng, max_points=9) for _ in range(30)]
-    families = [i1_family()] + [f for f in families if len(f) >= 5][:3]
-    assert len(families) == 4
-    # above the exhaustive cap only the full family is classified
+    families = [random_representation_family(rng, max_universe=8, max_points=12) for _ in range(40)]
+    families = [f for f in families if len(f) >= 8][:3]
+    assert len(families) == 3
     families.append(load_instance(str(FIXTURES / "setsys13.json")).family)
-    assert len(families[-1]) > theorems.EXHAUSTIVE_SUBFAMILY_CAP
-    assert not hasattr(theorems, "represents_mask")
     counts = Counter()
 
     def counted(name, fn):
@@ -359,27 +406,42 @@ def test_family_suite_scans_once_and_classifies_each_pair_once(monkeypatch):
         return wrapper
 
     for family in families:
-        space = to_spec_space(family)
-        exhaustive = len(family) <= theorems.EXHAUSTIVE_SUBFAMILY_CAP
-        reps = _rep_masks(family) if exhaustive else [space.full_mask]
+        n = len(family)
         counts.clear()
-        E.unique_minimal_analysis.cache_clear()
+        _clear_engine_caches()
         with monkeypatch.context() as m:
-            m.setattr(E, "point_slices", counted("slices", E.point_slices))
+            m.setattr(E, "_represents_slice", counted("scan", E._represents_slice))
             m.setattr(E, "_member_gains", counted("gains", E._member_gains))
             m.setattr(E, "classify_member", counted("classify", E.classify_member))
-            m.setattr(E, "critical_mask", counted("critical", E.critical_mask))
+            m.setattr(S, "intersection_mask", counted("intersections", S.intersection_mask))
+            m.setattr(E, "intersection_mask", counted("intersections", S.intersection_mask))
             results = theorems.run_family_suite(family)
-        assert_no_failures(results)
-        # the one bit-sliced scan is critical_points_oracle's; the suite's own
-        # table up to the cap doubles the raw members
-        assert counts["slices"] == 1
-        assert counts["classify"] == 0
-        # each (representation, member) pair once, and once more in the
-        # up-closure of a representation that is not closed
-        not_closed = [z for z in reps if T.up_mask(space, z) != z]
-        assert counts["gains"] == sum(z.bit_count() for z in reps) + sum(z.bit_count() for z in not_closed)
-        assert counts["critical"] == 1
+        assert {r.status for r in results} == {"pass"}, family
+        # one raw scan, shared by the six checks and critical_points_oracle
+        assert counts["scan"] == 1
+        assert counts["gains"] == counts["classify"] == 0
+        # the validation, critical_mask and the strongly irredundant representation: a few per point
+        assert counts["intersections"] <= 3 * n
+
+
+def test_subfamily_checks_skip_above_the_cap():
+    family = load_instance(str(FIXTURES / "setsys13.json")).family
+    _clear_engine_caches()
+    got = {r.name: r for r in theorems.run_family_suite(family, cap=12)}
+    for name in SUBFAMILY_CHECKS:
+        assert got[name] == theorems.CheckResult(name, "skip", "13 points exceeds the cap of 12")
+    assert {r.status for r in got.values()} <= {"pass", "skip"}
+    got = {r.name: r.status for r in theorems.run_family_suite(family, cap=13)}
+    assert {got[name] for name in SUBFAMILY_CHECKS} == {"pass"}
+
+
+def test_check_theorems_checks_every_subfamily_of_a_20_point_family(capsys):
+    _clear_engine_caches()
+    assert cli.main(["check-theorems", str(FIXTURES / "setsys20.json")]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["passed"] is True
+    assert {entry["status"] for entry in payload["checks"]} == {"pass"}
+    assert {entry["name"] for entry in payload["checks"]} >= set(SUBFAMILY_CHECKS)
 
 
 def _drop_an_open(kind):
@@ -497,7 +559,6 @@ def _first_member_full(real):
     return faulty
 
 
-AT_MOST_ONE = "at-most-one-strongly-irredundant-representation"
 MINIMAL_POINT_CHECKS = {
     "minimal-representation-equivalences": "fail", "unique-minimal-criterion": "fail",
     "strongly-irredundant-existence": "fail", AT_MOST_ONE: "skip",
@@ -514,12 +575,6 @@ STAGE_FAULTS = {
     "critical_mask": ("critical_mask", _flip_critical_mask, {
         "critical-fast-path-vs-oracle": "fail", "unique-minimal-criterion": "fail", AT_MOST_ONE: "skip"}),
 }
-
-
-def _clear_engine_caches():
-    for obj in vars(E).values():
-        if callable(getattr(obj, "cache_clear", None)):
-            obj.cache_clear()
 
 
 @pytest.mark.parametrize("fault", STAGE_FAULTS)
