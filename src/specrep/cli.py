@@ -14,6 +14,7 @@ import json
 import os
 import sys
 from dataclasses import dataclass
+from itertools import chain
 
 from . import engine, rings, theorems, zrdesk
 from .errors import (
@@ -206,8 +207,8 @@ def _payload_minimal(instance: Instance, args) -> dict:
     family = _family_of(instance)
     analysis = engine.unique_minimal_analysis(family, args.cap_points)
     payload = {
-        "minimal_closed_representations": sorted(engine._names(family, y) for y in analysis.minimal_closed),
-        "minimal_representations": sorted(engine._names(family, z) for z in analysis.minimal_representations),
+        "minimal_closed_representations": engine._name_lists(family, analysis._closed_masks),
+        "minimal_representations": engine._name_lists(family, analysis._minimal_masks),
     }
     if args.oracle:
         if engine.minimal_closed_oracle(family, args.cap_points) != analysis.minimal_closed:
@@ -299,7 +300,8 @@ def _write_json(value, out: list, pad: str) -> None:
 
     json.dumps with an indent runs the pure-Python encoder, which costs more
     than this walk over the few types the payloads hold; any other value is
-    handed to json.dumps itself.
+    handed to json.dumps itself.  A list of strings, or of non-empty lists
+    of strings, is written in joins, and a string or bool in a dict inline.
     """
     if type(value) is str:
         out.append(_encode_string(value))
@@ -316,21 +318,41 @@ def _write_json(value, out: list, pad: str) -> None:
             out.append("[]")
             return
         inner = pad + "  "
-        sep = "[\n" + inner
+        sep = ",\n" + inner
+        kinds = set(map(type, value))
+        if kinds == {str}:
+            out.append("[\n" + inner + sep.join(map(_encode_string, value)) + "\n" + pad + "]")
+            return
+        if kinds == {list} and all(value) and set(map(type, chain.from_iterable(value))) == {str}:
+            deeper = inner + "  "
+            between, next_row = ",\n" + deeper, "\n" + inner + "]" + sep + "[\n" + deeper
+            rows = next_row.join([between.join(map(_encode_string, row)) for row in value])
+            out.append("[\n" + inner + "[\n" + deeper + rows + "\n" + inner + "]\n" + pad + "]")
+            return
+        head = "[\n" + inner
         for item in value:
-            out.append(sep)
+            out.append(head)
             _write_json(item, out, inner)
-            sep = ",\n" + inner
+            head = sep
         out.append("\n" + pad + "]")
-    elif type(value) is dict and all(type(key) is str for key in value):
+    elif type(value) is dict and set(map(type, value)) <= {str}:
         if not value:
             out.append("{}")
             return
         inner = pad + "  "
         sep = "{\n" + inner
         for key in sorted(value):
-            out.append(sep + _encode_string(key) + ": ")
-            _write_json(value[key], out, inner)
+            item = value[key]
+            head = sep + _encode_string(key) + ": "
+            if type(item) is str:
+                out.append(head + _encode_string(item))
+            elif item is True:
+                out.append(head + "true")
+            elif item is False:
+                out.append(head + "false")
+            else:
+                out.append(head)
+                _write_json(item, out, inner)
             sep = ",\n" + inner
         out.append("\n" + pad + "}")
     else:

@@ -21,6 +21,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from functools import cached_property, lru_cache, partial, reduce
+from itertools import accumulate
 from operator import and_, or_
 
 from .errors import CapExceeded, ConsistencyError, NotARepresentation
@@ -162,23 +163,16 @@ def _member_gains(inter, up, zmask: int, b: int, fixed: int, target: int) -> tup
     return inter(zmask ^ bit) & fixed & ~target, inter((zmask | up[b]) & ~bit) & fixed & ~target
 
 
-def classify_member(family: PointFamily, zs, b: int) -> MemberClassification:
-    """Classify member b inside the representation Z.
+def _classification(family: PointFamily, zmask: int, b: int, inter) -> MemberClassification:
+    """Member b of the representation Z, from _member_gains on inter (meets of the raw members).
 
-    The flags come from _member_gains on the raw members; each witness is
-    the least element gained, which never lies in b's set.  Isolation flags
-    are taken in the subspace topologies on Z (patch is discrete, so patch
-    isolation always holds here).
+    Each witness is the least element gained, which never lies in b's set.
+    Isolation flags are taken in the subspace topologies on Z (patch is
+    discrete, so patch isolation always holds here).
     """
     space = family.space
     ctx = family.context
-    zmask = space.point_mask(zs)
-    if not zmask >> b & 1:
-        raise ValueError(f"point index {b} is not a member of the chosen subfamily")
-    if not represents_mask(family, zmask):
-        raise NotARepresentation("the chosen subfamily is not a representation")
-    gained, gained_strong = _member_gains(partial(intersection_mask, family), space.up, zmask, b,
-                                          ctx.fixed_mask, ctx.target_mask)
+    gained, gained_strong = _member_gains(inter, space.up, zmask, b, ctx.fixed_mask, ctx.target_mask)
     return MemberClassification(
         point=b,
         name=family.names[b],
@@ -190,6 +184,16 @@ def classify_member(family: PointFamily, zs, b: int) -> MemberClassification:
         witness_irredundant=_least_witness(family, gained),
         witness_strong=_least_witness(family, gained_strong),
     )
+
+
+def classify_member(family: PointFamily, zs, b: int) -> MemberClassification:
+    """Classify member b inside the representation Z (see _classification)."""
+    zmask = family.space.point_mask(zs)
+    if not zmask >> b & 1:
+        raise ValueError(f"point index {b} is not a member of the chosen subfamily")
+    if not represents_mask(family, zmask):
+        raise NotARepresentation("the chosen subfamily is not a representation")
+    return _classification(family, zmask, b, partial(intersection_mask, family))
 
 
 def strongly_irredundant_oracle(family: PointFamily, zs, b: int, cap: int = DEFAULT_POINT_CAP) -> bool:
@@ -545,13 +549,18 @@ class UniqueMinimalAnalysis:
         return tuple(indices_of(y) for y in self._closed_masks)
 
     @cached_property
+    def _minimal_masks(self) -> tuple[int, ...]:
+        """The minimal points of each minimal closed representation, in the order of _closed_masks."""
+        return tuple(_minimal_points_checked(self._closed_masks, *self._table()))
+
+    @cached_property
     def minimal_representations(self) -> tuple[tuple[int, ...], ...]:
         """The minimal points of each minimal closed representation, sorted."""
-        return tuple(sorted(indices_of(z) for z in _minimal_points_checked(self._closed_masks, *self._table())))
+        return tuple(sorted(map(indices_of, self._minimal_masks)))
 
     @cached_property
     def _core(self) -> tuple[bool, int | None]:
-        minimal_count = len(self.minimal_representations)
+        minimal_count = len(self._minimal_masks)
         inter, up, down, fixed, target = self._table()
         crit, _, cset_represents, srep = analysis_core(inter, minimal_count, up, down, fixed, target)
         if crit != self._critical_mask:
@@ -684,17 +693,27 @@ def build_report(family: PointFamily, zs=None, cap: int = DEFAULT_POINT_CAP, ora
     run next to each fast path and any disagreement raises ConsistencyError.
     """
     require_representation(family)
-    space = family.space
-    zmask = space.full_mask if zs is None else space.point_mask(zs)
-    if not represents_mask(family, zmask):
-        raise NotARepresentation("the chosen subfamily is not a representation")
+    ctx = family.context
+    zmask = family.space.full_mask if zs is None else family.space.point_mask(zs)
     chosen = indices_of(zmask)
-    classifications = tuple(classify_member(family, chosen, b) for b in chosen)
+    # Z minus its i-th member is the meet of the members before it and after it
+    members = [family.members[b] for b in chosen]
+    before = list(accumulate(members, and_, initial=ctx.full_mask))
+    after = list(accumulate(reversed(members), and_, initial=ctx.full_mask))[::-1]
+    if before[-1] & ctx.fixed_mask != ctx.target_mask:
+        raise NotARepresentation("the chosen subfamily is not a representation")
+    meets = {zmask ^ 1 << b: before[i] & after[i + 1] for i, b in enumerate(chosen)}
+
+    def inter(s: int) -> int:
+        # b replaced by its cone is Z minus b again whenever Z holds the cone
+        return meets[s] if s in meets else intersection_mask(family, s)
+
+    classifications = tuple(_classification(family, zmask, b, inter) for b in chosen)
     analysis = unique_minimal_analysis(family, cap)
     notices: list[str] = []
     exhaustive = True
-    try:  # every reported fact is read here, so that a fault or the cap shows here
-        analysis.critical, analysis.cset, analysis.minimal_closed, analysis.strongly_irredundant_rep
+    try:  # every reported fact is read here (the last reads every stage), so that a fault or the cap shows here
+        analysis.critical, analysis.cset, analysis.strongly_irredundant_rep
     except CapExceeded:
         exhaustive = False
         notices.append(
@@ -722,6 +741,33 @@ def build_report(family: PointFamily, zs=None, cap: int = DEFAULT_POINT_CAP, ora
 
 def _names(family: PointFamily, ixs) -> list[str]:
     return sorted(family.names[i] for i in ixs)
+
+
+def _name_lists(family: PointFamily, masks) -> list[list[str]]:
+    """sorted(_names(family, indices_of(m)) for m in masks), read four points at a time.
+
+    tables[k][c] lists the names of the points 4k to 4k + 3 that the 4-bit
+    chunk c picks, so a mask costs a lookup per chunk and a short sort.
+    """
+    names = family.names
+    tables = []
+    for k in range(0, len(names), 4):
+        table = [[]]
+        for name in names[k:k + 4]:
+            table += [row + [name] for row in table]
+        tables.append(table)
+    out = []
+    for m in masks:
+        row = []
+        for table in tables:
+            if not m:
+                break
+            row += table[m & 15]
+            m >>= 4
+        row.sort()
+        out.append(row)
+    out.sort()
+    return out
 
 
 def report_to_dict(report: RepresentationReport) -> dict:
@@ -753,8 +799,8 @@ def report_to_dict(report: RepresentationReport) -> dict:
         "notices": list(report.notices),
     }
     if report.exhaustive:
-        out["minimal_closed_representations"] = sorted(_names(fam, y) for y in analysis.minimal_closed)
-        out["minimal_representations"] = sorted(_names(fam, z) for z in analysis.minimal_representations)
+        out["minimal_closed_representations"] = _name_lists(fam, analysis._closed_masks)
+        out["minimal_representations"] = _name_lists(fam, analysis._minimal_masks)
         out["unique_minimal"] = analysis.unique
         out["critical_core_represents"] = analysis.cset_represents
         out["strongly_irredundant_representation"] = (

@@ -13,7 +13,7 @@ from functools import cached_property
 from typing import Iterable, Mapping
 
 from .errors import InputError, NotARepresentation
-from .topology import SpecSpace, _bits, indices_of
+from .topology import SpecSpace, indices_of
 
 
 @dataclass(frozen=True)
@@ -77,7 +77,7 @@ class ContextTriple:
         return m
 
     def labels_of(self, mask: int) -> tuple[str, ...]:
-        return tuple(self.universe[i] for i in _bits(mask))
+        return tuple([self.universe[i] for i in indices_of(mask)])
 
 
 @dataclass(frozen=True)

@@ -372,6 +372,9 @@ def test_acceptance_9_cli_golden_bytes():
         (("analyze", "fixtures/setsys13.json"), "setsys13_analyze.json"),
         (("minimal", "fixtures/setsys20.json"), "setsys20_minimal.json"),
         (("analyze", "fixtures/setsys20.json"), "setsys20_analyze.json"),
+        (("critical", "fixtures/setsys20.json"), "setsys20_critical.json"),
+        (("analyze", "fixtures/setsys13.json", "--format", "text"), "setsys13_analyze.txt"),
+        (("analyze", "fixtures/setsys13.json", "--format", "dot"), "setsys13_hasse.dot"),
     ]
     bad = []
     for argv, golden_name in cases:

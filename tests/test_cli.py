@@ -38,8 +38,29 @@ def test_analyze_i1(capsys):
 _LEAVES = (st.none() | st.booleans() | st.integers() | st.integers(min_value=-(1 << 200), max_value=1 << 200)
            | st.text() | st.sampled_from(["", "\\", '"', "\n\t\x00\x7f", "\u00e9\u2603\U0001f600", "</script>"])
            | st.floats(allow_nan=True))
+# lists of non-empty name lists, written in joins, and such lists with one row spoilt, written item by item
+_NAMES = st.text() | st.sampled_from(["", "\\", '"', "\n\t\x00\x1f\x7f", "\u00e9\u2603\U0001f600"])
+_NAME_LISTS = st.lists(st.lists(_NAMES, min_size=1, max_size=4), min_size=1, max_size=5)
+
+
+@st.composite
+def _spoilt_name_lists(draw):
+    """A list of name lists with an empty row inserted, a row made a tuple, or a non-string leaf in a row."""
+    rows = draw(_NAME_LISTS)
+    i = draw(st.integers(min_value=0, max_value=len(rows) - 1))
+    spoil = draw(st.sampled_from(("empty", "tuple", "leaf")))
+    if spoil == "empty":
+        rows.insert(i, [])
+    elif spoil == "tuple":
+        rows[i] = tuple(rows[i])
+    else:
+        rows[i].insert(draw(st.integers(min_value=0, max_value=len(rows[i]))),
+                       draw(st.none() | st.booleans() | st.integers() | st.floats(allow_nan=True)))
+    return rows
+
+
 _PAYLOADS = st.recursive(
-    _LEAVES,
+    _LEAVES | _NAME_LISTS | _spoilt_name_lists(),
     lambda inner: (st.lists(inner, max_size=4) | st.lists(inner, max_size=3).map(tuple)
                    | st.dictionaries(st.text(), inner, max_size=4)
                    | st.dictionaries(st.integers(), inner, max_size=3)),

@@ -6,17 +6,22 @@ against the fast paths.
 """
 
 import dataclasses
+import json
+import pathlib
 import random
 import re
 
 import pytest
 
+from specrep import cli
 from specrep import engine as E
-from specrep.errors import CapExceeded, NotARepresentation
-from specrep.setsystems import represents_mask, to_spec_space
+from specrep.errors import CapExceeded, InputError, NotARepresentation
+from specrep.setsystems import ContextTriple, PointFamily, represents_mask, to_spec_space
 from specrep.topology import indices_of
 
 from helpers import family_from, i1_family, random_representation_family
+
+FIXTURES = pathlib.Path(__file__).resolve().parent.parent / "fixtures"
 
 
 @pytest.fixture
@@ -427,3 +432,110 @@ def test_report_on_chosen_subfamily(i1):
     report = E.build_report(i1, zs=(0, 1))
     assert report.chosen == (0, 1)
     assert all(c.strongly_irredundant for c in report.classifications)
+
+
+# ------------------------------------------------------- one-pass classification
+
+def _fixture_families():
+    """The family of every fixture that holds one (set systems, rings with an ideal, zr with members)."""
+    out = []
+    for path in sorted(FIXTURES.glob("*.json")):
+        try:
+            out.append(cli._family_of(cli.load_instance(str(path))))
+        except InputError:
+            continue
+    return out
+
+
+def _chosen_subfamilies(family):
+    """Z as the whole family, each minimal representation, and the whole family minus a redundant point."""
+    full = family.space.full_mask
+    zs = [full]
+    if len(family) <= E.DEFAULT_POINT_CAP:
+        zs += [family.space.point_mask(z) for z in E.unique_minimal_analysis(family).minimal_representations]
+    zs += [full ^ 1 << b for b in range(len(family)) if represents_mask(family, full ^ 1 << b)]
+    return zs
+
+
+def _lacks_part_of_a_cone(family, zmask):
+    return any(family.space.up[b] & ~zmask for b in indices_of(zmask))
+
+
+def _assert_report_classifies_as_classify_member(family, zmask):
+    chosen = indices_of(zmask)
+    report = E.build_report(family, zs=chosen)
+    assert report.classifications == tuple(E.classify_member(family, chosen, b) for b in chosen), (family, zmask)
+
+
+def test_build_report_classifies_as_classify_member_on_every_fixture():
+    families = _fixture_families()
+    assert len(families) >= 10
+    lacking = 0
+    for family in families:
+        for zmask in _chosen_subfamilies(family):
+            _assert_report_classifies_as_classify_member(family, zmask)
+            lacking += _lacks_part_of_a_cone(family, zmask)
+    assert lacking, "some Z must lack part of a member's cone, so that the strong gain takes its own meet"
+
+
+def test_build_report_classifies_as_classify_member_on_random_families():
+    rng = random.Random(60226)
+    lacking = 0
+    for _ in range(60):
+        family = random_representation_family(rng, max_universe=6, max_points=8)
+        for zmask in all_representation_masks(family):
+            _assert_report_classifies_as_classify_member(family, zmask)
+            lacking += _lacks_part_of_a_cone(family, zmask)
+    assert lacking > 50
+
+
+def test_build_report_on_the_whole_family_takes_no_meet_per_member(monkeypatch):
+    intersection_mask = E.intersection_mask
+    calls = []
+
+    def counted(family, points_mask):
+        calls.append(points_mask)
+        return intersection_mask(family, points_mask)
+
+    monkeypatch.setattr(E, "intersection_mask", counted)
+    lacking_seen = 0
+    for family in _fixture_families():
+        calls.clear()
+        report = E.build_report(family)
+        assert len(report.classifications) == len(family)
+        assert calls == [], family
+        # in a Z that lacks part of a cone, the strong gain of each such member takes one meet of its own
+        for zmask in _chosen_subfamilies(family):
+            lacking = [b for b in indices_of(zmask) if family.space.up[b] & ~zmask]
+            calls.clear()
+            E.build_report(family, zs=indices_of(zmask))
+            assert len(calls) == len(lacking), (family, zmask)
+            lacking_seen += len(lacking)
+    assert lacking_seen
+
+
+# ------------------------------------------------------------- name lists
+
+_AWKWARD_NAMES = ["P10", "P2", "", '"', "\\", "a\nb", "\x00\x1f", "\u00e9", "\u2603", "\U0001f600", "</x>", "Z", "a"]
+
+
+def _family_named(names):
+    """A family whose point names are names, in that order: distinct members over five elements."""
+    ctx = ContextTriple(tuple("abcde"), 0b11, 0)
+    return PointFamily(ctx, tuple(names), tuple(range(len(names))))
+
+
+@pytest.mark.parametrize("n", range(1, 22))
+def test_name_lists_equal_the_sorted_names_of_each_mask(n):
+    rng = random.Random(n)
+    pool = _AWKWARD_NAMES + [f"Q{i}" for i in range(n)]
+    names = rng.sample(pool, n)
+    if names == sorted(names):  # names out of index order, from 2 points on
+        names.reverse()
+    family = _family_named(names)
+    full = (1 << n) - 1
+    masks = [0, full, *(1 << b for b in range(n)), *(rng.randrange(1 << n) for _ in range(40))]
+    want = sorted(E._names(family, indices_of(m)) for m in masks)
+    got = E._name_lists(family, masks)
+    assert got == want
+    assert cli.render_json(got) == json.dumps(want, indent=2, sort_keys=True)
