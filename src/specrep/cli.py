@@ -14,7 +14,6 @@ import json
 import os
 import sys
 from dataclasses import dataclass
-from itertools import chain
 
 from . import engine, rings, theorems, zrdesk
 from .errors import (
@@ -52,7 +51,7 @@ def _is_int(value) -> bool:
 
 
 def _string_list(value, field: str) -> list[str]:
-    if not isinstance(value, list) or not all(isinstance(x, str) for x in value):
+    if not isinstance(value, list) or not all(map(str.__instancecheck__, value)):
         raise InputError(f"field {field!r} must be a list of strings")
     return value
 
@@ -206,10 +205,8 @@ def _payload_analyze(instance: Instance, args) -> dict:
 def _payload_minimal(instance: Instance, args) -> dict:
     family = _family_of(instance)
     analysis = engine.unique_minimal_analysis(family, args.cap_points)
-    payload = {
-        "minimal_closed_representations": engine._name_lists(family, analysis._closed_masks),
-        "minimal_representations": engine._name_lists(family, analysis._minimal_masks),
-    }
+    closed, minimal = engine._name_lists(family, analysis._closed_masks, analysis._minimal_masks)
+    payload = {"minimal_closed_representations": closed, "minimal_representations": minimal}
     if args.oracle:
         if engine.minimal_closed_oracle(family, args.cap_points) != analysis.minimal_closed:
             raise ConsistencyError("minimal-closed fast path disagrees with the exhaustive oracle")
@@ -301,7 +298,9 @@ def _write_json(value, out: list, pad: str) -> None:
     json.dumps with an indent runs the pure-Python encoder, which costs more
     than this walk over the few types the payloads hold; any other value is
     handed to json.dumps itself.  A list of strings, or of non-empty lists
-    of strings, is written in joins, and a string or bool in a dict inline.
+    of strings, is written in joins (the encoder raises TypeError on any
+    other leaf, and the list is then written item by item), and a string or
+    bool in a dict inline.
     """
     if type(value) is str:
         out.append(_encode_string(value))
@@ -323,12 +322,16 @@ def _write_json(value, out: list, pad: str) -> None:
         if kinds == {str}:
             out.append("[\n" + inner + sep.join(map(_encode_string, value)) + "\n" + pad + "]")
             return
-        if kinds == {list} and all(value) and set(map(type, chain.from_iterable(value))) == {str}:
+        if kinds == {list} and all(value):
             deeper = inner + "  "
             between, next_row = ",\n" + deeper, "\n" + inner + "]" + sep + "[\n" + deeper
-            rows = next_row.join([between.join(map(_encode_string, row)) for row in value])
-            out.append("[\n" + inner + "[\n" + deeper + rows + "\n" + inner + "]\n" + pad + "]")
-            return
+            try:
+                rows = next_row.join([between.join(map(_encode_string, row)) for row in value])
+            except TypeError:  # a leaf that is not a string: written item by item below
+                pass
+            else:
+                out.append("[\n" + inner + "[\n" + deeper + rows + "\n" + inner + "]\n" + pad + "]")
+                return
         head = "[\n" + inner
         for item in value:
             out.append(head)

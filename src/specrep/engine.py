@@ -291,15 +291,9 @@ def minimal_closed_core(inter, up, down, fixed: int, target: int) -> list[int]:
     out = []
     chosen = []
 
-    def search(once: int, twice: int, cand: int) -> None:
-        """Extend the chosen points; once / twice hold the atoms they cover at least once / twice."""
+    def search(once: int, twice: int, cand: int, y: int) -> None:
+        """Extend the chosen points; y is their up-set, once / twice the atoms they cover at least once / twice."""
         uncovered = atoms & ~once
-        if not uncovered:
-            y = 0
-            for b in chosen:
-                y |= up[b]
-            out.append(y)
-            return
         fewest = n + 1
         m = uncovered
         while m:
@@ -322,17 +316,23 @@ def minimal_closed_core(inter, up, down, fixed: int, target: int) -> list[int]:
                     if not priv[b] & ~more:
                         break
                 else:
-                    chosen.append(v)
-                    search(once | avoid[v], more, cand)
-                    chosen.pop()
+                    if uncovered & ~avoid[v]:
+                        chosen.append(v)
+                        search(once | avoid[v], more, cand, y | up[v])
+                        chosen.pop()
+                    else:  # v covers the last atoms: a leaf
+                        out.append(y | up[v])
             cand |= low
 
-    if all(avoiders.values()):  # else some atom has no candidate avoider
-        search(0, 0, cand)
+    if not atoms:
+        out.append(0)
+    elif all(avoiders.values()):  # else some atom has no candidate avoider
+        search(0, 0, cand, 0)
     if not out:
         raise ConsistencyError("a representation must contain a minimal closed one")
-    if len(out) > 1:  # canonical order is that of the binary digits from bit 0 up, with set before unset
-        out.sort(key=lambda y, flip=str.maketrans("01", "10"): bin(y)[:1:-1].translate(flip))
+    # canonical order is that of the index tuples: the binary digits from bit 0
+    # up, set before unset; an antichain has no key that is a prefix of another
+    out.sort(key=lambda y: bin(y)[:1:-1], reverse=True)
     return out
 
 
@@ -350,10 +350,12 @@ def _minimal_points_checked(closed, inter, up, down, fixed: int, target: int) ->
     """
     lo, hi, h = inter.lo, inter.hi, inter.h
     lmask = len(lo) - 1
+    alone = sum(1 << b for b, d in enumerate(down) if d == 1 << b)  # minimal in every y that holds them
+    tall = sum(1 << b for b, u in enumerate(up) if u & ~(1 << b))  # with a point above
     minreps = []
     for y in closed:
-        z = 0
-        m = y
+        z = y & alone
+        m = y & ~alone
         while m:
             low = m & -m
             if down[low.bit_length() - 1] & y == low:
@@ -367,10 +369,15 @@ def _minimal_points_checked(closed, inter, up, down, fixed: int, target: int) ->
             low = m & -m
             b = low.bit_length() - 1
             regen |= up[b]
-            s, t = z ^ low, (z | up[b]) & ~low
-            # both legs: strong implies irredundant only for a monotone table
-            if lo[s & lmask] & hi[s >> h] & fixed == target or lo[t & lmask] & hi[t >> h] & fixed == target:
+            s = z ^ low
+            # both legs: strong implies irredundant only for a monotone table; without
+            # a point above b the strong leg's (z | up[b]) & ~b is this s again
+            if lo[s & lmask] & hi[s >> h] & fixed == target:
                 raise ConsistencyError("a minimal point of a minimal representation is redundant")
+            if tall & low:
+                t = (z | up[b]) & ~low
+                if lo[t & lmask] & hi[t >> h] & fixed == target:
+                    raise ConsistencyError("a minimal point of a minimal representation is redundant")
             m ^= low
         if regen != y:
             raise ConsistencyError("minimal points fail to regenerate their closed representation")
@@ -743,11 +750,12 @@ def _names(family: PointFamily, ixs) -> list[str]:
     return sorted(family.names[i] for i in ixs)
 
 
-def _name_lists(family: PointFamily, masks) -> list[list[str]]:
-    """sorted(_names(family, indices_of(m)) for m in masks), read four points at a time.
+def _name_lists(family: PointFamily, *groups) -> list[list[list[str]]]:
+    """[sorted(_names(family, indices_of(m)) for m in masks) for masks in groups], read four points at a time.
 
     tables[k][c] lists the names of the points 4k to 4k + 3 that the 4-bit
-    chunk c picks, so a mask costs a lookup per chunk and a short sort.
+    chunk c picks, so a mask costs a lookup per chunk and a short sort.  A
+    mask met before gets a copy of its row: no two rows are one list.
     """
     names = family.names
     tables = []
@@ -756,17 +764,25 @@ def _name_lists(family: PointFamily, masks) -> list[list[str]]:
         for name in names[k:k + 4]:
             table += [row + [name] for row in table]
         tables.append(table)
+    rows = {}
     out = []
-    for m in masks:
-        row = []
-        for table in tables:
-            if not m:
-                break
-            row += table[m & 15]
-            m >>= 4
-        row.sort()
-        out.append(row)
-    out.sort()
+    for masks in groups:
+        lists = []
+        for m in masks:
+            row = rows.get(m)
+            if row is None:
+                row = rows[m] = []
+                for table in tables:
+                    if not m:
+                        break
+                    row += table[m & 15]
+                    m >>= 4
+                row.sort()
+            else:
+                row = row[:]
+            lists.append(row)
+        lists.sort()
+        out.append(lists)
     return out
 
 
@@ -799,8 +815,9 @@ def report_to_dict(report: RepresentationReport) -> dict:
         "notices": list(report.notices),
     }
     if report.exhaustive:
-        out["minimal_closed_representations"] = _name_lists(fam, analysis._closed_masks)
-        out["minimal_representations"] = _name_lists(fam, analysis._minimal_masks)
+        out["minimal_closed_representations"], out["minimal_representations"] = _name_lists(
+            fam, analysis._closed_masks, analysis._minimal_masks
+        )
         out["unique_minimal"] = analysis.unique
         out["critical_core_represents"] = analysis.cset_represents
         out["strongly_irredundant_representation"] = (

@@ -284,6 +284,45 @@ def walk_minimal_closed(inter, up, down, fixed: int, target: int) -> list[int]:
     return sorted(out, key=indices_of)
 
 
+def minimal_points_by_loop(closed, inter, up, down, fixed: int, target: int) -> list[int]:
+    """Minimal points of each closed mask, checked point by point: the reference for engine._minimal_points_checked.
+
+    Takes that function's arguments and gives its answer or raises its
+    ConsistencyError.  For each y it finds z, the points of y with no other
+    point of y below them, tests every point of y; then it requires that z
+    represents, that each b of z is irredundant (z without b fails) and
+    strongly irredundant (z with b's cone for b fails), both tested for
+    every b, and that the cones of z regenerate y.
+    """
+    lo, hi, h = inter.lo, inter.hi, inter.h
+    lmask = len(lo) - 1
+    minreps = []
+    for y in closed:
+        z = 0
+        m = y
+        while m:
+            low = m & -m
+            if down[low.bit_length() - 1] & y == low:
+                z |= low
+            m ^= low
+        if lo[z & lmask] & hi[z >> h] & fixed != target:
+            raise ConsistencyError("minimal points of a closed representation must represent")
+        regen = 0
+        m = z
+        while m:
+            low = m & -m
+            b = low.bit_length() - 1
+            regen |= up[b]
+            s, t = z ^ low, (z | up[b]) & ~low
+            if lo[s & lmask] & hi[s >> h] & fixed == target or lo[t & lmask] & hi[t >> h] & fixed == target:
+                raise ConsistencyError("a minimal point of a minimal representation is redundant")
+            m ^= low
+        if regen != y:
+            raise ConsistencyError("minimal points fail to regenerate their closed representation")
+        minreps.append(z)
+    return minreps
+
+
 class Brute:
     """Definition-level answers from a scan of every subfamily mask."""
 

@@ -375,6 +375,8 @@ def test_acceptance_9_cli_golden_bytes():
         (("critical", "fixtures/setsys20.json"), "setsys20_critical.json"),
         (("analyze", "fixtures/setsys13.json", "--format", "text"), "setsys13_analyze.txt"),
         (("analyze", "fixtures/setsys13.json", "--format", "dot"), "setsys13_hasse.dot"),
+        (("analyze", "fixtures/setsys16_deep.json"), "setsys16_deep_analyze.json"),
+        (("minimal", "fixtures/setsys16_deep.json", "--format", "text"), "setsys16_deep_minimal.txt"),
     ]
     bad = []
     for argv, golden_name in cases:

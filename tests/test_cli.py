@@ -5,6 +5,7 @@ import json
 import math
 import pathlib
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from specrep import cli, engine, rings, setsystems, theorems, zrdesk
@@ -71,6 +72,21 @@ _PAYLOADS = st.recursive(
 @settings(max_examples=300, derandomize=True, deadline=None)
 @given(_PAYLOADS)
 def test_render_json_equals_json_dumps(payload):
+    assert cli.render_json(payload) == json.dumps(payload, indent=2, sort_keys=True)
+
+
+class _Name(str):
+    pass
+
+
+@pytest.mark.parametrize("payload", [
+    [["a", "b"], ["c"], ["d", 7]],  # the join meets a non-string leaf only in the last row
+    [["a"], ["b", None]],
+    [["a", _Name("b\u00e9")], [_Name("")]],  # a str subclass is written as a string
+    [["a"], [], ["b"]],  # an empty row is written item by item
+    {"rows": [["a", "b"], [True]], "more": [[]]},
+], ids=["int-in-last-row", "null-in-last-row", "str-subclass", "empty-row", "in-a-dict"])
+def test_render_json_writes_spoilt_name_lists_as_json_dumps(payload):
     assert cli.render_json(payload) == json.dumps(payload, indent=2, sort_keys=True)
 
 

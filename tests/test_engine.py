@@ -534,8 +534,12 @@ def test_name_lists_equal_the_sorted_names_of_each_mask(n):
         names.reverse()
     family = _family_named(names)
     full = (1 << n) - 1
-    masks = [0, full, *(1 << b for b in range(n)), *(rng.randrange(1 << n) for _ in range(40))]
-    want = sorted(E._names(family, indices_of(m)) for m in masks)
-    got = E._name_lists(family, masks)
+    first = [0, full, *(1 << b for b in range(n)), *(rng.randrange(1 << n) for _ in range(40))]
+    # masks of the first list come again in the second, as closed masks that are their own minimal points do
+    second = [*rng.sample(first, 12), *(rng.randrange(1 << n) for _ in range(20))]
+    want = [sorted(E._names(family, indices_of(m)) for m in masks) for masks in (first, second)]
+    got = E._name_lists(family, first, second)
     assert got == want
+    rows = [row for lists in got for row in lists]
+    assert len(set(map(id, rows))) == len(rows)  # no row is shared, within a list or across the two
     assert cli.render_json(got) == json.dumps(want, indent=2, sort_keys=True)

@@ -6,7 +6,11 @@ points.  The minimal-closed search, a transversal search over the atoms'
 avoiders, is also compared with the up-set walk it replaced
 (`helpers.walk_minimal_closed`) on families of 13 to 20 points, and with
 Brute on families whose members miss part of A, and on families whose
-atoms are copied so that some are avoided by the same points.  A call-counting test pins
+atoms are copied so that some are avoided by the same points, and on
+families where one point covers every atom.  Its output is in the order of
+the index tuples.  The minimal-point check is compared with the point-by-point
+loop it replaced (`helpers.minimal_points_by_loop`) under faulty orders and
+tables.  A call-counting test pins
 down that one `analyze` builds the intersection table once and runs the
 minimal-closed search once.  The split intersection table is read against
 subset_intersections on every mask, and its size and memory are bounded at
@@ -19,6 +23,7 @@ import pathlib
 import random
 import sys
 import tracemalloc
+from types import SimpleNamespace
 
 from hypothesis import assume, given, settings, strategies as st
 
@@ -27,7 +32,9 @@ from specrep import engine as E
 from specrep.errors import ConsistencyError
 from specrep.setsystems import ContextTriple, PointFamily, to_spec_space
 
-from helpers import Brute, families, walk_minimal_closed
+from specrep.topology import indices_of
+
+from helpers import Brute, families, minimal_points_by_loop, walk_minimal_closed
 
 sys.path.insert(0, str(pathlib.Path(__file__).resolve().parent.parent / "bench"))
 import workloads  # noqa: E402  (bench/workloads.py: the set-system instances)
@@ -132,6 +139,90 @@ def test_search_is_unchanged_by_interchangeable_atoms(family, data):
     wider = PointFamily(ContextTriple(universe, fixed, target), family.names, tuple(members))
     want = [sum(1 << i for i in y) for y in Brute(family).minimal_closed()]
     assert E.minimal_closed_core(*_search_args(wider)) == E.minimal_closed_core(*_search_args(family)) == want
+
+
+@settings(max_examples=60, derandomize=True, deadline=None)
+@given(families())
+def test_search_order_is_that_of_the_index_tuples(family):
+    out = E.minimal_closed_core(*_search_args(family))
+    assert out == sorted(out, key=indices_of)
+
+
+def test_search_emits_a_one_point_leaf():
+    # B3 = ad avoids both atoms b and c on its own, so {B3} is a leaf at depth 1
+    ctx = ContextTriple(tuple("abcd"), 0b0111, 0b0001)
+    family = PointFamily(ctx, ("B1", "B2", "B3"), (0b0011, 0b0101, 0b1001))
+    assert E.minimal_closed_core(*_search_args(family)) == [0b011, 0b100]
+
+
+@settings(max_examples=80, derandomize=True, deadline=None)
+@given(families(max_points=11), st.integers(min_value=0, max_value=127))
+def test_search_with_a_point_covering_every_atom(family, outside):
+    # the new member meets C in A alone, so it avoids every atom
+    ctx = family.context
+    cover = ctx.target_mask | outside & ctx.full_mask & ~ctx.fixed_mask
+    assume(cover not in family.members)
+    wider = PointFamily(ctx, family.names + ("cover",), family.members + (cover,))
+    want = [sum(1 << i for i in y) for y in Brute(wider).minimal_closed()]
+    assert E.minimal_closed_core(*_search_args(wider)) == want
+
+
+@st.composite
+def checked_inputs(draw):
+    """The minimal-point check's arguments on a random family, with a faulty order, a faulty table, both or neither.
+
+    closed holds the family's minimal closed masks with up to two drawn
+    masks among them.  The order may lose one relation b < c from up[b],
+    down[c] or both, or a point may lose itself from its up-set, its
+    down-set or both.  The table may have up to three entries that the
+    check reads turned to the target or away from it, so that it is no
+    longer monotone.
+    """
+    family = draw(families())
+    space, ctx = family.space, family.context
+    n = len(family)
+    up, down = list(space.up), list(space.down)
+    fixed, target = ctx.fixed_mask, ctx.target_mask
+    real = E.minimal_closed_core(*_search_args(family))
+    extra = draw(st.lists(st.integers(min_value=0, max_value=(1 << n) - 1), max_size=2))
+    closed = draw(st.permutations(real + extra))
+    read = []  # the sets that the check reads under the true order
+    for z in E._minimal_points_checked(real, *_search_args(family)):
+        read.append(z)
+        for b in indices_of(z):
+            read += [z ^ 1 << b, (z | up[b]) & ~(1 << b)]
+    fault = draw(st.sampled_from(["none", "dropped", "non-reflexive"]))
+    pairs = [(b, c) for b in range(n) for c in range(n) if b != c and up[b] >> c & 1]
+    if fault == "dropped" and pairs:
+        b, c = draw(st.sampled_from(pairs))
+        side = draw(st.sampled_from(["up", "down", "both"]))
+        if side != "down":
+            up[b] &= ~(1 << c)
+        if side != "up":
+            down[c] &= ~(1 << b)
+    elif fault == "non-reflexive":
+        b = draw(st.integers(min_value=0, max_value=n - 1))
+        side = draw(st.sampled_from(["up", "down", "both"]))
+        if side != "down":
+            up[b] &= ~(1 << b)
+        if side != "up":
+            down[b] &= ~(1 << b)
+    lo = E.subset_intersections(ctx.full_mask, family.members)
+    for s in draw(st.lists(st.sampled_from(read), max_size=3)):
+        lo[s] = ctx.full_mask if lo[s] & fixed == target else target
+    return closed, SimpleNamespace(lo=lo, hi=[ctx.full_mask], h=n), up, down, fixed, target
+
+
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(checked_inputs())
+def test_minimal_point_check_equals_the_point_by_point_loop(args):
+    def outcome(check):
+        try:
+            return check(*args)
+        except ConsistencyError as exc:
+            return str(exc)
+
+    assert outcome(E._minimal_points_checked) == outcome(minimal_points_by_loop)
 
 
 @st.composite

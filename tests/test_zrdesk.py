@@ -394,21 +394,28 @@ def test_each_bit_sliced_cross_check_can_fire(monkeypatch, primes, order, table,
 
 # i1: B1 = ab and B2 = ac lie below B3 = abc, with target a; its one minimal
 # closed representation is every point, with minimal points B1 and B2
-@pytest.mark.parametrize("closed, represents, up, message", [
+@pytest.mark.parametrize("closed, represents, up, down, message", [
     # {B3} is an up-set that does not represent
-    ([0b100], (), None, "minimal points of a closed representation must represent"),
+    ([0b100], (), None, None, "minimal points of a closed representation must represent"),
     # a table that is not monotone lets B1 go: {B2} represents but {B2, B3}
     # does not, so only the irredundance leg sees it
-    ([0b111], (0b010,), None, "a minimal point of a minimal representation is redundant"),
+    ([0b111], (0b010,), None, None, "a minimal point of a minimal representation is redundant"),
     # {B2, B3} represents but {B2} does not, so only the strong leg sees that
     # B1 can be replaced by its cone
-    ([0b111], (0b110,), None, "a minimal point of a minimal representation is redundant"),
+    ([0b111], (0b110,), None, None, "a minimal point of a minimal representation is redundant"),
+    # {B1, B3} represents: B1 passes both legs, and only the strong leg sees
+    # that B2, with B3 above it, can be replaced by its cone
+    ([0b111], (0b101,), None, None, "a minimal point of a minimal representation is redundant"),
     # the order loses B3 above B1 and B2
-    ([0b111], (), (0b001, 0b010, 0b100), "minimal points fail to regenerate their closed representation"),
+    ([0b111], (), (0b001, 0b010, 0b100), None, "minimal points fail to regenerate their closed representation"),
+    # the order puts B2 below B1 too: B1, alone below itself in the true order,
+    # is then not a minimal point of {B1, B2, B3}, and {B2} does not represent
+    ([0b111], (), None, (0b011, 0b010, 0b111), "minimal points of a closed representation must represent"),
     # {B1, B2} is not an up-set
-    ([0b011], (), None, "minimal points fail to regenerate their closed representation"),
-], ids=["non-representing-up-set", "table-drops-B1", "only-the-strong-leg", "order-drops-B3", "not-an-up-set"])
-def test_each_engine_minimal_points_check_can_fire(closed, represents, up, message):
+    ([0b011], (), None, None, "minimal points fail to regenerate their closed representation"),
+], ids=["non-representing-up-set", "table-drops-B1", "only-the-strong-leg", "only-the-strong-leg-at-B2",
+        "order-drops-B3", "order-puts-B2-below-B1", "not-an-up-set"])
+def test_each_engine_minimal_points_check_can_fire(closed, represents, up, down, message):
     family = i1_family()
     space, fixed, target = family.space, family.context.fixed_mask, family.context.target_mask
     inter = E.intersection_table(family)
@@ -419,7 +426,7 @@ def test_each_engine_minimal_points_check_can_fire(closed, represents, up, messa
     for y in represents:
         inter.lo[y] = target
     with pytest.raises(ConsistencyError) as info:
-        E._minimal_points_checked(closed, inter, up or space.up, space.down, fixed, target)
+        E._minimal_points_checked(closed, inter, up or space.up, down or space.down, fixed, target)
     assert str(info.value) == message
 
 
