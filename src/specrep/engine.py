@@ -750,12 +750,12 @@ def _names(family: PointFamily, ixs) -> list[str]:
     return sorted(family.names[i] for i in ixs)
 
 
-def _name_lists(family: PointFamily, *groups) -> list[list[list[str]]]:
-    """[sorted(_names(family, indices_of(m)) for m in masks) for masks in groups], read four points at a time.
+def _name_lists(family: PointFamily, closed, minimal) -> tuple[list[list[str]], list[list[str]]]:
+    """The pair (sorted(_names(family, indices_of(m)) for m in masks) for masks in (closed, minimal)).
 
     tables[k][c] lists the names of the points 4k to 4k + 3 that the 4-bit
-    chunk c picks, so a mask costs a lookup per chunk and a short sort.  A
-    mask met before gets a copy of its row: no two rows are one list.
+    chunk c picks, built once for both lists, so a mask costs a lookup per
+    chunk and a short sort.
     """
     names = family.names
     tables = []
@@ -764,26 +764,21 @@ def _name_lists(family: PointFamily, *groups) -> list[list[list[str]]]:
         for name in names[k:k + 4]:
             table += [row + [name] for row in table]
         tables.append(table)
-    rows = {}
     out = []
-    for masks in groups:
+    for masks in (closed, minimal):
         lists = []
         for m in masks:
-            row = rows.get(m)
-            if row is None:
-                row = rows[m] = []
-                for table in tables:
-                    if not m:
-                        break
-                    row += table[m & 15]
-                    m >>= 4
-                row.sort()
-            else:
-                row = row[:]
+            row = []
+            for table in tables:
+                if not m:
+                    break
+                row += table[m & 15]
+                m >>= 4
+            row.sort()
             lists.append(row)
         lists.sort()
         out.append(lists)
-    return out
+    return out[0], out[1]
 
 
 def report_to_dict(report: RepresentationReport) -> dict:

@@ -539,7 +539,7 @@ def test_name_lists_equal_the_sorted_names_of_each_mask(n):
     second = [*rng.sample(first, 12), *(rng.randrange(1 << n) for _ in range(20))]
     want = [sorted(E._names(family, indices_of(m)) for m in masks) for masks in (first, second)]
     got = E._name_lists(family, first, second)
-    assert got == want
+    assert got == tuple(want)
     rows = [row for lists in got for row in lists]
-    assert len(set(map(id, rows))) == len(rows)  # no row is shared, within a list or across the two
+    assert len(set(map(id, rows))) == len(rows)  # every row is its own list, within a list and across the two
     assert cli.render_json(got) == json.dumps(want, indent=2, sort_keys=True)
