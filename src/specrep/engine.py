@@ -26,20 +26,25 @@ from operator import and_, or_
 
 from .errors import CapExceeded, ConsistencyError, NotARepresentation
 from .setsystems import PointFamily, intersection_mask, represents_mask, require_representation
-from .topology import INVERSE, PATCH, SPECTRAL, SpecSpace, _bits, indices_of, min_mask
+from .topology import INVERSE, PATCH, SPECTRAL, _alone, _bits, _element_classes, indices_of, min_mask
 
 DEFAULT_POINT_CAP = 20
 
-# The one exhaustive route that can hold up to 2^n masks for n points is the
-# up-set list.  Each is about BYTES_PER_ENTRY bytes in CPython (an 8-byte
-# list slot plus an int object of about 32 bytes).  POINT_CAP_CEILING is the
-# largest point cap whose 2^n entries fit ENUMERATION_BUDGET: 24 points,
-# about 670 MB.  The minimal-closed search holds no frontier (a few masks
-# per level, at most n levels), the analysis's own intersection table is two
-# half tables (SplitTable), 2^12 + 2^12 entries at 24 points, and the
-# oracles' scan and the theorem suite's checks are bit-sliced: each holds a
-# few more than n integers of 2^n bits at a time (see point_slices), tens of
-# MB at 24 points.  So the ceiling rests on none of them.
+# The lists of 2^n entries for n points are the per-size tables of
+# zrdesk._sliced_target: its up-set list (upset_masks) and the intersections,
+# covers and cones of the m primes of one target, which a zr-check pool of up
+# to cap primes reaches.  Each entry is about BYTES_PER_ENTRY bytes in
+# CPython (an 8-byte list slot plus an int object of about 32 bytes).
+# POINT_CAP_CEILING is the largest point cap whose 2^n entries fit
+# ENUMERATION_BUDGET: 24 points, about 670 MB for one list.  _sliced_target
+# holds a few such lists at once, so a pool near the ceiling would pass the
+# budget, and its time passes any desk-scale bound first.  The minimal-closed
+# search holds no frontier (a few masks per level, at most n levels), the
+# analysis's own intersection table is two half tables (SplitTable), 2^12 +
+# 2^12 entries at 24 points, and the oracles' scan and the theorem suite's
+# checks are bit-sliced: each holds a few more than n integers of 2^n bits at
+# a time (see point_slices), tens of MB at 24 points.  So the ceiling rests on
+# none of them.
 BYTES_PER_ENTRY = 40
 ENUMERATION_BUDGET = 1 << 30
 POINT_CAP_CEILING = (ENUMERATION_BUDGET // BYTES_PER_ENTRY).bit_length() - 1
@@ -50,38 +55,25 @@ def _require_cap(n: int, cap: int, what: str) -> None:
         raise CapExceeded(f"{what} over {n} points exceeds the cap of {cap}")
 
 
-def _linear_extension(up: tuple[int, ...]) -> tuple[int, ...]:
-    """Point indices, every point after all points strictly above it (the order _upsets grows in).
-
-    A point has fewer points above it than each point below it, so sorting
-    by the size of the up-set is enough.
-    """
-    return tuple(sorted(range(len(up)), key=[u.bit_count() for u in up].__getitem__))
-
-
 @lru_cache(maxsize=8)
-def upset_masks(space: SpecSpace) -> tuple[int, ...]:
-    """All up-set masks of the space, ascending.
+def upset_masks(up: tuple[int, ...]) -> tuple[int, ...]:
+    """All up-set masks of the order given by its up-masks, ascending.
 
-    Grown point by point along a linear extension from the top: an up-set
-    of the points placed so far that holds every point above the next one
-    stays an up-set with it added, so every candidate is kept.  The cost is
-    about n steps per up-set found (2^n up-sets only for an antichain) plus
-    the final sort; cap before calling.
+    Grown point by point along a linear extension from the top (a point
+    has fewer points above it than each point below it, so sorting by the
+    size of the up-set gives one): an up-set of the points placed so far
+    that holds every point above the next one stays an up-set with it
+    added, so every candidate is kept.  The cost is about n steps per
+    up-set found (2^n up-sets only for an antichain) plus the final sort;
+    cap before calling.
     """
-    out = _upsets(space.up)
-    out.sort()
-    return tuple(out)
-
-
-def _upsets(up) -> list[int]:
-    """The up-set masks of an order given by its up-masks, unsorted (see upset_masks)."""
     out = [0]
-    for p in _linear_extension(tuple(up)):
+    for p in sorted(range(len(up)), key=[u.bit_count() for u in up].__getitem__):
         bit = 1 << p
         above = up[p] ^ bit
         out += [y | bit for y in out if not above & ~y]
-    return out
+    out.sort()
+    return tuple(out)
 
 
 def subset_intersections(full: int, members) -> list[int]:
@@ -256,17 +248,7 @@ def minimal_closed_core(inter, up, down, fixed: int, target: int) -> list[int]:
     lo, hi, h = inter.lo, inter.hi, inter.h
     n = len(up)
     members = [lo[1 << b] if b < h else hi[1 << (b - h)] for b in range(n)]
-    classes = [(fixed & ~target, 0)]  # (atoms that the same points avoid, those points)
-    for b, m in enumerate(members):
-        bit = 1 << b
-        split = []
-        for c, col in classes:
-            kept = c & m
-            if kept:
-                split.append((kept, col))
-            if kept != c:
-                split.append((c ^ kept, col | bit))
-        classes = split
+    classes = _element_classes(members, fixed & ~target)  # (atoms that the same points avoid, those points)
     atoms = sum(c & -c for c, _ in classes)
     avoid = [atoms & ~m for m in members]
     barred = 0
@@ -465,19 +447,25 @@ def _represents_slice(family: PointFamily) -> tuple[list[int], int]:
     return H, R & ~reduce(or_, [h for h, m in zip(H, family.members) if target & ~m], 0)
 
 
+def _upset_slice(H, up) -> int:
+    """The 2^n-bit integer whose bit z says that z is an up-set: z holding j holds every point above j."""
+    U = (1 << (1 << len(H))) - 1
+    for j, u in enumerate(up):
+        above = [H[k] for k in _bits(u & ~(1 << j))]
+        if above:
+            U &= ~H[j] | reduce(and_, above)
+    return U
+
+
 def _closed_representations_slice(family: PointFamily, cap: int, scan=None) -> tuple[list[int], int]:
-    """(H, R) of _represents_slice, R kept to the up-sets: z holding j holds every point above j.
+    """(H, R) of _represents_slice, R kept to the up-sets (_upset_slice).
 
     scan is the family's (H, R) when the caller holds it already.
     """
     _require_cap(len(family), cap, "closed-representation enumeration")
     require_representation(family)
     H, R = scan or _represents_slice(family)
-    for j, u in enumerate(family.space.up):
-        above = [H[k] for k in _bits(u & ~(1 << j))]
-        if above:
-            R &= ~H[j] | reduce(and_, above)
-    return H, R
+    return H, R & _upset_slice(H, family.space.up)
 
 
 def critical_points_oracle(family: PointFamily, cap: int = DEFAULT_POINT_CAP, scan=None) -> tuple[int, ...]:
@@ -606,13 +594,7 @@ def analysis_core(inter, minimal_count: int, up, down, fixed: int, target: int):
         s = full_points ^ d
         if lo[s & lmask] & hi[s >> h] & fixed != target:
             crit |= 1 << b
-    cset = 0
-    m = crit
-    while m:
-        low = m & -m
-        if down[low.bit_length() - 1] & crit == low:
-            cset |= low
-        m ^= low
+    cset = _alone(down, crit)
     cset_represents = lo[cset & lmask] & hi[cset >> h] & fixed == target
     if (minimal_count == 1) != cset_represents:
         raise ConsistencyError("critical-core representation does not match minimal-representation count")
@@ -656,11 +638,7 @@ def isolated_points(family: PointFamily, zs, kind: str = SPECTRAL) -> tuple[int,
         rel = space.up
     else:
         raise ValueError(f"unknown topology kind: {kind!r}")
-    out = 0
-    for b in _bits(zmask):
-        if rel[b] & zmask == 1 << b:
-            out |= 1 << b
-    return indices_of(out)
+    return indices_of(_alone(rel, zmask))
 
 
 def strongly_irredundant_representation(family: PointFamily, cap: int = DEFAULT_POINT_CAP) -> tuple[int, ...]:

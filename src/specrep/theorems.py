@@ -116,14 +116,27 @@ def run_family_suite(family: PointFamily, cap: int = engine.DEFAULT_POINT_CAP) -
             break
     out.append(_bad(name, f"closure mismatch in {bad[0]} at subset {bad[1]:b}") if bad else _ok(name))
 
+    # the checks on subfamilies z below are bit-sliced: each fact is one
+    # 2^n-bit integer whose bit z says that it holds for z
+    within_cap = n <= cap
+    if within_cap:
+        scan = H, R = engine._represents_slice(family)
+        up, down = space.up, space.down
+        upsets = engine._upset_slice(H, up)
+
     name = "closed-sets-covered-by-minimal-points"
-    if n <= cap:
-        bad = None
-        for y in engine.upset_masks(space):
-            if y and topology.up_mask(space, topology.min_mask(space, y)) != y:
-                bad = y
-                break
-        out.append(_bad(name, f"closed set {bad:b} not covered") if bad else _ok(name))
+    if within_cap:
+        # bit z of minimal[j]: j is a minimal point of z (never when down[j]
+        # lacks j, as the toggle then puts H[j] itself in the OR); bit z of
+        # bad: z is an up-set and the up-set of its minimal points differs
+        # from z at some i
+        minimal = [h & ~reduce(or_, [H[k] for k in indices_of(d ^ 1 << j)], 0)
+                   for j, (h, d) in enumerate(zip(H, down))]
+        bad = 0
+        for i, h in enumerate(H):
+            bad |= h ^ reduce(or_, [minimal[b] for b, u in enumerate(up) if u >> i & 1], 0)
+        bad &= upsets
+        out.append(_bad(name, f"closed set {(bad & -bad).bit_length() - 1:b} not covered") if bad else _ok(name))
     else:
         out.append(_skip(name, f"{n} points exceeds the cap of {cap}"))
 
@@ -148,8 +161,7 @@ def run_family_suite(family: PointFamily, cap: int = engine.DEFAULT_POINT_CAP) -
     held, _ = topology.noetherian_trace_holds(space, topology.max_elements(space, range(n)))
     out.append(_ok(name) if held else _bad(name, "trace criterion failed on the maximal points"))
 
-    # engine-side checks on every sub-representation, bit-sliced: each fact
-    # is one 2^n-bit integer whose bit z says that it holds for subfamily z.
+    # engine-side checks on every sub-representation, bit-sliced.
     # R (z represents) is the oracles' raw scan, engine._represents_slice, so
     # the flags stay independent of the fast paths they check, and each
     # member's flags are engine._member_gain_slices, _member_gains on every z
@@ -158,17 +170,9 @@ def run_family_suite(family: PointFamily, cap: int = engine.DEFAULT_POINT_CAP) -
     # representations are the strong ones and no strong/tight or patch
     # disagreement can arise, so neither is tested.
     analysis = engine.unique_minimal_analysis(family, cap)
-    within_cap = n <= cap
     if within_cap:
-        scan = H, R = engine._represents_slice(family)
-        up, down = space.up, space.down
         crit = analysis.critical
         crit_mask = space.point_mask(crit)
-        not_closed = 0  # z holding a point whose up-set leaves z
-        for j, h in enumerate(H):
-            above = [H[k] for k in indices_of(up[j] & ~(1 << j))]
-            if above:
-                not_closed |= h & ~reduce(and_, above)
         first: list[tuple[int, int] | None] = [None] * len(FLAG_CHECKS)
         strong_reps = R  # z whose every member is strongly irredundant in z
         for b, h in enumerate(H):
@@ -184,7 +188,7 @@ def run_family_suite(family: PointFamily, cap: int = engine.DEFAULT_POINT_CAP) -
             # irredundant but not strong; in a z that is not an up-set, strong
             # but redundant in up(z), or irredundant there but not strong
             hits = (strong & ~irr, irr & meets_below, irr & ~strong if crit_mask >> b & 1 else 0,
-                    R & h & not_closed & ~(strong ^ up_without_b))
+                    R & h & ~upsets & ~(strong ^ up_without_b))
             for i, hit in enumerate(hits):
                 if hit:
                     z = (hit & -hit).bit_length() - 1

@@ -177,26 +177,34 @@ class Topology:
         return bool(self.neighbourhoods[j] >> i & 1)
 
 
+def _element_classes(points, mask: int) -> list[tuple[int, int]]:
+    """The elements of mask split by the points that lack them: [(class mask, the points lacking it)].
+
+    Split by every point in turn, so the loop runs once per class and point,
+    however many elements the mask has.  The columns are distinct.
+    """
+    classes = [(mask, 0)] if mask else []
+    for i, p in enumerate(points):
+        bit = 1 << i
+        split = []
+        for c, column in classes:
+            kept = c & p
+            if kept:
+                split.append((kept, column))
+            if kept != c:
+                split.append((c ^ kept, column | bit))
+        classes = split
+    return classes
+
+
 def spectral_subbasis(space: SpecSpace) -> list[int]:
     """The distinct subbasic opens, in increasing order.
 
     The subbasic open of a universe element is the set of points not
-    containing it.  Elements lying in exactly the same points give the same
-    open, so the universe mask is split by every point into element classes,
-    each carrying the points it missed so far: the loop runs once per class
-    and point, however many elements the universe has.
+    containing it, so elements lying in exactly the same points give the
+    same open: one per element class of the universe.
     """
-    classes = [((1 << space.universe_size) - 1, 0)] if space.universe_size else []
-    for i, p in enumerate(space.points):
-        split = []
-        for b, column in classes:
-            inside = b & p
-            if inside:
-                split.append((inside, column))
-            if inside != b:
-                split.append((b ^ inside, column | 1 << i))
-        classes = split
-    return sorted({column for _, column in classes})
+    return sorted(column for _, column in _element_classes(space.points, (1 << space.universe_size) - 1))
 
 
 def generate_topology(space: SpecSpace, kind: str) -> Topology:
@@ -222,49 +230,43 @@ def generate_topology(space: SpecSpace, kind: str) -> Topology:
     return Topology(size=n, origin=kind, neighbourhoods=tuple(meets.get(i, full) for i in range(n)))
 
 
-def up_mask(space: SpecSpace, ymask: int) -> int:
+def _spread(rel, y: int) -> int:
+    """The OR of rel[j] over the points j of y."""
     m = 0
-    up = space.up
-    while ymask:
-        low = ymask & -ymask
-        m |= up[low.bit_length() - 1]
-        ymask ^= low
+    while y:
+        low = y & -y
+        m |= rel[low.bit_length() - 1]
+        y ^= low
     return m
+
+
+def _alone(rel, y: int) -> int:
+    """The points j of y that y meets in rel[j] at j alone."""
+    m = 0
+    rest = y
+    while rest:
+        low = rest & -rest
+        if rel[low.bit_length() - 1] & y == low:
+            m |= low
+        rest ^= low
+    return m
+
+
+def up_mask(space: SpecSpace, ymask: int) -> int:
+    return _spread(space.up, ymask)
 
 
 def down_mask(space: SpecSpace, ymask: int) -> int:
-    m = 0
-    down = space.down
-    while ymask:
-        low = ymask & -ymask
-        m |= down[low.bit_length() - 1]
-        ymask ^= low
-    return m
+    return _spread(space.down, ymask)
 
 
 def min_mask(space: SpecSpace, ymask: int) -> int:
     """Members of Y with no other member of Y strictly below them."""
-    m = 0
-    down = space.down
-    rest = ymask
-    while rest:
-        low = rest & -rest
-        if down[low.bit_length() - 1] & ymask == low:
-            m |= low
-        rest ^= low
-    return m
+    return _alone(space.down, ymask)
 
 
 def max_mask(space: SpecSpace, ymask: int) -> int:
-    m = 0
-    up = space.up
-    rest = ymask
-    while rest:
-        low = rest & -rest
-        if up[low.bit_length() - 1] & ymask == low:
-            m |= low
-        rest ^= low
-    return m
+    return _alone(space.up, ymask)
 
 
 def up_set(space: SpecSpace, ys: Iterable[int]) -> tuple[int, ...]:
@@ -307,10 +309,7 @@ def closure(space: SpecSpace, ys: Iterable[int], kind: str) -> tuple[int, ...]:
 
 
 def is_antichain(space: SpecSpace, ymask: int) -> bool:
-    for i in _bits(ymask):
-        if (space.up[i] | space.down[i]) & ymask != 1 << i:
-            return False
-    return True
+    return _alone([u | d for u, d in zip(space.up, space.down)], ymask) == ymask
 
 
 def antichain_inverse_discrete(space: SpecSpace, ys: Iterable[int]) -> bool:
@@ -324,10 +323,7 @@ def antichain_inverse_discrete(space: SpecSpace, ys: Iterable[int]) -> bool:
     ymask = space.point_mask(ys)
     if not is_antichain(space, ymask):
         raise NotAntichain("the given points are not pairwise incomparable")
-    for i in _bits(ymask):
-        if space.up[i] & ymask != 1 << i:
-            return False
-    return True
+    return _alone(space.up, ymask) == ymask
 
 
 def is_tree_order(space: SpecSpace) -> bool:

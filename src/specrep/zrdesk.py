@@ -24,11 +24,11 @@ from .engine import (
     DEFAULT_POINT_CAP,
     SplitTable,
     _minimal_points_checked,
-    _upsets,
     analysis_core,
     minimal_closed_core,
     point_slices,
     subset_intersections,
+    upset_masks,
 )
 from .errors import CapExceeded, ConsistencyError, InputError, NotARepresentation
 from .setsystems import ContextTriple, PointFamily, require_representation
@@ -252,13 +252,10 @@ def _slice_basis(w: int) -> tuple[tuple[int, ...], list[int]]:
     """(H, U) over the local fixed-ring masks s < 2^w, as 2^w-bit integers.
 
     H[j] holds the s that contain bit j (engine.point_slices) and U[e] the
-    s that contain e; U is built by doubling and is shared, so never mutate it.
+    s that contain e (subset_intersections of H); U is shared, so never mutate it.
     """
     H = tuple(point_slices(w))
-    U = [(1 << (1 << w)) - 1]
-    for h in H:
-        U += [u & h for u in U]
-    return H, U
+    return H, subset_intersections((1 << (1 << w)) - 1, H)
 
 
 def _sliced_target(m: int, local, up, down) -> list[tuple]:
@@ -298,7 +295,7 @@ def _sliced_target(m: int, local, up, down) -> list[tuple]:
     lacking = [[c for c in range(m) if not local[c] >> j & 1] for j in range(m)]
     dead = [c for c in range(m) if not local[c] & has_target]
 
-    ups = _upsets(up)
+    ups = upset_masks(up)
     # b is a minimal point of y iff b is in y and in down[b] and no other
     # point of y is in down[b]; covered[y] holds the points that y rules out.
     # spread[y] is the union of up[b] over the points b of y.

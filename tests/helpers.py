@@ -524,6 +524,18 @@ def subfamily_checks_by_loop(family: PointFamily, cap: int = engine.DEFAULT_POIN
     return out
 
 
+def closed_sets_check_by_loop(space: SpecSpace) -> tuple[str, str]:
+    """closed-sets-covered-by-minimal-points by a loop over the ascending up-sets, as (status, detail).
+
+    The reference for the suite's bit-sliced check: the first nonempty
+    up-set whose minimal points do not regenerate it fails the check.
+    """
+    for y in engine.upset_masks(space.up):
+        if y and topology.up_mask(space, topology.min_mask(space, y)) != y:
+            return "fail", f"closed set {y:b} not covered"
+    return "pass", ""
+
+
 def first_shared_or_lonely_by_loop(strong_reps, min_masks) -> str | None:
     """The first fault of tight-reps-in-distinct-minimal-reps, by a loop over the ascending tight representations.
 

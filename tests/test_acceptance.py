@@ -373,6 +373,7 @@ def test_acceptance_9_cli_golden_bytes():
         (("minimal", "fixtures/setsys20.json"), "setsys20_minimal.json"),
         (("analyze", "fixtures/setsys20.json"), "setsys20_analyze.json"),
         (("critical", "fixtures/setsys20.json"), "setsys20_critical.json"),
+        (("check-theorems", "fixtures/setsys20.json"), "setsys20_theorems.json"),
         (("analyze", "fixtures/setsys13.json", "--format", "text"), "setsys13_analyze.txt"),
         (("analyze", "fixtures/setsys13.json", "--format", "dot"), "setsys13_hasse.dot"),
         (("analyze", "fixtures/setsys16_deep.json"), "setsys16_deep_analyze.json"),

@@ -87,8 +87,8 @@ def test_oracles_read_no_fast_path(monkeypatch):
     def forbidden(*args, **kwargs):
         raise AssertionError("an oracle read a fast path")
 
-    for name in ("intersection_table", "SplitTable", "subset_intersections", "upset_masks", "_upsets",
-                 "_linear_extension", "represents_mask", "minimal_closed_core", "_minimal_points_checked",
+    for name in ("intersection_table", "SplitTable", "subset_intersections", "upset_masks", "_element_classes",
+                 "represents_mask", "minimal_closed_core", "_minimal_points_checked",
                  "analysis_core", "critical_mask"):
         monkeypatch.setattr(E, name, forbidden)
     monkeypatch.setattr(setsystems, "represents_mask", forbidden)

@@ -21,8 +21,8 @@ from specrep.errors import ConsistencyError, SpecrepError
 from specrep.setsystems import PointFamily, represents_mask
 from specrep.topology import SpecSpace
 
-from helpers import (SUBFAMILY_CHECKS, family_from, first_shared_or_lonely_by_loop, i1_family,
-                     random_representation_family, subfamily_checks_by_loop)
+from helpers import (SUBFAMILY_CHECKS, closed_sets_check_by_loop, family_from, first_shared_or_lonely_by_loop,
+                     i1_family, random_representation_family, subfamily_checks_by_loop)
 
 
 FIXTURES = pathlib.Path(__file__).resolve().parent.parent / "fixtures"
@@ -250,6 +250,18 @@ def _with_up(family, up):
     return faulty
 
 
+def _with_down(family, down):
+    """A copy of family whose down-masks are the given ones, its up-masks kept.
+
+    The copy equals the family, so the engine's caches must be cleared around it.
+    """
+    space = SpecSpace(family.members, len(family.context.universe))
+    object.__setattr__(space, "down", tuple(down))
+    faulty = PointFamily(family.context, family.names, family.members)
+    vars(faulty)["space"] = space
+    return faulty
+
+
 def _drop_a_cover(family, k):
     """The order without its k-th cover i < j (nothing strictly between): still a partial order."""
     space = family.space
@@ -377,6 +389,34 @@ def test_sliced_checks_report_the_loops_first_witness_on_a_faulty_order(fault):
     assert failed == reaches
 
 
+def test_closed_sets_check_reports_the_loops_first_fault_under_a_faulty_down_order():
+    """up stays a partial order; down[j] gains a point k not below j, or loses j itself.
+
+    Either fault fails the check: j is no longer a minimal point of up(j) |
+    up(k) (of up(j) when j is lost), and no other minimal point lies below
+    j.  So the sliced check must report the loop's first up-set.  Dropping
+    a point strictly below j is no fault case here: the minimal points of
+    every up-set stay the same, so the check cannot fail.
+    """
+    name = "closed-sets-covered-by-minimal-points"
+    rng = random.Random(2809)
+    statuses = Counter()
+    for _ in range(300):
+        family = random_representation_family(rng, max_universe=10, max_points=12)
+        down = list(family.space.down)
+        j = rng.randrange(len(down))
+        outside = [k for k in range(len(down)) if not down[j] >> k & 1]
+        k = rng.choice(outside) if outside and rng.random() < 0.5 else j
+        down[j] ^= 1 << k
+        faulty = _with_down(family, down)
+        _clear_engine_caches()
+        got = next(r for r in theorems.run_family_suite(faulty) if r.name == name)
+        _clear_engine_caches()
+        assert (got.status, got.detail) == closed_sets_check_by_loop(faulty.space), (family, j, k)
+        statuses[got.status] += 1
+    assert statuses == {"fail": 300}
+
+
 @pytest.mark.parametrize("fault", PATCH_FAULTS)
 def test_sliced_checks_report_the_loops_first_witness_under_a_patched_fact(monkeypatch, fault):
     patch, reaches = PATCH_FAULTS[fault]
@@ -495,7 +535,18 @@ def _flip_closure_of(kind, ymask):
     return faulty
 
 
-# route fault -> (target, attribute, faulty replacement, the check that must fail, its detail)
+def _drop_from_own_up(i):
+    """inclusion_order with point i missing from its own up-set, so the order is not reflexive."""
+    real = T.inclusion_order
+
+    def faulty(points):
+        up, down = real(points)
+        return tuple(u & ~(1 << i) if a == i else u for a, u in enumerate(up)), down
+    return faulty
+
+
+# route fault -> (target, attribute, faulty replacement, the check that must fail, its detail);
+# a fault named dropped-... breaks the generated topologies too, so other checks fail with it
 ROUTE_FAULTS = {
     **{f"dropped-{kind}-open": (T, "generate_topology", _drop_an_open(kind), "topology-generator-equivalence",
                                 f"{kind} topology differs from its order fast path") for kind in T.KINDS},
@@ -509,6 +560,8 @@ ROUTE_FAULTS = {
     **{f"closure-of-flipped-{kind}": (T.Topology, "closure_of", _flip_closure_of(kind, 0b110),
                                       "closure-fast-path-vs-topology", f"closure mismatch in {kind} at subset 110")
        for kind in T.KINDS},
+    "dropped-point-from-its-up-set": (T, "inclusion_order", _drop_from_own_up(1), "antichains-inverse-discrete",
+                                      "antichain 10 not discrete"),
 }
 
 

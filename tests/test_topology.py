@@ -203,3 +203,35 @@ def test_up_down_idempotent_and_monotone_hypothesis(points, seed):
     assert down & ymask == ymask
     assert T.up_mask(space, up) == up
     assert T.down_mask(space, down) == down
+
+
+def test_element_classes_split_the_mask_by_the_points_lacking_each_element():
+    rng = random.Random(2807)
+    for _ in range(300):
+        size = rng.choice((1, 3, 8, 40))
+        points = [rng.getrandbits(size) for _ in range(rng.randint(0, 10))]
+        mask = rng.getrandbits(size)
+        classes = T._element_classes(points, mask)
+        union = 0
+        for c, column in classes:
+            assert c and not c & union
+            union |= c
+            for e in T.indices_of(c):
+                assert column == sum(1 << i for i, p in enumerate(points) if not p >> e & 1)
+        assert union == mask
+        assert len({column for _, column in classes}) == len(classes)
+    assert T._element_classes([0b01, 0b10], 0) == []
+
+
+def test_spread_and_alone_match_a_per_point_loop_on_any_relation():
+    rng = random.Random(2808)
+    for _ in range(300):
+        n = rng.randint(1, 10)
+        rel = [rng.getrandbits(n) for _ in range(n)]  # not reflexive, nor transitive
+        y = rng.getrandbits(n)
+        spread = 0
+        for j in range(n):
+            if y >> j & 1:
+                spread |= rel[j]
+        assert T._spread(rel, y) == spread
+        assert T._alone(rel, y) == sum(1 << j for j in range(n) if y >> j & 1 and rel[j] & y == 1 << j)

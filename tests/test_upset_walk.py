@@ -1,4 +1,4 @@
-"""The up-set listing and the shared minimal-closed search.
+"""The up-set listing, the up-set slice and the shared minimal-closed search.
 
 Every engine answer below is compared with a definition-level enumeration
 (`helpers.Brute`), over all 2^n subfamilies, on random families of up to 12
@@ -34,7 +34,7 @@ from specrep.setsystems import ContextTriple, PointFamily, to_spec_space
 
 from specrep.topology import indices_of
 
-from helpers import Brute, families, minimal_points_by_loop, walk_minimal_closed
+from helpers import Brute, families, families_of_size, minimal_points_by_loop, walk_minimal_closed
 
 sys.path.insert(0, str(pathlib.Path(__file__).resolve().parent.parent / "bench"))
 import workloads  # noqa: E402  (bench/workloads.py: the set-system instances)
@@ -50,7 +50,16 @@ def _clear():
 def test_upset_masks_match_a_scan_of_every_mask(family):
     _clear()
     brute = Brute(family)
-    assert E.upset_masks(to_spec_space(family)) == tuple(brute.upsets)
+    assert E.upset_masks(to_spec_space(family).up) == tuple(brute.upsets)
+
+
+@settings(max_examples=8, derandomize=True, deadline=None)
+@given(st.data())
+def test_upset_slice_matches_a_scan_of_every_mask(data):
+    for n in range(1, 13):
+        family = data.draw(families_of_size(n), label=f"{n} points")
+        upsets = E._upset_slice(E.point_slices(n), to_spec_space(family).up)
+        assert list(E._set_bits(upsets)) == Brute(family).upsets
 
 
 @settings(max_examples=60, derandomize=True, deadline=None)
