@@ -485,7 +485,7 @@ def _cap_points(args) -> int:
     if value > engine.POINT_CAP_CEILING:
         raise InputError(
             f"{source} {value} exceeds the ceiling of {engine.POINT_CAP_CEILING}: exhaustive routes hold "
-            f"up to 2^N up-sets or table entries of about {engine.BYTES_PER_ENTRY} bytes each"
+            f"about N + 7 integers of 2^N bits each, and their time doubles with each point"
         )
     return value
 

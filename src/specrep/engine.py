@@ -30,24 +30,19 @@ from .topology import INVERSE, PATCH, SPECTRAL, _alone, _bits, _element_classes,
 
 DEFAULT_POINT_CAP = 20
 
-# The lists of 2^n entries for n points are the per-size tables of
-# zrdesk._sliced_target: its up-set list (upset_masks) and the intersections,
-# covers and cones of the m primes of one target, which a zr-check pool of up
-# to cap primes reaches.  Each entry is about BYTES_PER_ENTRY bytes in
-# CPython (an 8-byte list slot plus an int object of about 32 bytes).
-# POINT_CAP_CEILING is the largest point cap whose 2^n entries fit
-# ENUMERATION_BUDGET: 24 points, about 670 MB for one list.  _sliced_target
-# holds a few such lists at once, so a pool near the ceiling would pass the
-# budget, and its time passes any desk-scale bound first.  The minimal-closed
-# search holds no frontier (a few masks per level, at most n levels), the
-# analysis's own intersection table is two half tables (SplitTable), 2^12 +
-# 2^12 entries at 24 points, and the oracles' scan and the theorem suite's
-# checks are bit-sliced: each holds a few more than n integers of 2^n bits at
-# a time (see point_slices), tens of MB at 24 points.  So the ceiling rests on
-# none of them.
-BYTES_PER_ENTRY = 40
+# POINT_CAP_CEILING bounds every cap.  Within it the exhaustive routes are
+# bit-sliced: the oracles' scan and the theorem suite's checks each hold about
+# n + 7 integers of 2^n bits at a time (see point_slices), (n + 7) * 2^(n - 3)
+# bytes, 62 MB at 24 points.  The minimal-closed search holds no frontier (a
+# few masks per level, at most n levels) and the analysis's own intersection
+# table is two half tables (SplitTable), 2^12 + 2^12 entries at 24 points.
+# On setsys_instance(24, 40, 0.3) of the benchmark with --cap-points 24,
+# check-theorems took 1.5-2.3 s at 161 MB max RSS and critical --oracle
+# 0.6-0.9 s at 82 MB on a shared 2-vCPU host; each further point doubles
+# both.  The zr-check sweep has its own bound, zrdesk.POOL_BOUND, derived
+# from ENUMERATION_BUDGET.
 ENUMERATION_BUDGET = 1 << 30
-POINT_CAP_CEILING = (ENUMERATION_BUDGET // BYTES_PER_ENTRY).bit_length() - 1
+POINT_CAP_CEILING = 24
 
 
 def _require_cap(n: int, cap: int, what: str) -> None:

@@ -16,8 +16,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
-from operator import itemgetter
+from functools import lru_cache, reduce
+from operator import and_, itemgetter
 
 from .errors import CapExceeded, ConsistencyError, InputError
 # represents_mask stays importable from here: the benchmark's tracer test patches it in this module
@@ -406,10 +406,11 @@ def _table_is_strongly_irreducible(ring: FiniteRing, elems: frozenset[int]) -> b
 def enumerate_ideals(ring: FiniteRing, kind: str = "proper") -> list[RingIdeal]:
     """Proper ideals matching a filter, in canonical order.
 
-    Irreducibility is decided by the lattice definition (not the intersection
-    of two strictly larger ideals), strong irreducibility by the elementwise
-    criterion on principal ideals, primality/radicality elementwise for table
-    rings and through exponent patterns for zmod.
+    Irreducibility is decided in the ideal lattice, for both ring kinds: a
+    proper ideal is irreducible iff the meet of the ideals strictly above it
+    is not itself (see _zmod_reducible).  Strong irreducibility is decided by
+    the elementwise criterion on principal ideals, primality/radicality
+    elementwise for table rings and through exponent patterns for zmod.
     """
     if kind not in IDEAL_FILTERS:
         raise InputError(f"unknown ideal filter {kind!r}")
@@ -436,11 +437,7 @@ def enumerate_ideals(ring: FiniteRing, kind: str = "proper") -> list[RingIdeal]:
     if kind == "proper":
         keep = proper
     elif kind == "irreducible":
-        keep = []
-        for s in proper:
-            above = [t for t in ideals if s < t]
-            if not any(a & b == s for a in above for b in above):
-                keep.append(s)
+        keep = [s for s in proper if reduce(and_, [t for t in ideals if s < t]) != s]
     elif kind == "strongly_irreducible":
         keep = [s for s in proper if _table_is_strongly_irreducible(ring, s)]
     elif kind == "radical":

@@ -344,15 +344,20 @@ def noetherian_trace_holds(space: SpecSpace, ys: Iterable[int]) -> tuple[bool, d
     For each point c, the irreducible closed set through c is its up-set Cl;
     the witness produced is the largest closed set C' containing Cl whose
     Y-trace equals that of Cl, namely Cl united with the complement of the
-    down-set of Y \\ Cl; that down-set holds Y \\ Cl itself (the order is
-    reflexive), so the traces agree by construction.  Finite spaces always
-    satisfy the criterion (every open is quasicompact), so the verdict is
-    True; the value of the operation is the witness map c -> C'.
+    down-set of Y \\ Cl.  The verdict checks each witness: C' is closed (an
+    up-set of the order), holds Cl, and has the same trace on Y as Cl.  On a
+    partial order all three hold by construction, as finite spaces always
+    satisfy the criterion (every open is quasicompact); an order that is not
+    reflexive or not transitive can break them.
     """
     ymask = space.point_mask(ys)
     full = space.full_mask
+    held = True
     witnesses: dict[int, tuple[int, ...]] = {}
     for c in range(len(space)):
         cl = space.up[c]
-        witnesses[c] = indices_of(cl | (full ^ down_mask(space, ymask & ~cl)))
-    return True, witnesses
+        cprime = cl | (full ^ down_mask(space, ymask & ~cl))
+        closed = not up_mask(space, cprime) & ~cprime
+        held = held and closed and not cl & ~cprime and cprime & ymask == cl & ymask
+        witnesses[c] = indices_of(cprime)
+    return held, witnesses

@@ -16,12 +16,13 @@ the rationals 1/p.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 from fractions import Fraction
+from math import comb
 from typing import Iterable, Iterator
 
 from .engine import (
     DEFAULT_POINT_CAP,
+    ENUMERATION_BUDGET,
     SplitTable,
     _minimal_points_checked,
     analysis_core,
@@ -171,13 +172,21 @@ class PoolSweepReport:
     failures: tuple[str, ...]
 
 
+# A size of m primes is decided in one slice: its table U holds 2^m integers
+# of 2^m bits, 4^m / 8 bytes (512 MB at 16 primes).  POOL_BOUND is the largest
+# m whose slice fits ENUMERATION_BUDGET.
+POOL_BOUND = ((8 * ENUMERATION_BUDGET).bit_length() - 1) // 2
+
+
 def _targets(pool: PrimePool, cap: int) -> Iterator[tuple[int, list[int]]]:
-    """(T, the pool indices of T) for every target sub-pool T, in sweep order."""
+    """(T, the pool indices of T) for every target sub-pool T, in sweep order, once the pool is within bounds."""
     k = len(pool)
     if k > cap:
         raise CapExceeded(f"pool of {k} primes exceeds the sweep cap of {cap}")
-    for tmask in range(1, 1 << k):
-        yield tmask, [i for i in range(k) if tmask >> i & 1]
+    if k > POOL_BOUND:
+        raise CapExceeded(f"pool of {k} primes exceeds the sweep bound of {POOL_BOUND}: "
+                          f"its size of {k} primes would take {4 ** k >> 23} MB in one slice")
+    return ((tmask, [i for i in range(k) if tmask >> i & 1]) for tmask in range(1, 1 << k))
 
 
 def _localizations(k: int, t_bits: list[int]) -> list[int]:
@@ -202,34 +211,34 @@ def pool_uniqueness_check(pool: PrimePool, cap: int = DEFAULT_POINT_CAP, oracle:
     witnessed by its own prime (the rational 1/p).  Returns a report with
     one failure line per violated expectation.
 
-    Each target is decided for all its fixed rings S at once, bit-sliced
-    (_sliced_target), with every cross-check of the engine's mask stages.
     Restricted to T, the members are the m co-singletons of T, each holding
-    the target, so the input depends on m = |T| alone (_size_input): it is
-    decided once per size of T and its failure records are rendered with the
-    labels of every target of that size.  With oracle=True the per-check
-    route (pool_uniqueness_oracle), which builds each target's own members,
-    runs too and any difference in the report raises ConsistencyError.
+    the target, so the input depends on m = |T| alone (_size_input): each
+    size is decided for all its fixed rings S at once, bit-sliced
+    (_sliced_target), in the order m = 1..k in which the targets meet it, and
+    its failure records are rendered with the labels of every target of that
+    size.  A pool of more than min(cap, POOL_BOUND) primes raises
+    CapExceeded.  With oracle=True the per-check route
+    (pool_uniqueness_oracle), which builds each target's own members, runs
+    too and any difference in the report raises ConsistencyError.
     """
+    targets = _targets(pool, cap)
     primes = pool.primes
-    checks = 0
+    k = len(primes)
+    decided = {m: _sliced_target(m, *_size_input(m)) for m in range(1, k + 1)}
+    checks = sum(comb(k, m) * ((1 << m) - 1) for m in decided)
     failures: list[str] = []
-    decided = {}  # the failure records of each size of T
-    for _, t_bits in _targets(pool, cap):
-        m = len(t_bits)
-        checks += (1 << m) - 1
-        if m not in decided:
-            decided[m] = _sliced_target(m, *_size_input(m))
-        for s, unique_bad, srep_bad, witness_bad, crit_bad in decided[m]:
-            label = _label(primes, t_bits, sum(1 << i for j, i in enumerate(t_bits) if s >> j & 1))
-            if unique_bad:
-                failures.append(f"{label}: expected a unique minimal representation")
-            if srep_bad:
-                failures.append(f"{label}: unexpected strongly irredundant representation")
-            for j in witness_bad:
-                failures.append(f"{label}: witness for 1/{primes[t_bits[j]]} is not the expected prime")
-            if crit_bad:
-                failures.append(f"{label}: criticality does not match the unabsorbed localizations")
+    if any(decided.values()):  # the targets are walked for their failure labels only
+        for _, t_bits in targets:
+            for s, unique_bad, srep_bad, witness_bad, crit_bad in decided[len(t_bits)]:
+                label = _label(primes, t_bits, sum(1 << i for j, i in enumerate(t_bits) if s >> j & 1))
+                if unique_bad:
+                    failures.append(f"{label}: expected a unique minimal representation")
+                if srep_bad:
+                    failures.append(f"{label}: unexpected strongly irredundant representation")
+                for j in witness_bad:
+                    failures.append(f"{label}: witness for 1/{primes[t_bits[j]]} is not the expected prime")
+                if crit_bad:
+                    failures.append(f"{label}: criticality does not match the unabsorbed localizations")
     report = PoolSweepReport(pool=primes, checks=checks, passed=not failures, failures=tuple(failures))
     if oracle and pool_uniqueness_oracle(pool, cap) != report:
         raise ConsistencyError("the bit-sliced pool sweep disagrees with the per-check oracle")
@@ -242,27 +251,22 @@ def _size_input(m: int) -> tuple[list[int], tuple[int, ...], tuple[int, ...]]:
     return (local, *inclusion_order(local))
 
 
-# The bit-sliced sweep decides 2^SLICE_BITS fixed rings of a target at a time,
-# so each of the 2^|T| table entries of a target is at most a 1024-bit integer.
-SLICE_BITS = 10
-
-
-@lru_cache(maxsize=SLICE_BITS + 1)
-def _slice_basis(w: int) -> tuple[tuple[int, ...], list[int]]:
-    """(H, U) over the local fixed-ring masks s < 2^w, as 2^w-bit integers.
+def _slice_basis(m: int) -> tuple[tuple[int, ...], list[int]]:
+    """(H, U) over the local fixed-ring masks s < 2^m, as 2^m-bit integers.
 
     H[j] holds the s that contain bit j (engine.point_slices) and U[e] the
-    s that contain e (subset_intersections of H); U is shared, so never mutate it.
+    s that contain e (subset_intersections of H).
     """
-    H = tuple(point_slices(w))
-    return H, subset_intersections((1 << (1 << w)) - 1, H)
+    H = tuple(point_slices(m))
+    return H, subset_intersections((1 << (1 << m)) - 1, H)
 
 
 def _sliced_target(m: int, local, up, down) -> list[tuple]:
     """The failure records of one target T of m primes for every fixed ring S strictly inside T.
 
     S is read as its local mask s over the primes of T, and each fact of the
-    checks (T, S) is one integer whose bit s holds it for that S.  local
+    checks (T, S) is one integer of 2^m bits whose bit s holds it for that
+    S: every S is decided in one slice (see POOL_BOUND).  local
     holds the members restricted to T (bit j for prime j of T, bit m when
     the member contains the target), and up and down are their inclusion
     order.  The local masks give the excess table: the points y represent
@@ -312,109 +316,99 @@ def _sliced_target(m: int, local, up, down) -> list[tuple]:
         covered += [v | below[c] for v in covered]
         spread += [v | up[c] for v in spread]
 
-    w = min(m, SLICE_BITS)
-    every = (1 << (1 << w)) - 1
-    top = (1 << (m - w)) - 1
-    H, U = _slice_basis(w)
+    every = (1 << (1 << m)) - 1
+    admissible = every ^ (1 << pts)  # S = T is no check
+    H, U = _slice_basis(m)
+    R = [U[e & pts] if e & has_target else 0 for e in excess]
+
+    def represents(x):
+        """The s at which the points chosen by the per-point masks x represent."""
+        r = every
+        for h, cs in zip(H, lacking):
+            for c in cs:
+                h |= x[c]
+            r &= h
+        for c in dead:
+            r &= ~x[c]
+        return r
+
+    once = twice = 0  # s with at least one / two minimal closed representations
+    faults = []  # (s where it fires, stage, y, check, message) in the per-check order
+    for y in ups:
+        z = y & refl & ~covered[y]  # each isolated in z too: covered[z] lies in covered[y]
+        lost = redundant = 0
+        zm = z
+        while zm:
+            low = zm & -zm
+            zm ^= low
+            lost |= R[y ^ low]
+            # the s where z still represents without b, or with b's cone in its place
+            redundant |= R[z ^ low] | R[(z | spread[low]) & ~low]
+        closed = admissible & R[y] & ~lost
+        if not closed:
+            continue
+        twice |= once & closed
+        once |= closed
+        # _minimal_points_checked on the s where y is a minimal closed representation
+        if closed & ~R[z]:
+            faults.append((closed & ~R[z], 1, y, 0, "minimal points of a closed representation must represent"))
+        if closed & redundant:
+            faults.append((closed & redundant, 1, y, 1,
+                           "a minimal point of a minimal representation is redundant"))
+        if spread[z] != y:
+            faults.append((closed, 1, y, 2, "minimal points fail to regenerate their closed representation"))
+    if admissible & ~once:
+        faults.append((admissible & ~once, 0, 0, 0, "a representation must contain a minimal closed one"))
+
+    # analysis_core
+    crit = [admissible & ~R[pts ^ d] for d in down]
+    cset = []
+    for b, d in enumerate(down):
+        c = crit[b] if refl >> b & 1 else 0
+        if d & ~(1 << b):
+            for a in indices_of(d & ~(1 << b)):
+                c &= ~crit[a]
+        cset.append(c)
+    core = admissible & represents(cset)
+    single = once & ~twice
+    if single ^ core:
+        faults.append((single ^ core, 2, 0, 0,
+                       "critical-core representation does not match minimal-representation count"))
+    if faults:
+        # the per-check route stops at the greatest failing s, at its first check there
+        first_s = 1 << max(f[0] for f in faults).bit_length() - 1
+        first = min((f for f in faults if f[0] & first_s), key=lambda f: (f[1], indices_of(f[2]), f[3]))
+        raise ConsistencyError(first[4])
+    strong = []
+    for b in range(m):
+        x = [every if up[b] >> c & 1 else xc for c, xc in enumerate(cset)]
+        x[b] = 0
+        strong.append(core & cset[b] & ~represents(x))
+    expect = [every ^ h for h in H]  # the localization at prime j belongs to the answer
+    srep_ok = core & represents(strong)
+    for b in range(m):
+        srep_ok &= ~(strong[b] ^ expect[b])
+    witness_bad = []
+    for j in range(m):
+        gained = excess[pts ^ (1 << j)] & pts
+        exact = U[gained ^ (1 << j)] & expect[j] if gained >> j & 1 else 0
+        witness_bad.append(srep_ok & expect[j] & ~exact)
+    crit_bad = 0
+    for b in range(m):
+        crit_bad |= (crit[b] ^ expect[b]) | (cset[b] ^ expect[b])
+    unique_bad = admissible & ~(single & core)
+    srep_bad = admissible & ~srep_ok
+    crit_bad &= admissible
+    failing = unique_bad | srep_bad | crit_bad
+    for bad in witness_bad:
+        failing |= bad
     records = []
-    for hi in range(top, -1, -1):  # this slice holds s = hi * 2^w + lo, lo < 2^w
-        if m > w:  # a prime j >= w of T is in every s of the slice or in none
-            H = list(H[:w])
-            U = U[: 1 << w]
-            for j in range(w, m):
-                held = hi >> (j - w) & 1
-                H.append(every * held)
-                U = U + U if held else U + [0] * len(U)
-        admissible = every ^ (1 << ((1 << w) - 1)) if hi == top else every  # S = T is no check
-        R = [U[e & pts] if e & has_target else 0 for e in excess]
-
-        def represents(x):
-            """The s at which the points chosen by the per-point masks x represent."""
-            r = every
-            for h, cs in zip(H, lacking):
-                for c in cs:
-                    h |= x[c]
-                r &= h
-            for c in dead:
-                r &= ~x[c]
-            return r
-
-        once = twice = 0  # s with at least one / two minimal closed representations
-        faults = []  # (s where it fires, stage, y, check, message) in the per-check order
-        for y in ups:
-            z = y & refl & ~covered[y]  # each isolated in z too: covered[z] lies in covered[y]
-            lost = redundant = 0
-            zm = z
-            while zm:
-                low = zm & -zm
-                zm ^= low
-                lost |= R[y ^ low]
-                # the s where z still represents without b, or with b's cone in its place
-                redundant |= R[z ^ low] | R[(z | spread[low]) & ~low]
-            closed = admissible & R[y] & ~lost
-            if not closed:
-                continue
-            twice |= once & closed
-            once |= closed
-            # _minimal_points_checked on the s where y is a minimal closed representation
-            if closed & ~R[z]:
-                faults.append((closed & ~R[z], 1, y, 0, "minimal points of a closed representation must represent"))
-            if closed & redundant:
-                faults.append((closed & redundant, 1, y, 1,
-                               "a minimal point of a minimal representation is redundant"))
-            if spread[z] != y:
-                faults.append((closed, 1, y, 2, "minimal points fail to regenerate their closed representation"))
-        if admissible & ~once:
-            faults.append((admissible & ~once, 0, 0, 0, "a representation must contain a minimal closed one"))
-
-        # analysis_core
-        crit = [admissible & ~R[pts ^ d] for d in down]
-        cset = []
-        for b, d in enumerate(down):
-            c = crit[b] if refl >> b & 1 else 0
-            if d & ~(1 << b):
-                for a in indices_of(d & ~(1 << b)):
-                    c &= ~crit[a]
-            cset.append(c)
-        core = admissible & represents(cset)
-        single = once & ~twice
-        if single ^ core:
-            faults.append((single ^ core, 2, 0, 0,
-                           "critical-core representation does not match minimal-representation count"))
-        if faults:
-            # the per-check route stops at the greatest failing s, at its first check there
-            first_s = 1 << max(f[0] for f in faults).bit_length() - 1
-            first = min((f for f in faults if f[0] & first_s), key=lambda f: (f[1], indices_of(f[2]), f[3]))
-            raise ConsistencyError(first[4])
-        strong = []
-        for b in range(m):
-            x = [every if up[b] >> c & 1 else xc for c, xc in enumerate(cset)]
-            x[b] = 0
-            strong.append(core & cset[b] & ~represents(x))
-        expect = [every ^ h for h in H]  # the localization at prime j belongs to the answer
-        srep_ok = core & represents(strong)
-        for b in range(m):
-            srep_ok &= ~(strong[b] ^ expect[b])
-        witness_bad = []
-        for j in range(m):
-            gained = excess[pts ^ (1 << j)] & pts
-            exact = U[gained ^ (1 << j)] & expect[j] if gained >> j & 1 else 0
-            witness_bad.append(srep_ok & expect[j] & ~exact)
-        crit_bad = 0
-        for b in range(m):
-            crit_bad |= (crit[b] ^ expect[b]) | (cset[b] ^ expect[b])
-        unique_bad = admissible & ~(single & core)
-        srep_bad = admissible & ~srep_ok
-        crit_bad &= admissible
-        failing = unique_bad | srep_bad | crit_bad
-        for bad in witness_bad:
-            failing |= bad
-        while failing:
-            lo = failing.bit_length() - 1
-            bit = 1 << lo
-            failing ^= bit
-            records.append((hi << w | lo, bool(unique_bad & bit), bool(srep_bad & bit),
-                            tuple(j for j, bad in enumerate(witness_bad) if bad & bit), bool(crit_bad & bit)))
+    while failing:
+        s = failing.bit_length() - 1
+        bit = 1 << s
+        failing ^= bit
+        records.append((s, bool(unique_bad & bit), bool(srep_bad & bit),
+                        tuple(j for j, bad in enumerate(witness_bad) if bad & bit), bool(crit_bad & bit)))
     return records
 
 

@@ -441,6 +441,23 @@ def pairwise_reducible(d: int) -> bool:
     return False
 
 
+def pairwise_irreducible_table_ideals(ring) -> list[frozenset[int]]:
+    """The irreducible proper ideals of a table ring: s is no a & b of two ideals a, b strictly above it.
+
+    The reference for the table-ring filter of rings.enumerate_ideals, which
+    takes the meet of all the ideals strictly above s at once.
+    """
+    ideals = rings._all_table_ideals(ring)
+    keep = []
+    for s in ideals:
+        if len(s) == ring.size:
+            continue
+        above = [t for t in ideals if s < t]
+        if not any(a & b == s for a in above for b in above):
+            keep.append(s)
+    return keep
+
+
 SUBFAMILY_CHECKS = (
     "irredundance-flag-hierarchy",
     "irredundant-implies-isolated",

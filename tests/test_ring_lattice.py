@@ -26,7 +26,7 @@ import random
 
 import pytest
 
-from helpers import collapse_to_atoms, element_irr_space, random_spec_space
+from helpers import collapse_to_atoms, element_irr_space, pairwise_irreducible_table_ideals, random_spec_space
 from specrep import cli, theorems
 from specrep import engine as E
 from specrep.errors import SpecrepError
@@ -151,6 +151,19 @@ def test_element_filters_match_their_pairwise_definitions(tables):
     for elems in R._all_table_ideals(ring):
         assert R._table_is_prime(ring, elems) == _pairs_prime(ring, elems)
         assert R._table_is_strongly_irreducible(ring, elems) == _pairs_strongly_irreducible(ring, elems)
+
+
+IRREDUCIBLE_SHAPES = [(2,), (4,), (8,), (9,), (6,), (2, 2), (2, 2, 2), (2, 2, 2, 2), (2, 2, 2, 2, 2), (4, 2), (4, 4),
+                      (4, 9), (8, 3), (2, 3, 5), (4, 3, 5), (2, 4, 3)]
+
+
+@pytest.mark.parametrize("tables", [*(lambda m=m: product_tables(m) for m in IRREDUCIBLE_SHAPES),
+                                    f2xy_tables, z4x_tables, lambda: times(f2xy_tables(), product_tables((2,)))],
+                         ids=[*("x".join(map(str, m)) for m in IRREDUCIBLE_SHAPES), "f2xy", "z4x", "f2xy-x-z2"])
+def test_irreducible_filter_matches_the_pairwise_definition(tables):
+    ring = R.FiniteRing.from_tables(*tables())
+    got = [ideal.elements for ideal in R.enumerate_ideals(ring, "irreducible")]
+    assert got == pairwise_irreducible_table_ideals(ring)
 
 
 @pytest.mark.parametrize("tables", [lambda: product_tables((4, 2)), lambda: product_tables((2, 2, 2)),

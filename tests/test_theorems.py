@@ -579,6 +579,44 @@ def test_topology_checks_fail_when_one_route_is_mutated(monkeypatch, fault):
         assert [name for name in got if got[name] != clean[name]] == [check]
 
 
+def _edit_order(edit):
+    """inclusion_order with edit(up, down) applied to lists of the true up- and down-masks."""
+    real = T.inclusion_order
+
+    def faulty(points):
+        up, down = map(list, real(points))
+        edit(up, down)
+        return tuple(up), tuple(down)
+    return faulty
+
+
+def _unlink(up, down):
+    """P0 no longer below P2, though P0 < P1 < P2: not transitive."""
+    up[0] &= ~(1 << 2)
+    down[2] &= ~(1 << 0)
+
+
+def _unreflect(up, down):
+    """P3, a maximal point outside the chain, drops out of its own down-set: not reflexive."""
+    down[3] &= ~(1 << 3)
+
+
+@pytest.mark.parametrize("edit", [_unlink, _unreflect], ids=["non-transitive", "non-reflexive"])
+def test_noetherian_trace_witnesses_fail_on_a_faulty_order(monkeypatch, edit):
+    # the chain P0 < P1 < P2 and P3 give two maximal points, so the witnesses
+    # of the chain's points meet P3: a non-transitive order makes one that is
+    # not an up-set, a non-reflexive one a witness with the wrong trace
+    def chain():
+        return family_from("abcde", "abcde", "a", {"P0": "ab", "P1": "abc", "P2": "abcd", "P3": "ae"})
+
+    name = "noetherian-trace-witnesses"
+    clean = {r.name: r for r in theorems.run_family_suite(chain())}
+    assert clean[name].status == "pass"
+    monkeypatch.setattr(T, "inclusion_order", _edit_order(edit))
+    got = {r.name: r for r in theorems.run_family_suite(chain())}
+    assert (got[name].status, got[name].detail) == ("fail", "trace criterion failed on the maximal points")
+
+
 def _flip_first_critical(real):
     def faulty(*args):
         crit, cset, cset_represents, srep = real(*args)

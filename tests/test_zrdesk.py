@@ -1,6 +1,7 @@
 """Overring desk: exact membership, faithful encoding, uniqueness sweeps."""
 
 import collections
+import json
 import pathlib
 import random
 from fractions import Fraction
@@ -196,10 +197,40 @@ def test_sweep_matches_object_level_analysis():
         assert analysis.strongly_irredundant_rep == want
 
 
+PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59, 61, 67, 71, 73)
+
+
 def test_sweep_cap():
-    big = Z.PrimePool.of([2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59, 61, 67, 71, 73])
     with pytest.raises(CapExceeded):
-        Z.pool_uniqueness_check(big)
+        Z.pool_uniqueness_check(Z.PrimePool.of(PRIMES))
+
+
+def test_pool_bound_is_the_largest_size_whose_slice_fits_the_budget():
+    assert 4 ** Z.POOL_BOUND // 8 <= E.ENUMERATION_BUDGET < 4 ** (Z.POOL_BOUND + 1) // 8
+    assert Z.POOL_BOUND == 16 < E.DEFAULT_POINT_CAP
+
+
+def test_a_pool_past_the_bound_or_the_cap_is_refused_by_both_routes(capsys):
+    primes = PRIMES[:Z.POOL_BOUND + 1]
+    assert cli.main(["zr-check", "--pool", ",".join(map(str, primes))]) == 3
+    assert f"pool of {len(primes)} primes exceeds the sweep bound of {Z.POOL_BOUND}" in capsys.readouterr().err
+    with pytest.raises(CapExceeded, match=f"sweep bound of {Z.POOL_BOUND}"):
+        Z.pool_uniqueness_oracle(Z.PrimePool.of(primes))
+    # a cap below the bound still governs
+    assert cli.main(["zr-check", "--pool", ",".join(map(str, PRIMES[:13])), "--cap-points", "12"]) == 3
+    assert "pool of 13 primes exceeds the sweep cap of 12" in capsys.readouterr().err
+
+
+def test_check_theorems_skips_the_sweep_of_a_pool_past_the_bound(tmp_path, capsys):
+    primes = list(PRIMES[:Z.POOL_BOUND + 1])
+    instance = {"schema": 1, "zr": {"pool": primes, "target": primes, "C": [], "members": [[p] for p in primes]}}
+    path = tmp_path / "zr17.json"
+    path.write_text(json.dumps(instance), encoding="utf-8")
+    assert cli.main(["check-theorems", str(path)]) == 0
+    checks = {entry["name"]: entry for entry in json.loads(capsys.readouterr().out)["checks"]}
+    assert checks.pop("pool-uniqueness-sweep")["status"] == "skip"
+    assert {entry["status"] for entry in checks.values()} == {"pass"}
+    assert len(checks) > 10
 
 
 # ------------------------------------------------- bit-sliced against per-check
@@ -224,14 +255,6 @@ def test_bit_sliced_sweep_matches_the_per_check_route():
     report = Z.pool_uniqueness_check(pool)
     assert report == Z.pool_uniqueness_oracle(pool)
     assert report.checks == 3 ** 7 - 2 ** 7 and report.passed
-
-
-def test_bit_sliced_sweep_in_several_slices_matches(monkeypatch):
-    # targets of up to 5 primes split into up to 8 slices of 4 fixed rings
-    monkeypatch.setattr(Z, "SLICE_BITS", 2)
-    for primes in ([2], [2, 3, 5], [2, 3, 5, 7, 11]):
-        pool = Z.PrimePool.of(primes)
-        assert Z.pool_uniqueness_check(pool) == Z.pool_uniqueness_oracle(pool)
 
 
 def _corrupt_size(monkeypatch, m, flips):
@@ -264,12 +287,10 @@ def _corrupt_size(monkeypatch, m, flips):
     monkeypatch.setattr(Z, "_localizations", corrupted_localizations)
 
 
-@pytest.mark.parametrize("slice_bits", [Z.SLICE_BITS, 2])
-def test_corrupted_family_gives_the_per_check_failures_or_error(monkeypatch, slice_bits):
+def test_corrupted_family_gives_the_per_check_failures_or_error(monkeypatch):
     # a corrupted member corrupts the excess table of every target of its size
     # and so R; both routes must give the same failure lines in the same
     # order, or raise the same ConsistencyError
-    monkeypatch.setattr(Z, "SLICE_BITS", slice_bits)
     pool = Z.PrimePool.of([2, 3, 5, 7])
     k = len(pool)
     corruptions = [(m, [(c, b)]) for m in range(1, k + 1) for c in range(m) for b in range(m + (m < k))]
@@ -317,7 +338,8 @@ def test_a_corrupted_target_reaches_only_the_oracle(monkeypatch, capsys):
 def test_sweep_decides_each_distinct_input_once(monkeypatch):
     # co-singleton members give every target of m primes the same input of
     # _sliced_target, so a k-prime pool has k distinct inputs, each with one
-    # order and one excess table; the oracle still searches once per check
+    # order, one excess table and one slice basis (2k subset_intersections
+    # calls); the oracle still searches once per check
     sliced, core = Z._sliced_target, Z.minimal_closed_core
     order, table = Z.inclusion_order, Z.subset_intersections
     sizes = []
@@ -334,7 +356,7 @@ def test_sweep_decides_each_distinct_input_once(monkeypatch):
             calls.clear()
             report = Z.pool_uniqueness_check(pool)
             assert sorted(sizes) == list(range(1, k + 1)), k
-            assert calls == {"order": k, "table": k}, k
+            assert calls == {"order": k, "table": 2 * k}, k
             assert report.checks == 3 ** k - 2 ** k and report.passed
         searches.clear()
         assert Z.pool_uniqueness_oracle(pool) == report
@@ -361,13 +383,12 @@ def _order_fault(m, a, b, kind):
 
 
 def _table_fault(w, e, s):
-    """_slice_basis with bit s of U[e] flipped in the slices of width w."""
+    """_slice_basis with bit s of U[e] flipped in the slice of the targets of w primes."""
     basis = Z._slice_basis
 
-    def faulty(width):
-        H, U = basis(width)
-        if width == w:
-            U = list(U)
+    def faulty(m):
+        H, U = basis(m)
+        if m == w:
             U[e] ^= 1 << s
         return H, U
 
@@ -478,10 +499,12 @@ def test_oracle_catches_a_mutated_bit_sliced_route(monkeypatch, capsys):
 
 
 def test_zr_check_oracle_output_is_the_golden(capsys):
-    # the 10-prime pool has m = SLICE_BITS for its full target: every fixed ring in one slice
-    for pool, name in (([str(FIXTURES / "zr_pool235.json")], "zr_pool235_zrcheck.json"),
-                       (["--pool", "2,3,5,7,11,13,17,19,23,29"], "zr_pool10_zrcheck.json")):
+    # each size m of T is one slice of 2^m fixed rings, 2^12 for the 12-prime
+    # pool, whose per-check route is too slow for the suite: it runs without --oracle
+    for pool, name, extras in (([str(FIXTURES / "zr_pool235.json")], "zr_pool235_zrcheck.json", ([], ["--oracle"])),
+                               (["--pool", "2,3,5,7,11,13,17,19,23,29"], "zr_pool10_zrcheck.json", ([], ["--oracle"])),
+                               (["--pool", "2,3,5,7,11,13,17,19,23,29,31,37"], "zr_pool12_zrcheck.json", ([],))):
         golden = (pathlib.Path(__file__).resolve().parent / "golden" / name).read_text(encoding="utf-8")
-        for extra in ([], ["--oracle"]):
+        for extra in extras:
             assert cli.main(["zr-check", *pool, *extra]) == 0
             assert capsys.readouterr().out == golden
