@@ -151,9 +151,13 @@ def parse_ideal(ring: rings.FiniteRing, raw) -> rings.RingIdeal:
 
 
 def load_instance(path: str) -> Instance:
+    """The instance in the JSON file at path; read as bytes, with text mode's strict UTF-8 and newline handling."""
     try:
-        with open(path, "r", encoding="utf-8") as fh:
-            data = json.load(fh)
+        with open(path, "rb") as fh:
+            text = fh.read().decode("utf-8")
+        if "\r" in text:  # as text mode reads them, so that error positions count the same lines
+            text = text.replace("\r\n", "\n").replace("\r", "\n")
+        data = json.loads(text)
     except OSError as exc:
         raise InputError(f"cannot read {path}: {exc.strerror}") from None
     except json.JSONDecodeError as exc:
@@ -177,40 +181,32 @@ def _family_of(instance: Instance) -> PointFamily:
     return instance.family
 
 
-def _payload_analyze(instance: Instance, args) -> dict:
-    family = _family_of(instance)
-    report = engine.build_report(family, cap=args.cap_points, oracle=args.oracle)
-    payload = engine.report_to_dict(report)
-    if instance.kind == "set-system":
-        ctx = family.context
-        payload["instance"] = {
-            "universe": list(ctx.universe),
-            "C": list(ctx.labels_of(ctx.fixed_mask)),
-            "A": list(ctx.labels_of(ctx.target_mask)),
-            "points": {name: list(family.member_labels(i)) for i, name in enumerate(family.names)},
-        }
-    elif instance.kind == "ring":
-        payload["instance"] = {"ring": instance.ring.describe(), "ideal": instance.ideal.name}
-    else:
-        payload["instance"] = {"pool": list(instance.pool.primes)}
-        for entry in payload["points"].values():
-            entry["witnesses_rational"] = {
-                flag: f"1/{label}" for flag, label in entry["witnesses"].items()
-            }
-    if args.dot or args.format == "dot":
-        payload["_dot"] = engine.report_to_dot(report)
-    return payload
+def _analyze(instance: Instance, args) -> tuple[str, str | None]:
+    """analyze's stdout and the DOT for --dot; each format builds only what it writes."""
+    report = engine.build_report(_family_of(instance), cap=args.cap_points, oracle=args.oracle)
+    dot = engine.report_to_dot(report) if args.dot or args.format == "dot" else None
+    if args.format == "dot":
+        return dot, dot
+    if args.format == "text":
+        return _render_text("analyze", engine.report_to_dict(report)), dot
+    return _analyze_json(instance, report), dot
 
 
-def _payload_minimal(instance: Instance, args) -> dict:
+def _minimal(instance: Instance, args) -> str:
+    """minimal's stdout."""
     family = _family_of(instance)
     analysis = engine.unique_minimal_analysis(family, args.cap_points)
-    closed, minimal = engine._name_lists(family, analysis._closed_masks, analysis._minimal_masks)
-    payload = {"minimal_closed_representations": closed, "minimal_representations": minimal}
+    closed, minimal = analysis._closed_masks, analysis._minimal_masks
     if args.oracle:
         if engine.minimal_closed_oracle(family, args.cap_points) != analysis.minimal_closed:
             raise ConsistencyError("minimal-closed fast path disagrees with the exhaustive oracle")
-    return payload
+    if args.format == "json":
+        ordered, ranks = engine._name_order(family)
+        rows = _led(list(map(_encode_string, ordered)), "    ")
+        return (f'{{\n  "command": "minimal",\n  "minimal_closed_representations": {_rows(rows, ranks, closed)},'
+                f'\n  "minimal_representations": {_rows(rows, ranks, minimal)},\n  "schema": {SCHEMA_VERSION}\n}}\n')
+    closed, minimal = engine._name_lists(family, closed, minimal)
+    return _render_text("minimal", {"minimal_closed_representations": closed, "minimal_representations": minimal})
 
 
 def _payload_critical(instance: Instance, args) -> dict:
@@ -297,10 +293,8 @@ def _write_json(value, out: list, pad: str) -> None:
 
     json.dumps with an indent runs the pure-Python encoder, which costs more
     than this walk over the few types the payloads hold; any other value is
-    handed to json.dumps itself.  A list of strings, or of non-empty lists
-    of strings, is written in joins (the encoder raises TypeError on any
-    other leaf, and the list is then written item by item), and a string or
-    bool in a dict inline.
+    handed to json.dumps itself.  A list of strings is written in one join,
+    and a string or bool in a dict inline.
     """
     if type(value) is str:
         out.append(_encode_string(value))
@@ -318,20 +312,9 @@ def _write_json(value, out: list, pad: str) -> None:
             return
         inner = pad + "  "
         sep = ",\n" + inner
-        kinds = set(map(type, value))
-        if kinds == {str}:
+        if set(map(type, value)) == {str}:
             out.append("[\n" + inner + sep.join(map(_encode_string, value)) + "\n" + pad + "]")
             return
-        if kinds == {list} and all(value):
-            deeper = inner + "  "
-            between, next_row = ",\n" + deeper, "\n" + inner + "]" + sep + "[\n" + deeper
-            try:
-                rows = next_row.join([between.join(map(_encode_string, row)) for row in value])
-            except TypeError:  # a leaf that is not a string: written item by item below
-                pass
-            else:
-                out.append("[\n" + inner + "[\n" + deeper + rows + "\n" + inner + "]\n" + pad + "]")
-                return
         head = "[\n" + inner
         for item in value:
             out.append(head)
@@ -367,6 +350,125 @@ def render_json(value) -> str:
     out: list[str] = []
     _write_json(value, out, "")
     return "".join(out)
+
+
+# analyze and minimal write their JSON straight from the analysis, as
+# render_json writes report_to_dict (with the instance echo) and the name
+# lists; the tests hold the two routes equal.  A list is written from
+# chunk tables (engine._chunk_tables) of its items, each already encoded
+# and led by ",\n" and its indentation.
+
+_BOOL = ("false", "true")
+
+
+def _strings(items: list[str], pad: str) -> str:
+    """A JSON list of encoded items at indentation pad."""
+    if not items:
+        return "[]"
+    inner = "\n" + pad + "  "
+    return "[" + inner + ("," + inner).join(items) + "\n" + pad + "]"
+
+
+def _led(items: list[str], pad: str) -> list[list[str]]:
+    """Chunk tables of the encoded items, each led by its separator, as list items at indentation pad."""
+    return engine._chunk_tables([",\n" + pad + "  " + item for item in items], "")
+
+
+def _listed(tables, m: int, pad: str) -> str:
+    """The JSON list at indentation pad of the items that m picks from tables of _led(items, pad)."""
+    body = engine._chunk_sum(tables, m, "")
+    return "[" + body[1:] + "\n" + pad + "]" if body else "[]"
+
+
+def _rows(tables, ranks, masks) -> str:
+    """The value of a top-level key that lists, sorted, the sorted names of each mask of an antichain.
+
+    tables is _led of the encoded sorted names at indentation "    ", and
+    ranks is engine._name_order's.  Each mask is carried to name ranks,
+    where the rows of an antichain sort as minimal_closed_core sorts masks.
+    """
+    keys = sorted([engine._chunk_sum(ranks, m, 0) for m in masks], key=lambda y: bin(y)[:1:-1], reverse=True)
+    return _strings([_listed(tables, r, "    ") for r in keys], "  ")
+
+
+def _analyze_json(instance: Instance, report: engine.RepresentationReport) -> str:
+    """render_json of analyze's envelope (report_to_dict and the instance echo) and a newline.
+
+    A zr instance's points also carry witnesses_rational: each witness
+    prime p as the rational 1/p.
+    """
+    family = report.family
+    analysis = report.analysis
+    point_mask = family.space.point_mask
+    ordered, ranks = engine._name_order(family)
+    encoded = list(map(_encode_string, ordered))
+    names = _led(encoded, "  ")
+
+    def named(ixs) -> str:
+        return _listed(names, engine._chunk_sum(ranks, point_mask(ixs), 0), "  ")
+
+    crit = analysis._critical_mask
+    rational = instance.kind == "zr"
+    entries = []
+    for cls in sorted(report.classifications, key=lambda c: c.name):
+        witnesses = []
+        if cls.irredundant:
+            witnesses.append(("irredundant", cls.witness_irredundant))
+        if cls.strongly_irredundant:
+            witnesses += [("strongly_irredundant", cls.witness_strong), ("tightly_irredundant", cls.witness_strong)]
+        entry = (
+            f"\n    {_encode_string(cls.name)}: {{\n      \"critical\": {_BOOL[crit >> cls.point & 1]},"
+            f"\n      \"irredundant\": {_BOOL[cls.irredundant]},\n      \"isolated_patch\": {_BOOL[cls.isolated_patch]},"
+            f"\n      \"isolated_spectral\": {_BOOL[cls.isolated_spectral]},"
+            f"\n      \"strongly_irredundant\": {_BOOL[cls.strongly_irredundant]},"
+            f"\n      \"tightly_irredundant\": {_BOOL[cls.tightly_irredundant]},"
+            f"\n      \"witnesses\": {_witnesses(witnesses)}"
+        )
+        if rational:
+            entry += f",\n      \"witnesses_rational\": {_witnesses([(k, f'1/{w}') for k, w in witnesses])}"
+        entries.append(entry + "\n    }")
+    points = "{" + ",".join(entries) + "\n  }" if entries else "{}"
+
+    out = [f'{{\n  "chosen": {named(report.chosen)},\n  "command": "analyze",\n  "critical": {named(analysis.critical)},'
+           f'\n  "critical_core": {named(analysis.cset)}']
+    if report.exhaustive:
+        out.append(f',\n  "critical_core_represents": {_BOOL[analysis.cset_represents]}')
+    out.append(f',\n  "instance": {_echo(instance, family)}')
+    if report.exhaustive:
+        rows = _led(encoded, "    ")
+        out.append(f',\n  "minimal_closed_representations": {_rows(rows, ranks, analysis._closed_masks)},'
+                   f'\n  "minimal_representations": {_rows(rows, ranks, analysis._minimal_masks)}')
+    out.append(f',\n  "notices": {_strings(list(map(_encode_string, report.notices)), "  ")},'
+               f'\n  "points": {points},\n  "schema": {SCHEMA_VERSION}')
+    if report.exhaustive:
+        srep = analysis.strongly_irredundant_rep
+        out.append(f',\n  "strongly_irredundant_representation": {"null" if srep is None else named(srep)},'
+                   f'\n  "unique_minimal": {_BOOL[analysis.unique]}')
+    out.append("\n}\n")
+    return "".join(out)
+
+
+def _witnesses(pairs) -> str:
+    """The dict of (key, label) pairs, keys in order, as a point entry's value."""
+    if not pairs:
+        return "{}"
+    return "{" + ",".join(f"\n        {_encode_string(k)}: {_encode_string(w)}" for k, w in pairs) + "\n      }"
+
+
+def _echo(instance: Instance, family: PointFamily) -> str:
+    """The instance echo of analyze's envelope, as a top-level value."""
+    if instance.kind == "ring":
+        return (f'{{\n    "ideal": {_encode_string(instance.ideal.name)},'
+                f'\n    "ring": {_encode_string(instance.ring.describe())}\n  }}')
+    if instance.kind == "zr":
+        return f'{{\n    "pool": {_strings(list(map(int.__repr__, instance.pool.primes)), "    ")}\n  }}'
+    ctx = family.context
+    labels = [_encode_string(label) for label in ctx.universe]
+    at4, at6 = _led(labels, "    "), _led(labels, "      ")
+    points = [f",\n      {_encode_string(name)}: {_listed(at6, m, '      ')}"
+              for name, m in sorted(zip(family.names, family.members))]
+    return (f'{{\n    "A": {_listed(at4, ctx.target_mask, "    ")},\n    "C": {_listed(at4, ctx.fixed_mask, "    ")},'
+            f'\n    "points": {{{"".join(points)[1:]}\n    }},\n    "universe": {_listed(at4, ctx.full_mask, "    ")}\n  }}')
 
 
 def _render_text(command: str, payload: dict) -> str:
@@ -468,6 +570,69 @@ def build_parser() -> argparse.ArgumentParser:
     return _PARSER
 
 
+def _grammar(parser: argparse.ArgumentParser) -> dict:
+    """command -> (namespace defaults, {option string: action}, the positional's action), from parser's subparsers."""
+    (commands,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    grammar = {}
+    for name, sub in commands.choices.items():
+        defaults = {commands.dest: name}
+        options = {}
+        positional = None
+        for action in sub._actions:
+            if isinstance(action, argparse._HelpAction):
+                continue
+            defaults[action.dest] = action.default
+            if action.option_strings:
+                options.update(dict.fromkeys(action.option_strings, action))
+            else:
+                positional = action
+        grammar[name] = (defaults, options, positional)
+    return grammar
+
+
+_GRAMMAR = _grammar(_PARSER)
+
+
+def _fast_args(argv) -> argparse.Namespace | None:
+    """The namespace _PARSER.parse_args(argv) returns, for a plain argv; None for any other.
+
+    Plain is: a command name, then exact option strings, each value a word
+    of its own that does not start with '-', and at most one positional.
+    Everything else (help, --opt=value, abbreviations, '--', a value that
+    the option's type or choices refuse, unknown words) goes to argparse,
+    so its help, usage errors and their texts stay its own.
+    """
+    if not argv or argv[0] not in _GRAMMAR:
+        return None
+    defaults, options, positional = _GRAMMAR[argv[0]]
+    values = dict(defaults)
+    words = iter(argv[1:])
+    for word in words:
+        if word[:1] != "-":
+            action, value = positional, word
+            if action is None or values[action.dest] is not action.default:  # a second positional
+                return None
+        else:
+            action = options.get(word)
+            if action is None:
+                return None
+            if action.nargs == 0:  # a flag
+                values[action.dest] = action.const
+                continue
+            value = next(words, "-")
+            if value[:1] == "-":
+                return None
+        if action.type is not None:
+            try:
+                value = action.type(value)
+            except ValueError:
+                return None
+        if action.choices is not None and value not in action.choices:
+            return None
+        values[action.dest] = value
+    return argparse.Namespace(**values)
+
+
 def _cap_points(args) -> int:
     """--cap-points, else $SPECREP_CAP_POINTS, else the default; at most the ceiling."""
     value, source = args.cap_points, "--cap-points"
@@ -516,9 +681,7 @@ def _instance_from_args(args) -> Instance:
     return load_instance(args.input)
 
 
-_HANDLERS = {
-    "analyze": _payload_analyze,
-    "minimal": _payload_minimal,
+_PAYLOADS = {
     "critical": _payload_critical,
     "decompose": _payload_decompose,
     "zr-check": _payload_zr_check,
@@ -527,16 +690,32 @@ _HANDLERS = {
 
 
 def main(argv=None) -> int:
-    try:
-        args = _PARSER.parse_args(argv)
-    except SystemExit as exc:
-        return exc.code or 0
+    if argv is None:
+        argv = sys.argv[1:]
+    args = _fast_args(argv)
+    if args is None:
+        try:
+            args = _PARSER.parse_args(argv)
+        except SystemExit as exc:
+            return exc.code or 0
+    failed = False
+    dot = None
     try:
         args.cap_points = _cap_points(args)
         if (args.dot or args.format == "dot") and args.command != "analyze":
             raise InputError("dot output only applies to analyze")
         instance = _instance_from_args(args)
-        payload = _HANDLERS[args.command](instance, args)
+        if args.command == "analyze":
+            out, dot = _analyze(instance, args)
+        elif args.command == "minimal":
+            out = _minimal(instance, args)
+        else:
+            payload = _PAYLOADS[args.command](instance, args)
+            if args.format == "json":
+                out = render_json({"schema": SCHEMA_VERSION, "command": args.command, **payload}) + "\n"
+            else:
+                out = _render_text(args.command, payload)
+            failed = args.command == "check-theorems" and not payload["passed"]
     except InputError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
@@ -553,7 +732,6 @@ def main(argv=None) -> int:
         print(f"internal consistency failure: {exc}", file=sys.stderr)
         return 4
 
-    dot = payload.pop("_dot", None)
     if args.dot:
         try:
             with open(args.dot, "w", encoding="utf-8") as fh:
@@ -561,16 +739,8 @@ def main(argv=None) -> int:
         except OSError as exc:
             print(f"error: cannot write {args.dot}: {exc.strerror}", file=sys.stderr)
             return 1
-    if args.format == "dot":
-        sys.stdout.write(dot)
-    elif args.format == "json":
-        envelope = {"schema": SCHEMA_VERSION, "command": args.command, **payload}
-        sys.stdout.write(render_json(envelope) + "\n")
-    else:
-        sys.stdout.write(_render_text(args.command, payload))
-    if args.command == "check-theorems" and not payload["passed"]:
-        return 4
-    return 0
+    sys.stdout.write(out)
+    return 4 if failed else 0
 
 
 if __name__ == "__main__":

@@ -723,32 +723,58 @@ def _names(family: PointFamily, ixs) -> list[str]:
     return sorted(family.names[i] for i in ixs)
 
 
+def _chunk_tables(items, zero) -> list[list]:
+    """tables[k][c]: zero plus the items 4k to 4k + 3 that the 4-bit chunk c picks, in item order.
+
+    _chunk_sum then gives the sum of the items that a mask picks at one
+    lookup per chunk; items may be ints with disjoint bits, lists or strings.
+    """
+    tables = []
+    for k in range(0, len(items), 4):
+        table = [zero]
+        for item in items[k:k + 4]:
+            table += [t + item for t in table]
+        tables.append(table)
+    return tables
+
+
+def _chunk_sum(tables, m: int, zero):
+    """zero plus the items of _chunk_tables that the bits of m pick, in item order (zero itself when m is 0)."""
+    out = zero
+    for table in tables:
+        if not m:
+            break
+        out = out + table[m & 15]
+        m >>= 4
+    return out
+
+
+def _name_order(family: PointFamily) -> tuple[list[str], list[list[int]]]:
+    """(the names sorted, ranks): _chunk_sum(ranks, m, 0) has bit r for the point of m whose name is r-th in order.
+
+    Chunk tables over the sorted names then give the names of m already
+    sorted.
+    """
+    names = family.names
+    order = sorted(range(len(names)), key=names.__getitem__)
+    bits = [0] * len(names)
+    for r, i in enumerate(order):
+        bits[i] = 1 << r
+    return [names[i] for i in order], _chunk_tables(bits, 0)
+
+
 def _name_lists(family: PointFamily, closed, minimal) -> tuple[list[list[str]], list[list[str]]]:
     """The pair (sorted(_names(family, indices_of(m)) for m in masks) for masks in (closed, minimal)).
 
-    tables[k][c] lists the names of the points 4k to 4k + 3 that the 4-bit
-    chunk c picks, built once for both lists, so a mask costs a lookup per
-    chunk and a short sort.
+    Each mask is carried to name ranks and read from chunk tables over the
+    sorted names (_name_order), built once for both lists, so a row costs
+    two lookups per chunk and no sort.
     """
-    names = family.names
-    tables = []
-    for k in range(0, len(names), 4):
-        table = [[]]
-        for name in names[k:k + 4]:
-            table += [row + [name] for row in table]
-        tables.append(table)
+    ordered, ranks = _name_order(family)
+    tables = _chunk_tables([[name] for name in ordered], [])
     out = []
     for masks in (closed, minimal):
-        lists = []
-        for m in masks:
-            row = []
-            for table in tables:
-                if not m:
-                    break
-                row += table[m & 15]
-                m >>= 4
-            row.sort()
-            lists.append(row)
+        lists = [_chunk_sum(tables, _chunk_sum(ranks, m, 0), []) for m in masks]
         lists.sort()
         out.append(lists)
     return out[0], out[1]

@@ -21,7 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import reduce
-from itertools import combinations
+from itertools import combinations, islice
 from operator import and_, or_
 
 from . import engine, rings, topology, zrdesk
@@ -361,6 +361,23 @@ def run_ring_suite(ring: rings.FiniteRing, ideal: rings.RingIdeal | None,
     return out
 
 
+def _sub_pools(primes) -> list[frozenset]:
+    """The sub-pools that encoding-faithfulness pairs up.
+
+    Every sub-pool by size and then in combinations order; past 64 of them,
+    the first 32 and the last 32 of that list.  The last are generated from
+    the back, as the complements of the first sub-pools read backwards, so
+    the 2^k sub-pools are never listed.
+    """
+    def by_size():
+        return (frozenset(c) for r in range(len(primes) + 1) for c in combinations(primes, r))
+
+    if len(primes) <= 6:
+        return list(by_size())
+    full = frozenset(primes)
+    return list(islice(by_size(), 32)) + [full - t for t in islice(by_size(), 32)][::-1]
+
+
 def run_zr_suite(pool: zrdesk.PrimePool, family: PointFamily | None,
                  members: list[zrdesk.OverringSpec] | None = None,
                  target: zrdesk.OverringSpec | None = None,
@@ -370,9 +387,7 @@ def run_zr_suite(pool: zrdesk.PrimePool, family: PointFamily | None,
 
     name = "encoding-faithfulness"
     k = len(pool)
-    subsets = [frozenset(c) for r in range(k + 1) for c in combinations(pool.primes, r)]
-    if len(subsets) > 64:
-        subsets = subsets[:32] + subsets[-32:]
+    subsets = _sub_pools(pool.primes)
     # the 1/p probes come first, so bit i < k of a probe vector is membership of 1/p_i
     probes = [Fraction(1, p) for p in pool.primes] + [Fraction(1, pool.primes[0] * pool.primes[-1]), Fraction(3)]
     low = (1 << k) - 1

@@ -346,6 +346,7 @@ def test_acceptance_9_cli_golden_bytes():
         (("analyze", "fixtures/i1.json", "--format", "text"), "i1_analyze.txt"),
         (("analyze", "fixtures/i1.json", "--format", "dot"), "i1_hasse.dot"),
         (("analyze", "fixtures/i1.json", "--cap-points", "2", "--format", "text"), "i1_analyze_cap2.txt"),
+        (("analyze", "fixtures/i1.json", "--cap-points", "2"), "i1_analyze_cap2.json"),
         (("minimal", "fixtures/i1.json"), "i1_minimal.json"),
         (("minimal", "fixtures/two_minimal.json"), "two_minimal_minimal.json"),
         (("critical", "fixtures/i1.json"), "i1_critical.json"),

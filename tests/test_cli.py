@@ -1,9 +1,13 @@
 """CLI behavior: schemas, exit codes, determinism, output formats."""
 
 import collections
+import contextlib
+import io
+import itertools
 import json
 import math
 import pathlib
+import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -39,7 +43,7 @@ def test_analyze_i1(capsys):
 _LEAVES = (st.none() | st.booleans() | st.integers() | st.integers(min_value=-(1 << 200), max_value=1 << 200)
            | st.text() | st.sampled_from(["", "\\", '"', "\n\t\x00\x7f", "\u00e9\u2603\U0001f600", "</script>"])
            | st.floats(allow_nan=True))
-# lists of non-empty name lists, written in joins, and such lists with one row spoilt, written item by item
+# lists of non-empty name lists, the shape of minimal's rows, and such lists with one row spoilt
 _NAMES = st.text() | st.sampled_from(["", "\\", '"', "\n\t\x00\x1f\x7f", "\u00e9\u2603\U0001f600"])
 _NAME_LISTS = st.lists(st.lists(_NAMES, min_size=1, max_size=4), min_size=1, max_size=5)
 
@@ -80,10 +84,10 @@ class _Name(str):
 
 
 @pytest.mark.parametrize("payload", [
-    [["a", "b"], ["c"], ["d", 7]],  # the join meets a non-string leaf only in the last row
+    [["a", "b"], ["c"], ["d", 7]],  # a non-string leaf only in the last row
     [["a"], ["b", None]],
     [["a", _Name("b\u00e9")], [_Name("")]],  # a str subclass is written as a string
-    [["a"], [], ["b"]],  # an empty row is written item by item
+    [["a"], [], ["b"]],
     {"rows": [["a", "b"], [True]], "more": [[]]},
 ], ids=["int-in-last-row", "null-in-last-row", "str-subclass", "empty-row", "in-a-dict"])
 def test_render_json_writes_spoilt_name_lists_as_json_dumps(payload):
@@ -121,6 +125,42 @@ def test_malformed_json_reports_line(tmp_path, capsys):
     code, _, err = run(capsys, "analyze", str(path))
     assert code == 1
     assert "line 2" in err
+
+
+_I1_TEXT = json.dumps(json.loads((FIXTURES / "i1.json").read_text(encoding="utf-8")), indent=1)
+
+
+@pytest.mark.parametrize("content, err", [
+    (_I1_TEXT.replace("\n", "\r\n").encode(), ""),
+    (_I1_TEXT.replace("\n", "\r\n").replace('"universe"', "universe", 1).encode(),
+     "error: {path}: invalid JSON at line 3, column 2\n"),
+    (b'{\r"schema": 1,\r"universe" ["a"]\r}', "error: {path}: invalid JSON at line 3, column 12\n"),
+    (b'{\r\n"schema": 1,\r"x": 1,\n  "universe" ["a"]}', "error: {path}: invalid JSON at line 4, column 14\n"),
+    (b"\r\r\r", "error: {path}: invalid JSON at line 4, column 1\n"),
+    (b"\xef\xbb\xbf" + _I1_TEXT.encode(), "error: {path}: invalid JSON at line 1, column 1\n"),
+    (b'{"schema": 1, "x": "\xff"}',
+     "error: {path}: unreadable JSON: 'utf-8' codec can't decode byte 0xff in position 20: invalid start byte\n"),
+    (_I1_TEXT.encode("utf-16"),
+     "error: {path}: unreadable JSON: 'utf-8' codec can't decode byte 0xff in position 0: invalid start byte\n"),
+    (b"", "error: {path}: invalid JSON at line 1, column 1\n"),
+    (b'{"schema"\x00: 1}', "error: {path}: invalid JSON at line 1, column 10\n"),
+], ids=["crlf", "crlf-syntax-error", "lone-cr-syntax-error-on-line-3", "mixed-newlines", "only-cr", "utf8-bom",
+        "invalid-utf8-byte", "utf16-with-bom", "empty", "nul"])
+def test_load_reads_bytes_as_text_mode_did(tmp_path, capsys, content, err):
+    """Exit code and stderr of each edge case, as reading the file in text mode gave them."""
+    path = tmp_path / "instance.json"
+    path.write_bytes(content)
+    code, out, got = run(capsys, "analyze", str(path))
+    assert (code, got) == ((1, err.format(path=path)) if err else (0, ""))
+    if not err:
+        assert out == (GOLDEN / "i1_analyze.json").read_text(encoding="utf-8")
+
+
+def test_load_of_a_directory_or_a_missing_file(tmp_path, capsys):
+    assert run(capsys, "analyze", str(tmp_path)) == (1, "", f"error: cannot read {tmp_path}: Is a directory\n")
+    missing = tmp_path / "nope.json"
+    assert run(capsys, "analyze", str(missing)) == (
+        1, "", f"error: cannot read {missing}: No such file or directory\n")
 
 
 def test_a_equals_c_exits_one(capsys):
@@ -367,6 +407,156 @@ def test_main_builds_no_parser(capsys, monkeypatch):
     assert run(capsys, "analyze", "--format", "yaml")[0] == 1
     assert built == []
     assert cli.build_parser() is cli.build_parser()
+
+
+_COMMANDS = ["analyze", "minimal", "critical", "decompose", "zr-check", "check-theorems"]
+_OPTIONS = ["--format", "--cap-points", "--oracle", "--dot", "--ring", "--ideal", "--pool"]
+_PLAIN_WORDS = _COMMANDS + _OPTIONS * 3 + ["json", "text", "dot", "yaml", "3", "0", " 7", "x", "x.json", "zmod:12",
+                                            "2,3,5", "out.dot", ""]
+_ARGV_WORDS = _PLAIN_WORDS + ["--format=text", "--cap-points=4", "--form", "--or", "--ora", "--po", "-h", "--help",
+                              "--", "-", "-1", "-x", "--bogus", "-1 2", "analyz"]
+
+
+@settings(max_examples=3000, derandomize=True, deadline=None)
+@given(st.sampled_from(_COMMANDS * 4 + ["-h", "--help", "", "--oracle", "bogus"]),
+       st.lists(st.sampled_from(_ARGV_WORDS), max_size=7) | st.lists(st.sampled_from(_PLAIN_WORDS), max_size=7))
+def test_fast_args_returns_what_argparse_returns(first, rest):
+    """Every word of every kind, plain or not; where the fast path answers, argparse answers the same."""
+    argv = [first, *rest]
+    fast = cli._fast_args(argv)
+    if fast is not None:
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+            try:
+                slow = cli._PARSER.parse_args(argv)
+            except SystemExit:
+                pytest.fail(f"the fast path took {argv!r}, which argparse refuses: {err.getvalue()}")
+        assert fast == slow
+
+
+@pytest.mark.parametrize("argv", [
+    ["analyze", "x.json"],
+    ["analyze", "x.json", "--format", "text"],
+    ["analyze", "--oracle", "x.json", "--cap-points", "12", "--dot", "x.dot"],
+    ["minimal", "x.json", "--format", "json", "--format", "text"],
+    ["decompose", "--ring", "zmod:12", "--ideal", "6"],
+    ["zr-check", "--pool", "2,3,5", "--format", "text"],
+    ["check-theorems", ""],
+])
+def test_fast_args_take_plain_argv(argv):
+    assert cli._fast_args(argv) == cli._PARSER.parse_args(argv)
+
+
+# ------------------------------------------- analyze and minimal JSON against the payload route
+
+_LABELS = ["a", "b", "c", "x10", "x9", "", '"', "\\", "\u00e9", "\U0001f600", "Z", "d e", "\n"]
+_POINT_NAMES = ["P10", "P2", "", '"', "\\", "a\nb", "\x00\x1f", "\u00e9", "\u2603", "\U0001f600", "</x>", "Z", "a",
+                *(f"x{i}" for i in range(12))]
+_PRIMES = [2, 3, 5, 7, 11, 13, 17, 19]
+
+
+def _random_set_system(rng):
+    """A set system of 1-14 points that represents: A inside every member, C meeting their intersection in A."""
+    n = rng.randint(1, 14)
+    u = rng.randint(max(2, n.bit_length()), 8)
+    full = (1 << u) - 1
+    members = rng.sample(range(full), n)  # distinct, none the whole universe
+    inter = full
+    for m in members:
+        inter &= m
+    target = inter & rng.randrange(full + 1)
+    rest = full & ~inter
+    fixed = target | (rest & rng.randrange(1, full + 1) or rest & -rest)
+    labels = rng.sample(_LABELS, u)
+
+    def listed(mask):
+        out = [labels[i] for i in range(u) if mask >> i & 1]
+        rng.shuffle(out)
+        return out
+
+    names = rng.sample(_POINT_NAMES, n)
+    return {"schema": 1, "universe": labels, "C": listed(fixed), "A": listed(target),
+            "points": {name: listed(m) for name, m in zip(names, members)}}
+
+
+def _random_ring(rng):
+    factors = rng.sample(_PRIMES[:5], rng.randint(1, 3))
+    n = math.prod(p ** rng.randint(1, 3) for p in factors)
+    divisors = [d for d in range(2, n + 1) if n % d == 0]
+    return {"schema": 1, "ring": {"zmod": n}, "ideal": rng.choice(divisors)}
+
+
+def _random_zr(rng):
+    """A zr family over 2-6 primes whose members, with the fixed ring, cover the target."""
+    pool = sorted(rng.sample(_PRIMES, rng.randint(2, 6)))
+    while True:
+        target = sorted(rng.sample(pool, rng.randint(2, len(pool))))
+        fixed = sorted(rng.sample(target, rng.randint(0, len(target) - 1)))
+        choices = [list(c) for r in (1, 2, 3) for c in itertools.combinations(target, r)]
+        members = rng.sample(choices, rng.randint(1, min(len(choices), 8)))
+        if set().union(*map(set, members)) | set(fixed) == set(target):
+            return {"schema": 1, "zr": {"pool": pool, "target": target, "C": fixed, "members": members}}
+
+
+def _reference_analyze(path, cap, oracle):
+    """analyze's JSON as report_to_dict, the instance echo and render_json give it."""
+    instance = cli.load_instance(path)
+    family = cli._family_of(instance)
+    payload = engine.report_to_dict(engine.build_report(family, cap=cap, oracle=oracle))
+    if instance.kind == "set-system":
+        ctx = family.context
+        payload["instance"] = {
+            "universe": list(ctx.universe),
+            "C": list(ctx.labels_of(ctx.fixed_mask)),
+            "A": list(ctx.labels_of(ctx.target_mask)),
+            "points": {name: list(family.member_labels(i)) for i, name in enumerate(family.names)},
+        }
+    elif instance.kind == "ring":
+        payload["instance"] = {"ring": instance.ring.describe(), "ideal": instance.ideal.name}
+    else:
+        payload["instance"] = {"pool": list(instance.pool.primes)}
+        for entry in payload["points"].values():
+            entry["witnesses_rational"] = {flag: f"1/{label}" for flag, label in entry["witnesses"].items()}
+    return cli.render_json({"schema": 1, "command": "analyze", **payload}) + "\n"
+
+
+def _reference_minimal(path, cap):
+    family = cli._family_of(cli.load_instance(path))
+    analysis = engine.unique_minimal_analysis(family, cap)
+    closed, minimal = engine._name_lists(family, analysis._closed_masks, analysis._minimal_masks)
+    return cli.render_json({"schema": 1, "command": "minimal", "minimal_closed_representations": closed,
+                            "minimal_representations": minimal}) + "\n"
+
+
+@pytest.mark.parametrize("seed", range(90))
+def test_analyze_and_minimal_json_equal_the_payload_route(tmp_path, capsys, seed):
+    rng = random.Random(seed)
+    instance = (_random_set_system, _random_ring, _random_zr)[seed % 3](rng)
+    path = write(tmp_path, "instance.json", instance)
+    n = len(cli._family_of(cli.load_instance(path)))
+    caps = [engine.DEFAULT_POINT_CAP] + ([rng.randint(1, n - 1)] if n > 1 else [])
+    for cap in caps:
+        flags = [] if cap == engine.DEFAULT_POINT_CAP else ["--cap-points", str(cap)]
+        assert run(capsys, "analyze", path, *flags) == (0, _reference_analyze(path, cap, False), ""), flags
+        code, out, _ = run(capsys, "analyze", path, *flags, "--oracle")
+        if cap < n:  # the oracles are capped
+            assert (code, out) == (3, ""), flags
+        else:
+            assert (code, out) == (0, _reference_analyze(path, cap, True))
+        code, out, err = run(capsys, "minimal", path, *flags)
+        if cap < n:
+            assert (code, out) == (3, ""), flags
+        else:
+            assert (code, out, err) == (0, _reference_minimal(path, cap), "")
+
+
+@pytest.mark.parametrize("name", ["i1", "two_minimal", "critical_above", "isolated_redundant", "setsys13",
+                                  "setsys16_deep", "zmod12", "zmod2560", "z60_tables", "zr_pool235"])
+def test_fixture_json_equals_the_payload_route(capsys, name):
+    path = str(FIXTURES / f"{name}.json")
+    assert run(capsys, "analyze", path) == (0, _reference_analyze(path, engine.DEFAULT_POINT_CAP, False), "")
+    assert run(capsys, "analyze", path, "--cap-points", "2") == (0, _reference_analyze(path, 2, False), "")
+    assert run(capsys, "minimal", path) == (0, _reference_minimal(path, engine.DEFAULT_POINT_CAP), "")
 
 
 def test_repeated_calls_share_no_state(capsys):

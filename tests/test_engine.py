@@ -532,6 +532,20 @@ def test_name_lists_equal_the_sorted_names_of_each_mask(n):
     names = rng.sample(pool, n)
     if names == sorted(names):  # names out of index order, from 2 points on
         names.reverse()
+    _check_name_lists(names, rng)
+
+
+@pytest.mark.parametrize("names", [
+    [f"x{7 * i % 13:02d}" for i in range(13)],  # each chunk of four points takes names from across the order
+    [f"x{i:02d}" for i in range(17)][::-1],
+], ids=["stride-7", "reversed"])
+def test_name_lists_of_a_family_named_out_of_index_order(names):
+    assert names != sorted(names)
+    _check_name_lists(names, random.Random(len(names)))
+
+
+def _check_name_lists(names, rng):
+    n = len(names)
     family = _family_named(names)
     full = (1 << n) - 1
     first = [0, full, *(1 << b for b in range(n)), *(rng.randrange(1 << n) for _ in range(40))]

@@ -3,6 +3,7 @@
 import json
 import pathlib
 import random
+import time
 from collections import Counter
 from fractions import Fraction
 from itertools import combinations
@@ -161,6 +162,26 @@ def test_encoding_faithfulness_catches_a_faulty_membership(monkeypatch, primes, 
     if fault == "meets-misread-composite-probes":  # both probes fail at once; the first one is named
         assert want == f"intersection mismatch at probe 1/{primes[0] * primes[-1]}"
     assert faithfulness(pool) == theorems.CheckResult("encoding-faithfulness", "fail", want)
+
+
+def test_sub_pools_are_the_ends_of_the_full_list():
+    for k in range(1, 17):
+        primes = tuple(range(2, 2 + k))
+        every = [frozenset(c) for r in range(k + 1) for c in combinations(primes, r)]
+        assert theorems._sub_pools(primes) == (every if len(every) <= 64 else every[:32] + every[-32:]), k
+
+
+def test_zr_suite_on_22_primes_lists_no_sub_pool_beyond_the_64(capsys, tmp_path):
+    primes = [2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59, 61, 67, 71, 73, 79]
+    path = tmp_path / "zr22.json"
+    path.write_text(json.dumps({"schema": 1, "zr": {"pool": primes}}), encoding="utf-8")
+    t0 = time.perf_counter()
+    code = cli.main(["check-theorems", str(path)])
+    elapsed = time.perf_counter() - t0
+    out = json.loads(capsys.readouterr().out)
+    assert code in (0, 4)
+    assert {c["name"]: c["status"] for c in out["checks"]}["encoding-faithfulness"] == "pass"
+    assert elapsed < 1.0  # listing all 2^22 sub-pools took several seconds and gigabytes
 
 
 # --- the bit-sliced sub-representation checks against the per-subfamily loop
