@@ -151,10 +151,19 @@ def parse_ideal(ring: rings.FiniteRing, raw) -> rings.RingIdeal:
 
 
 def load_instance(path: str) -> Instance:
-    """The instance in the JSON file at path; read as bytes, with text mode's strict UTF-8 and newline handling."""
+    """The instance in the JSON file at path; read as bytes, with text mode's strict UTF-8 and newline handling.
+
+    The file is read through os.read, which builds no file object.
+    """
     try:
-        with open(path, "rb") as fh:
-            text = fh.read().decode("utf-8")
+        fd = os.open(path, os.O_RDONLY)
+        try:
+            chunks = []
+            while chunk := os.read(fd, 1 << 20):
+                chunks.append(chunk)
+        finally:
+            os.close(fd)
+        text = b"".join(chunks).decode("utf-8")
         if "\r" in text:  # as text mode reads them, so that error positions count the same lines
             text = text.replace("\r\n", "\n").replace("\r", "\n")
         data = json.loads(text)
