@@ -1,6 +1,8 @@
 """Command-line front end: parse instance files, run analyses, emit reports.
 
 Commands: analyze, minimal, critical, decompose, zr-check, check-theorems.
+This is the one module that names points: the engine answers in point
+indices and masks, and every JSON, text and DOT report is written here.
 Exit codes: 0 success, 1 malformed input, 2 validation failure (not a
 representation; the counterexample element is reported), 3 cap exceeded,
 4 failed theorem checks or internal consistency faults.  Output is byte
@@ -24,6 +26,7 @@ from .errors import (
     NotARepresentation,
 )
 from .setsystems import ContextTriple, PointFamily
+from .topology import indices_of, min_mask
 
 SCHEMA_VERSION = 1
 ENV_CAP_POINTS = "SPECREP_CAP_POINTS"
@@ -193,11 +196,11 @@ def _family_of(instance: Instance) -> PointFamily:
 def _analyze(instance: Instance, args) -> tuple[str, str | None]:
     """analyze's stdout and the DOT for --dot; each format builds only what it writes."""
     report = engine.build_report(_family_of(instance), cap=args.cap_points, oracle=args.oracle)
-    dot = engine.report_to_dot(report) if args.dot or args.format == "dot" else None
+    dot = report_to_dot(report) if args.dot or args.format == "dot" else None
     if args.format == "dot":
         return dot, dot
     if args.format == "text":
-        return _render_text("analyze", engine.report_to_dict(report)), dot
+        return _analyze_text(report), dot
     return _analyze_json(instance, report), dot
 
 
@@ -209,13 +212,19 @@ def _minimal(instance: Instance, args) -> str:
     if args.oracle:
         if engine.minimal_closed_oracle(family, args.cap_points) != analysis.minimal_closed:
             raise ConsistencyError("minimal-closed fast path disagrees with the exhaustive oracle")
+    ordered, ranks = _name_order(family)
     if args.format == "json":
-        ordered, ranks = engine._name_order(family)
         rows = _led(list(map(_encode_string, ordered)), "    ")
         return (f'{{\n  "command": "minimal",\n  "minimal_closed_representations": {_rows(rows, ranks, closed)},'
                 f'\n  "minimal_representations": {_rows(rows, ranks, minimal)},\n  "schema": {SCHEMA_VERSION}\n}}\n')
-    closed, minimal = engine._name_lists(family, closed, minimal)
-    return _render_text("minimal", {"minimal_closed_representations": closed, "minimal_representations": minimal})
+    commas = _chunk_tables(["," + name for name in ordered], "")
+    lines = _text_rows("minimal representation", commas, ranks, minimal)
+    return "\n".join(lines + _text_rows("minimal closed representation", commas, ranks, closed)) + "\n"
+
+
+def _names(family: PointFamily, ixs) -> list[str]:
+    """The names of the points ixs, sorted: critical names a few short lists, so a plain sort costs least."""
+    return sorted(family.names[i] for i in ixs)
 
 
 def _payload_critical(instance: Instance, args) -> dict:
@@ -228,10 +237,10 @@ def _payload_critical(instance: Instance, args) -> dict:
         "strongly_irredundant_representation": (
             None
             if analysis.strongly_irredundant_rep is None
-            else engine._names(family, analysis.strongly_irredundant_rep)
+            else _names(family, analysis.strongly_irredundant_rep)
         ),
-        "critical": engine._names(family, analysis.critical),
-        "critical_core": engine._names(family, analysis.cset),
+        "critical": _names(family, analysis.critical),
+        "critical_core": _names(family, analysis.cset),
     }
     if args.oracle:
         if engine.critical_points_oracle(family, args.cap_points) != analysis.critical:
@@ -361,13 +370,62 @@ def render_json(value) -> str:
     return "".join(out)
 
 
-# analyze and minimal write their JSON straight from the analysis, as
-# render_json writes report_to_dict (with the instance echo) and the name
-# lists; the tests hold the two routes equal.  A list is written from
-# chunk tables (engine._chunk_tables) of its items, each already encoded
-# and led by ",\n" and its indentation.
+# analyze and minimal write their JSON and text straight from the analysis,
+# reading the names of a mask, already sorted, from chunk tables over the
+# sorted names; the tests hold each report equal to a plain sort written by
+# json.dumps.  A JSON list's items are encoded and led by ",\n" and their
+# indentation, a text list's by ",".
 
 _BOOL = ("false", "true")
+
+
+def _chunk_tables(items, zero) -> list[list]:
+    """tables[k][c]: zero plus the items 4k to 4k + 3 that the 4-bit chunk c picks, in item order.
+
+    _chunk_sum then gives the sum of the items that a mask picks at one
+    lookup per chunk; items may be ints with disjoint bits or strings.
+    """
+    tables = []
+    for k in range(0, len(items), 4):
+        table = [zero]
+        for item in items[k:k + 4]:
+            table += [t + item for t in table]
+        tables.append(table)
+    return tables
+
+
+def _chunk_sum(tables, m: int, zero):
+    """zero plus the items of _chunk_tables that the bits of m pick, in item order (zero itself when m is 0)."""
+    out = zero
+    for table in tables:
+        if not m:
+            break
+        out = out + table[m & 15]
+        m >>= 4
+    return out
+
+
+def _name_order(family: PointFamily) -> tuple[list[str], list[list[int]]]:
+    """(the names sorted, ranks): _chunk_sum(ranks, m, 0) has bit r for the point of m whose name is r-th in order.
+
+    Chunk tables over the sorted names then give the names of m already
+    sorted.
+    """
+    names = family.names
+    order = sorted(range(len(names)), key=names.__getitem__)
+    bits = [0] * len(names)
+    for r, i in enumerate(order):
+        bits[i] = 1 << r
+    return [names[i] for i in order], _chunk_tables(bits, 0)
+
+
+def _row_keys(ranks, masks) -> list[int]:
+    """The masks of an antichain carried to name ranks, in the order of their sorted name lists.
+
+    In rank bits, that order is the one minimal_closed_core gives masks:
+    the binary digits from bit 0 up, set before unset.
+    """
+    return sorted([_chunk_sum(ranks, m, 0) for m in masks], key=lambda y: bin(y)[:1:-1], reverse=True)
 
 
 def _strings(items: list[str], pad: str) -> str:
@@ -380,12 +438,12 @@ def _strings(items: list[str], pad: str) -> str:
 
 def _led(items: list[str], pad: str) -> list[list[str]]:
     """Chunk tables of the encoded items, each led by its separator, as list items at indentation pad."""
-    return engine._chunk_tables([",\n" + pad + "  " + item for item in items], "")
+    return _chunk_tables([",\n" + pad + "  " + item for item in items], "")
 
 
 def _listed(tables, m: int, pad: str) -> str:
     """The JSON list at indentation pad of the items that m picks from tables of _led(items, pad)."""
-    body = engine._chunk_sum(tables, m, "")
+    body = _chunk_sum(tables, m, "")
     return "[" + body[1:] + "\n" + pad + "]" if body else "[]"
 
 
@@ -393,15 +451,13 @@ def _rows(tables, ranks, masks) -> str:
     """The value of a top-level key that lists, sorted, the sorted names of each mask of an antichain.
 
     tables is _led of the encoded sorted names at indentation "    ", and
-    ranks is engine._name_order's.  Each mask is carried to name ranks,
-    where the rows of an antichain sort as minimal_closed_core sorts masks.
+    ranks is _name_order's.
     """
-    keys = sorted([engine._chunk_sum(ranks, m, 0) for m in masks], key=lambda y: bin(y)[:1:-1], reverse=True)
-    return _strings([_listed(tables, r, "    ") for r in keys], "  ")
+    return _strings([_listed(tables, r, "    ") for r in _row_keys(ranks, masks)], "  ")
 
 
 def _analyze_json(instance: Instance, report: engine.RepresentationReport) -> str:
-    """render_json of analyze's envelope (report_to_dict and the instance echo) and a newline.
+    """analyze's JSON: the report's names and flags, the exhaustive facts within the cap, and the instance echo.
 
     A zr instance's points also carry witnesses_rational: each witness
     prime p as the rational 1/p.
@@ -409,12 +465,12 @@ def _analyze_json(instance: Instance, report: engine.RepresentationReport) -> st
     family = report.family
     analysis = report.analysis
     point_mask = family.space.point_mask
-    ordered, ranks = engine._name_order(family)
+    ordered, ranks = _name_order(family)
     encoded = list(map(_encode_string, ordered))
     names = _led(encoded, "  ")
 
     def named(ixs) -> str:
-        return _listed(names, engine._chunk_sum(ranks, point_mask(ixs), 0), "  ")
+        return _listed(names, _chunk_sum(ranks, point_mask(ixs), 0), "  ")
 
     crit = analysis._critical_mask
     rational = instance.kind == "zr"
@@ -480,39 +536,82 @@ def _echo(instance: Instance, family: PointFamily) -> str:
             f'\n    "points": {{{"".join(points)[1:]}\n    }},\n    "universe": {_listed(at4, ctx.full_mask, "    ")}\n  }}')
 
 
+def _text_rows(label: str, commas, ranks, masks) -> list[str]:
+    """The line label: {names} for each mask of an antichain, in the order of the sorted name lists.
+
+    commas is _chunk_tables of the sorted names, each led by ",", and ranks
+    is _name_order's.
+    """
+    return [f"{label}: {{{_chunk_sum(commas, r, '')[1:]}}}" for r in _row_keys(ranks, masks)]
+
+
+def _analyze_text(report: engine.RepresentationReport) -> str:
+    """analyze's text: a line of flags per chosen point, then the exhaustive facts within the cap, then the notices."""
+    analysis = report.analysis
+    crit = analysis._critical_mask
+    lines = []
+    for cls in sorted(report.classifications, key=lambda c: c.name):
+        flags = [flag for flag, on in (("irredundant", cls.irredundant),
+                                       ("strongly_irredundant", cls.strongly_irredundant),
+                                       ("tightly_irredundant", cls.tightly_irredundant),
+                                       ("critical", crit >> cls.point & 1),
+                                       ("isolated_spectral", cls.isolated_spectral),
+                                       ("isolated_patch", cls.isolated_patch)) if on]
+        tail = f" witness={cls.witness_irredundant}" if cls.irredundant else ""
+        lines.append(f"{cls.name}: {','.join(flags) or '-'}{tail}")
+    if report.exhaustive:
+        family = report.family
+        ordered, ranks = _name_order(family)
+        commas = _chunk_tables(["," + name for name in ordered], "")
+        lines += _text_rows("minimal representation", commas, ranks, analysis._minimal_masks)
+        lines += _text_rows("critical core", commas, ranks, [family.space.point_mask(analysis.cset)])
+        lines.append(f"unique minimal: {analysis.unique}")
+    lines += [f"notice: {notice}" for notice in report.notices]
+    return "\n".join(lines) + "\n"
+
+
+_FLAG_SHORT = (
+    ("irredundant", "irr"),
+    ("strongly_irredundant", "strong"),
+    ("tightly_irredundant", "tight"),
+    ("isolated_spectral", "iso-spec"),
+    ("isolated_patch", "iso-patch"),
+)
+
+
+def _dot_quote(text: str) -> str:
+    """text as one DOT quoted string: backslash, double quote and newline escaped."""
+    return '"' + text.replace("\\", "\\\\").replace('"', '\\"').replace("\n", "\\n") + '"'
+
+
+def report_to_dot(report: engine.RepresentationReport) -> str:
+    """Hasse diagram of the point order with per-point flag decoration, nodes in name order."""
+    fam = report.family
+    space = fam.space
+    by_name = {cls.name: cls for cls in report.classifications}
+    critical = {fam.names[i] for i in report.analysis.critical}
+    lines = ["digraph representation {", "  rankdir=BT;", '  node [shape=box, fontname="monospace"];']
+    for name in _name_order(fam)[0]:
+        tags = []
+        cls = by_name.get(name)
+        if cls is not None:
+            tags = [short for attr, short in _FLAG_SHORT if getattr(cls, attr)]
+        if name in critical:
+            tags.append("critical")
+        label = name if not tags else name + "\n" + ",".join(tags)
+        lines.append(f"  {_dot_quote(name)} [label={_dot_quote(label)}];")
+    # j covers i when it is a minimal point strictly above i
+    covers = sorted((fam.names[i], fam.names[j]) for i, u in enumerate(space.up)
+                    for j in indices_of(min_mask(space, u & ~(1 << i))))
+    lines += [f"  {_dot_quote(a)} -> {_dot_quote(b)};" for a, b in covers]
+    lines.append("}")
+    return "\n".join(lines) + "\n"
+
+
 def _render_text(command: str, payload: dict) -> str:
+    """The text of critical, decompose, zr-check and check-theorems, from the payload that their JSON writes."""
     lines: list[str] = []
-    if command == "analyze":
-        for name in sorted(payload["points"]):
-            entry = payload["points"][name]
-            flags = [
-                key
-                for key in (
-                    "irredundant",
-                    "strongly_irredundant",
-                    "tightly_irredundant",
-                    "critical",
-                    "isolated_spectral",
-                    "isolated_patch",
-                )
-                if entry[key]
-            ]
-            wit = entry["witnesses"].get("irredundant")
-            tail = f" witness={wit}" if wit is not None else ""
-            lines.append(f"{name}: {','.join(flags) if flags else '-'}{tail}")
-        if "minimal_representations" in payload:
-            for rep in payload["minimal_representations"]:
-                lines.append("minimal representation: {" + ",".join(rep) + "}")
-            lines.append("critical core: {" + ",".join(payload["critical_core"]) + "}")
-            lines.append(f"unique minimal: {payload['unique_minimal']}")
-        for notice in payload["notices"]:
-            lines.append(f"notice: {notice}")
-    elif command == "minimal":
-        for rep in payload["minimal_representations"]:
-            lines.append("minimal representation: {" + ",".join(rep) + "}")
-        for rep in payload["minimal_closed_representations"]:
-            lines.append("minimal closed representation: {" + ",".join(rep) + "}")
-    elif command == "critical":
+    if command == "critical":
         lines.append("critical: {" + ",".join(payload["critical"]) + "}")
         lines.append("critical core: {" + ",".join(payload["critical_core"]) + "}")
         lines.append(f"unique minimal: {payload['unique_minimal']}")

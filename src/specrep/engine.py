@@ -718,147 +718,3 @@ def build_report(family: PointFamily, zs=None, cap: int = DEFAULT_POINT_CAP, ora
         notices=tuple(notices),
     )
 
-
-def _names(family: PointFamily, ixs) -> list[str]:
-    return sorted(family.names[i] for i in ixs)
-
-
-def _chunk_tables(items, zero) -> list[list]:
-    """tables[k][c]: zero plus the items 4k to 4k + 3 that the 4-bit chunk c picks, in item order.
-
-    _chunk_sum then gives the sum of the items that a mask picks at one
-    lookup per chunk; items may be ints with disjoint bits, lists or strings.
-    """
-    tables = []
-    for k in range(0, len(items), 4):
-        table = [zero]
-        for item in items[k:k + 4]:
-            table += [t + item for t in table]
-        tables.append(table)
-    return tables
-
-
-def _chunk_sum(tables, m: int, zero):
-    """zero plus the items of _chunk_tables that the bits of m pick, in item order (zero itself when m is 0)."""
-    out = zero
-    for table in tables:
-        if not m:
-            break
-        out = out + table[m & 15]
-        m >>= 4
-    return out
-
-
-def _name_order(family: PointFamily) -> tuple[list[str], list[list[int]]]:
-    """(the names sorted, ranks): _chunk_sum(ranks, m, 0) has bit r for the point of m whose name is r-th in order.
-
-    Chunk tables over the sorted names then give the names of m already
-    sorted.
-    """
-    names = family.names
-    order = sorted(range(len(names)), key=names.__getitem__)
-    bits = [0] * len(names)
-    for r, i in enumerate(order):
-        bits[i] = 1 << r
-    return [names[i] for i in order], _chunk_tables(bits, 0)
-
-
-def _name_lists(family: PointFamily, closed, minimal) -> tuple[list[list[str]], list[list[str]]]:
-    """The pair (sorted(_names(family, indices_of(m)) for m in masks) for masks in (closed, minimal)).
-
-    Each mask is carried to name ranks and read from chunk tables over the
-    sorted names (_name_order), built once for both lists, so a row costs
-    two lookups per chunk and no sort.
-    """
-    ordered, ranks = _name_order(family)
-    tables = _chunk_tables([[name] for name in ordered], [])
-    out = []
-    for masks in (closed, minimal):
-        lists = [_chunk_sum(tables, _chunk_sum(ranks, m, 0), []) for m in masks]
-        lists.sort()
-        out.append(lists)
-    return out[0], out[1]
-
-
-def report_to_dict(report: RepresentationReport) -> dict:
-    """JSON-ready view; names sorted so equal inputs give equal bytes."""
-    fam = report.family
-    analysis = report.analysis
-    points = {}
-    for cls in report.classifications:
-        entry = {
-            "irredundant": cls.irredundant,
-            "strongly_irredundant": cls.strongly_irredundant,
-            "tightly_irredundant": cls.tightly_irredundant,
-            "critical": cls.point in analysis.critical,
-            "isolated_spectral": cls.isolated_spectral,
-            "isolated_patch": cls.isolated_patch,
-            "witnesses": {},
-        }
-        if cls.irredundant:
-            entry["witnesses"]["irredundant"] = cls.witness_irredundant
-        if cls.strongly_irredundant:
-            entry["witnesses"]["strongly_irredundant"] = cls.witness_strong
-            entry["witnesses"]["tightly_irredundant"] = cls.witness_strong
-        points[cls.name] = entry
-    out = {
-        "chosen": _names(fam, report.chosen),
-        "points": points,
-        "critical": _names(fam, analysis.critical),
-        "critical_core": _names(fam, analysis.cset),
-        "notices": list(report.notices),
-    }
-    if report.exhaustive:
-        out["minimal_closed_representations"], out["minimal_representations"] = _name_lists(
-            fam, analysis._closed_masks, analysis._minimal_masks
-        )
-        out["unique_minimal"] = analysis.unique
-        out["critical_core_represents"] = analysis.cset_represents
-        out["strongly_irredundant_representation"] = (
-            None if analysis.strongly_irredundant_rep is None else _names(fam, analysis.strongly_irredundant_rep)
-        )
-    return out
-
-
-_FLAG_SHORT = (
-    ("irredundant", "irr"),
-    ("strongly_irredundant", "strong"),
-    ("tightly_irredundant", "tight"),
-    ("isolated_spectral", "iso-spec"),
-    ("isolated_patch", "iso-patch"),
-)
-
-
-def _dot_quote(text: str) -> str:
-    """text as one DOT quoted string: backslash, double quote and newline escaped."""
-    return '"' + text.replace("\\", "\\\\").replace('"', '\\"').replace("\n", "\\n") + '"'
-
-
-def report_to_dot(report: RepresentationReport) -> str:
-    """Hasse diagram of the point order with per-point flag decoration."""
-    fam = report.family
-    space = fam.space
-    by_point = {cls.point: cls for cls in report.classifications}
-    lines = ["digraph representation {", "  rankdir=BT;", '  node [shape=box, fontname="monospace"];']
-    order = sorted(range(len(fam)), key=lambda i: fam.names[i])
-    for i in order:
-        tags = []
-        cls = by_point.get(i)
-        if cls is not None:
-            tags = [short for attr, short in _FLAG_SHORT if getattr(cls, attr)]
-        if i in report.analysis.critical:
-            tags.append("critical")
-        label = fam.names[i] if not tags else fam.names[i] + "\n" + ",".join(tags)
-        lines.append(f"  {_dot_quote(fam.names[i])} [label={_dot_quote(label)}];")
-    covers = []
-    for i in range(len(fam)):
-        for j in range(len(fam)):
-            if i == j or not space.leq(i, j):
-                continue
-            between = space.up[i] & space.down[j] & ~(1 << i) & ~(1 << j)
-            if between == 0:
-                covers.append((fam.names[i], fam.names[j]))
-    for a, b in sorted(covers):
-        lines.append(f"  {_dot_quote(a)} -> {_dot_quote(b)};")
-    lines.append("}")
-    return "\n".join(lines) + "\n"

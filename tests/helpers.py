@@ -1,6 +1,11 @@
-"""Shared fixture builders and definition-level references for the test suite."""
+"""Shared fixture builders and definition-level references for the test suite.
+
+The references for the CLI's analyze and minimal reports name points by plain
+sorts and write JSON with json.dumps, apart from the CLI's own writers.
+"""
 
 import functools
+import json
 import math
 import random
 import string
@@ -387,6 +392,113 @@ class Brute:
         """Masks of the subfamilies that represent and stop representing when any one member is dropped."""
         return [z for z in range(1 << self.n) if self.represents(z)
                 and not any(self.represents(z & ~(1 << b)) for b in range(self.n) if z >> b & 1)]
+
+
+def sorted_names(family: PointFamily, ixs) -> list[str]:
+    return sorted(family.names[i] for i in ixs)
+
+
+def minimal_payload(family: PointFamily, analysis) -> dict:
+    """minimal's two name lists, each row and each list a plain sort: the reference for cli's row writers."""
+    return {
+        "minimal_closed_representations": sorted(sorted_names(family, y) for y in analysis.minimal_closed),
+        "minimal_representations": sorted(sorted_names(family, z) for z in analysis.minimal_representations),
+    }
+
+
+def report_payload(report) -> dict:
+    """What analyze reports of an engine.RepresentationReport, names sorted by plain sorts.
+
+    Every chosen point's flags and witnesses, the critical points and core,
+    the notices, and within the cap the minimal representations, uniqueness
+    and the strongly irredundant representation.
+    """
+    family = report.family
+    analysis = report.analysis
+    points = {}
+    for cls in report.classifications:
+        witnesses = {}
+        if cls.irredundant:
+            witnesses["irredundant"] = cls.witness_irredundant
+        if cls.strongly_irredundant:
+            witnesses["strongly_irredundant"] = witnesses["tightly_irredundant"] = cls.witness_strong
+        points[cls.name] = {
+            "irredundant": cls.irredundant,
+            "strongly_irredundant": cls.strongly_irredundant,
+            "tightly_irredundant": cls.tightly_irredundant,
+            "critical": cls.point in analysis.critical,
+            "isolated_spectral": cls.isolated_spectral,
+            "isolated_patch": cls.isolated_patch,
+            "witnesses": witnesses,
+        }
+    out = {
+        "chosen": sorted_names(family, report.chosen),
+        "points": points,
+        "critical": sorted_names(family, analysis.critical),
+        "critical_core": sorted_names(family, analysis.cset),
+        "notices": list(report.notices),
+    }
+    if report.exhaustive:
+        out.update(minimal_payload(family, analysis))
+        out["unique_minimal"] = analysis.unique
+        out["critical_core_represents"] = analysis.cset_represents
+        srep = analysis.strongly_irredundant_rep
+        out["strongly_irredundant_representation"] = None if srep is None else sorted_names(family, srep)
+    return out
+
+
+def analyze_payload(instance, report) -> dict:
+    """analyze's JSON envelope as a dict: report_payload, the instance echo, and a zr point's witnesses as 1/p."""
+    family = report.family
+    payload = {"schema": 1, "command": "analyze", **report_payload(report)}
+    if instance.kind == "set-system":
+        ctx = family.context
+        payload["instance"] = {
+            "universe": list(ctx.universe),
+            "C": list(ctx.labels_of(ctx.fixed_mask)),
+            "A": list(ctx.labels_of(ctx.target_mask)),
+            "points": {name: list(family.member_labels(i)) for i, name in enumerate(family.names)},
+        }
+    elif instance.kind == "ring":
+        payload["instance"] = {"ring": instance.ring.describe(), "ideal": instance.ideal.name}
+    else:
+        payload["instance"] = {"pool": list(instance.pool.primes)}
+        for entry in payload["points"].values():
+            entry["witnesses_rational"] = {flag: f"1/{label}" for flag, label in entry["witnesses"].items()}
+    return payload
+
+
+def json_output(payload: dict) -> str:
+    """A command's JSON stdout for payload, as the stdlib writes it."""
+    return json.dumps(payload, indent=2, sort_keys=True) + "\n"
+
+
+def analyze_text(payload: dict) -> str:
+    """analyze --format text of an analyze_payload: a line per point, then the exhaustive facts and the notices."""
+    lines = []
+    for name in sorted(payload["points"]):
+        entry = payload["points"][name]
+        flags = [key for key in ("irredundant", "strongly_irredundant", "tightly_irredundant", "critical",
+                                 "isolated_spectral", "isolated_patch") if entry[key]]
+        wit = entry["witnesses"].get("irredundant")
+        tail = f" witness={wit}" if wit is not None else ""
+        lines.append(f"{name}: {','.join(flags) if flags else '-'}{tail}")
+    if "minimal_representations" in payload:
+        for rep in payload["minimal_representations"]:
+            lines.append("minimal representation: {" + ",".join(rep) + "}")
+        lines.append("critical core: {" + ",".join(payload["critical_core"]) + "}")
+        lines.append(f"unique minimal: {payload['unique_minimal']}")
+    for notice in payload["notices"]:
+        lines.append(f"notice: {notice}")
+    return "\n".join(lines) + "\n"
+
+
+def minimal_text(payload: dict) -> str:
+    """minimal --format text of a minimal_payload."""
+    lines = ["minimal representation: {" + ",".join(rep) + "}" for rep in payload["minimal_representations"]]
+    lines += ["minimal closed representation: {" + ",".join(rep) + "}"
+              for rep in payload["minimal_closed_representations"]]
+    return "\n".join(lines) + "\n"
 
 
 def bfs_table_ideals(ring):

@@ -379,6 +379,11 @@ def test_acceptance_9_cli_golden_bytes():
         (("analyze", "fixtures/setsys13.json", "--format", "dot"), "setsys13_hasse.dot"),
         (("analyze", "fixtures/setsys16_deep.json"), "setsys16_deep_analyze.json"),
         (("minimal", "fixtures/setsys16_deep.json", "--format", "text"), "setsys16_deep_minimal.txt"),
+        (("analyze", "fixtures/zr_pool235.json", "--format", "text"), "zr_pool235_analyze.txt"),
+        (("minimal", "fixtures/i1.json", "--format", "text"), "i1_minimal.txt"),
+        (("minimal", "fixtures/two_minimal.json", "--format", "text"), "two_minimal_minimal.txt"),
+        (("critical", "fixtures/i1.json", "--format", "text"), "i1_critical.txt"),
+        (("critical", "fixtures/setsys20.json", "--format", "text"), "setsys20_critical.txt"),
     ]
     bad = []
     for argv, golden_name in cases:

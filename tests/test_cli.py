@@ -14,6 +14,8 @@ from hypothesis import given, settings, strategies as st
 
 from specrep import cli, engine, rings, setsystems, theorems, zrdesk
 
+from helpers import analyze_payload, analyze_text, json_output, minimal_payload, minimal_text
+
 FIXTURES = pathlib.Path(__file__).resolve().parent.parent / "fixtures"
 GOLDEN = pathlib.Path(__file__).resolve().parent / "golden"
 
@@ -447,7 +449,7 @@ def test_fast_args_take_plain_argv(argv):
     assert cli._fast_args(argv) == cli._PARSER.parse_args(argv)
 
 
-# ------------------------------------------- analyze and minimal JSON against the payload route
+# ------------------------------ analyze and minimal, JSON and text, against the plain-sort reference
 
 _LABELS = ["a", "b", "c", "x10", "x9", "", '"', "\\", "\u00e9", "\U0001f600", "Z", "d e", "\n"]
 _POINT_NAMES = ["P10", "P2", "", '"', "\\", "a\nb", "\x00\x1f", "\u00e9", "\u2603", "\U0001f600", "</x>", "Z", "a",
@@ -498,38 +500,23 @@ def _random_zr(rng):
             return {"schema": 1, "zr": {"pool": pool, "target": target, "C": fixed, "members": members}}
 
 
-def _reference_analyze(path, cap, oracle):
-    """analyze's JSON as report_to_dict, the instance echo and render_json give it."""
+def _reference_analyze(path, cap, oracle, fmt="json"):
+    """analyze's stdout in fmt (json or text) as the reference of tests/helpers.py writes it."""
     instance = cli.load_instance(path)
-    family = cli._family_of(instance)
-    payload = engine.report_to_dict(engine.build_report(family, cap=cap, oracle=oracle))
-    if instance.kind == "set-system":
-        ctx = family.context
-        payload["instance"] = {
-            "universe": list(ctx.universe),
-            "C": list(ctx.labels_of(ctx.fixed_mask)),
-            "A": list(ctx.labels_of(ctx.target_mask)),
-            "points": {name: list(family.member_labels(i)) for i, name in enumerate(family.names)},
-        }
-    elif instance.kind == "ring":
-        payload["instance"] = {"ring": instance.ring.describe(), "ideal": instance.ideal.name}
-    else:
-        payload["instance"] = {"pool": list(instance.pool.primes)}
-        for entry in payload["points"].values():
-            entry["witnesses_rational"] = {flag: f"1/{label}" for flag, label in entry["witnesses"].items()}
-    return cli.render_json({"schema": 1, "command": "analyze", **payload}) + "\n"
+    payload = analyze_payload(instance, engine.build_report(cli._family_of(instance), cap=cap, oracle=oracle))
+    return json_output(payload) if fmt == "json" else analyze_text(payload)
 
 
-def _reference_minimal(path, cap):
+def _reference_minimal(path, cap, fmt="json"):
+    """minimal's stdout in fmt (json or text) as the reference of tests/helpers.py writes it."""
     family = cli._family_of(cli.load_instance(path))
-    analysis = engine.unique_minimal_analysis(family, cap)
-    closed, minimal = engine._name_lists(family, analysis._closed_masks, analysis._minimal_masks)
-    return cli.render_json({"schema": 1, "command": "minimal", "minimal_closed_representations": closed,
-                            "minimal_representations": minimal}) + "\n"
+    payload = minimal_payload(family, engine.unique_minimal_analysis(family, cap))
+    return json_output({"schema": 1, "command": "minimal", **payload}) if fmt == "json" else minimal_text(payload)
 
 
 @pytest.mark.parametrize("seed", range(90))
 def test_analyze_and_minimal_json_equal_the_payload_route(tmp_path, capsys, seed):
+    """analyze and minimal, as JSON and as text, against the plain-sort reference of tests/helpers.py."""
     rng = random.Random(seed)
     instance = (_random_set_system, _random_ring, _random_zr)[seed % 3](rng)
     path = write(tmp_path, "instance.json", instance)
@@ -538,25 +525,34 @@ def test_analyze_and_minimal_json_equal_the_payload_route(tmp_path, capsys, seed
     for cap in caps:
         flags = [] if cap == engine.DEFAULT_POINT_CAP else ["--cap-points", str(cap)]
         assert run(capsys, "analyze", path, *flags) == (0, _reference_analyze(path, cap, False), ""), flags
+        text = run(capsys, "analyze", path, *flags, "--format", "text")
+        assert text == (0, _reference_analyze(path, cap, False, "text"), ""), flags
         code, out, _ = run(capsys, "analyze", path, *flags, "--oracle")
         if cap < n:  # the oracles are capped
             assert (code, out) == (3, ""), flags
         else:
             assert (code, out) == (0, _reference_analyze(path, cap, True))
         code, out, err = run(capsys, "minimal", path, *flags)
+        text = run(capsys, "minimal", path, *flags, "--format", "text")
         if cap < n:
-            assert (code, out) == (3, ""), flags
+            assert (code, out) == (3, "") and text[:2] == (3, ""), flags
         else:
             assert (code, out, err) == (0, _reference_minimal(path, cap), "")
+            assert text == (0, _reference_minimal(path, cap, "text"), "")
 
 
 @pytest.mark.parametrize("name", ["i1", "two_minimal", "critical_above", "isolated_redundant", "setsys13",
                                   "setsys16_deep", "zmod12", "zmod2560", "z60_tables", "zr_pool235"])
 def test_fixture_json_equals_the_payload_route(capsys, name):
     path = str(FIXTURES / f"{name}.json")
-    assert run(capsys, "analyze", path) == (0, _reference_analyze(path, engine.DEFAULT_POINT_CAP, False), "")
+    cap = engine.DEFAULT_POINT_CAP
+    assert run(capsys, "analyze", path) == (0, _reference_analyze(path, cap, False), "")
+    assert run(capsys, "analyze", path, "--format", "text") == (0, _reference_analyze(path, cap, False, "text"), "")
     assert run(capsys, "analyze", path, "--cap-points", "2") == (0, _reference_analyze(path, 2, False), "")
-    assert run(capsys, "minimal", path) == (0, _reference_minimal(path, engine.DEFAULT_POINT_CAP), "")
+    text = run(capsys, "analyze", path, "--cap-points", "2", "--format", "text")
+    assert text == (0, _reference_analyze(path, 2, False, "text"), "")
+    assert run(capsys, "minimal", path) == (0, _reference_minimal(path, cap), "")
+    assert run(capsys, "minimal", path, "--format", "text") == (0, _reference_minimal(path, cap, "text"), "")
 
 
 def test_repeated_calls_share_no_state(capsys):
@@ -607,17 +603,19 @@ def test_one_order_and_one_analysis_per_family(capsys, monkeypatch):
         calls.clear()
         code, out, _ = run(capsys, *argv)
         assert code == 0, argv
-        return dict(calls), json.loads(out)
+        return dict(calls), out
 
     i1 = str(FIXTURES / "i1.json")
     zmod12 = str(FIXTURES / "zmod12.json")
     once = {"search": 1, "minimal": 1, "critical": 1}
     assert counts("analyze", i1)[0] == {"order": 1, "table": 3, **once}
+    assert counts("analyze", i1, "--format", "text")[0] == {"order": 1, "table": 3, **once}
     assert counts("analyze", i1, "--oracle")[0] == {"order": 1, "table": 3, **once}
     assert counts("critical", i1)[0] == {"order": 1, "table": 3, **once}
     assert counts("minimal", i1)[0] == {"order": 1, "table": 2, "search": 1, "minimal": 1}
-    got, payload = counts("decompose", zmod12)
-    assert payload["verified"] and got == {"order": 1}
+    assert counts("minimal", i1, "--format", "text")[0] == {"order": 1, "table": 2, "search": 1, "minimal": 1}
+    got, out = counts("decompose", zmod12)
+    assert json.loads(out)["verified"] and got == {"order": 1}
     got = counts("check-theorems", i1)[0]
     assert {key: got[key] for key in once} == once
     got = counts("check-theorems", zmod12)[0]

@@ -19,7 +19,7 @@ from specrep.errors import CapExceeded, InputError, NotARepresentation
 from specrep.setsystems import ContextTriple, PointFamily, represents_mask, to_spec_space
 from specrep.topology import indices_of
 
-from helpers import family_from, i1_family, random_representation_family
+from helpers import family_from, i1_family, random_representation_family, report_payload
 
 FIXTURES = pathlib.Path(__file__).resolve().parent.parent / "fixtures"
 
@@ -369,7 +369,7 @@ def test_distinct_tight_reps_lie_in_distinct_minimal_reps_random():
 
 def test_build_report_and_dict(i1):
     report = E.build_report(i1, oracle=True)
-    payload = E.report_to_dict(report)
+    payload = report_payload(report)
     assert payload["minimal_representations"] == [["B1", "B2"]]
     assert payload["critical"] == ["B1", "B2", "B3"]
     assert payload["critical_core"] == ["B1", "B2"]
@@ -379,16 +379,18 @@ def test_build_report_and_dict(i1):
     assert payload["points"]["B3"]["witnesses"] == {}
 
 
-def test_report_beyond_cap_carries_notice(i1):
+def test_report_beyond_cap_carries_notice(i1, capsys):
     report = E.build_report(i1, cap=2)
     assert not report.exhaustive
     assert any("cap" in n for n in report.notices)
-    payload = E.report_to_dict(report)
+    assert cli.main(["analyze", str(FIXTURES / "i1.json"), "--cap-points", "2"]) == 0
+    payload = json.loads(capsys.readouterr().out)
     assert "minimal_representations" not in payload
+    assert payload["notices"] == list(report.notices)
 
 
 def test_report_dot_contains_cover_edges(i1):
-    dot = E.report_to_dot(E.build_report(i1))
+    dot = cli.report_to_dot(E.build_report(i1))
     assert '"B1" -> "B3";' in dot
     assert '"B2" -> "B3";' in dot
     assert '"B1" -> "B2"' not in dot
@@ -408,7 +410,7 @@ def _dot_unescape(text):
 def test_report_dot_escapes_point_names(i1):
     names = ('x"];evil[label="', "y\\", "two words\nand a line")
     fam = dataclasses.replace(i1, names=names)
-    lines = E.report_to_dot(E.build_report(fam)).splitlines()
+    lines = cli.report_to_dot(E.build_report(fam)).splitlines()
     nodes, edges = [], []
     for line in lines:
         node, edge = _DOT_NODE.fullmatch(line), _DOT_EDGE.fullmatch(line)
@@ -544,16 +546,26 @@ def test_name_lists_of_a_family_named_out_of_index_order(names):
     _check_name_lists(names, random.Random(len(names)))
 
 
+def _antichain(masks):
+    """The masks that neither hold nor lie in an earlier one kept: rows of minimal or closed representations."""
+    kept = []
+    for m in masks:
+        if all(m & ~k and k & ~m for k in kept):
+            kept.append(m)
+    return kept
+
+
 def _check_name_lists(names, rng):
+    """cli's JSON and text row writers against a plain sort of each mask's names, then of the rows."""
     n = len(names)
     family = _family_named(names)
     full = (1 << n) - 1
-    first = [0, full, *(1 << b for b in range(n)), *(rng.randrange(1 << n) for _ in range(40))]
-    # masks of the first list come again in the second, as closed masks that are their own minimal points do
-    second = [*rng.sample(first, 12), *(rng.randrange(1 << n) for _ in range(20))]
-    want = [sorted(E._names(family, indices_of(m)) for m in masks) for masks in (first, second)]
-    got = E._name_lists(family, first, second)
-    assert got == tuple(want)
-    rows = [row for lists in got for row in lists]
-    assert len(set(map(id, rows))) == len(rows)  # every row is its own list, within a list and across the two
-    assert cli.render_json(got) == json.dumps(want, indent=2, sort_keys=True)
+    ordered, ranks = cli._name_order(family)
+    tables = cli._led([cli._encode_string(name) for name in ordered], "    ")
+    commas = cli._chunk_tables(["," + name for name in ordered], "")
+    antichains = [[0], [full], [1 << b for b in range(n)], *(_antichain(rng.sample(range(1, full + 1), min(full, 40)))
+                                                             for _ in range(3))]
+    for masks in antichains:
+        want = sorted(sorted(names[i] for i in indices_of(m)) for m in masks)
+        assert cli._rows(tables, ranks, masks) == json.dumps(want, indent=2).replace("\n", "\n  ")
+        assert cli._text_rows("row", commas, ranks, masks) == ["row: {" + ",".join(row) + "}" for row in want]

@@ -26,7 +26,8 @@ import random
 
 import pytest
 
-from helpers import collapse_to_atoms, element_irr_space, pairwise_irreducible_table_ideals, random_spec_space
+from helpers import (collapse_to_atoms, element_irr_space, pairwise_irreducible_table_ideals, random_spec_space,
+                     report_payload)
 from specrep import cli, theorems
 from specrep import engine as E
 from specrep.errors import SpecrepError
@@ -232,7 +233,7 @@ def test_zmod_class_family_answers_as_the_element_family(n, g):
         classes = R.build_irr_space(ring, ideal, points)
         elements = element_irr_space(ring, ideal, points)
         assert len(classes.context.universe) < len(elements.context.universe) == n
-        for read in (lambda f: E.report_to_dict(E.build_report(f, oracle=True)), theorems.run_family_suite):
+        for read in (lambda f: report_payload(E.build_report(f, oracle=True)), theorems.run_family_suite):
             assert _outcome(read, classes) == _outcome(read, elements), (n, g, points)
 
 

@@ -17,7 +17,7 @@ from specrep import engine as E
 from specrep import zrdesk as Z
 from specrep.errors import CapExceeded, ConsistencyError, InputError, NotARepresentation
 
-from helpers import i1_family
+from helpers import i1_family, report_payload
 
 FIXTURES = pathlib.Path(__file__).resolve().parent.parent / "fixtures"
 
@@ -76,7 +76,7 @@ def test_encode_flagship():
     fam = Z.encode(POOL235, target, spec(POOL235, []), [spec(POOL235, [p]) for p in (2, 3, 5)])
     assert fam.names == ("Z(2)", "Z(3)", "Z(5)")
     report = E.build_report(fam, oracle=True)
-    payload = E.report_to_dict(report)
+    payload = report_payload(report)
     for name, p in (("Z(2)", "2"), ("Z(3)", "3"), ("Z(5)", "5")):
         entry = payload["points"][name]
         assert entry["irredundant"] and entry["strongly_irredundant"] and entry["critical"]
@@ -89,7 +89,7 @@ def test_encode_extra_member_redundant_not_critical():
     target = spec(POOL235, [2, 3, 5])
     members = [spec(POOL235, [p]) for p in (2, 3, 5)] + [spec(POOL235, [2, 3])]
     fam = Z.encode(POOL235, target, spec(POOL235, []), members)
-    payload = E.report_to_dict(E.build_report(fam))
+    payload = report_payload(E.build_report(fam))
     entry = payload["points"]["Z(2,3)"]
     assert not entry["irredundant"]
     assert not entry["critical"]
