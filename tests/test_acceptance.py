@@ -365,6 +365,10 @@ def test_acceptance_9_cli_golden_bytes():
         (("analyze", "fixtures/z60_tables.json"), "z60_tables_analyze.json"),
         (("decompose", "fixtures/z60_tables.json", "--oracle"), "z60_tables_decompose.json"),
         (("check-theorems", "fixtures/z60_tables.json"), "z60_tables_theorems.json"),
+        (("decompose", "fixtures/f2_5_tables.json"), "f2_5_tables_decompose.json"),
+        (("decompose", "fixtures/f2_5_tables.json", "--oracle"), "f2_5_tables_decompose.json"),
+        (("analyze", "fixtures/f2_5_tables.json"), "f2_5_tables_analyze.json"),
+        (("check-theorems", "fixtures/f2_5_tables.json"), "f2_5_tables_theorems.json"),
         (("check-theorems", "fixtures/zmod2560.json"), "zmod2560_theorems.json"),
         (("check-theorems", "fixtures/zmod393216.json"), "zmod393216_theorems.json"),
         (("check-theorems", "fixtures/two_minimal.json"), "two_minimal_theorems.json"),
