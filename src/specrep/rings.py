@@ -338,11 +338,17 @@ def _all_table_ideals(ring: FiniteRing) -> tuple[frozenset[int], ...]:
     """Every ideal of a table ring, grown from the zero ideal by adding principal ideals.
 
     Every ideal is a sum of principal ones, and ideal + (r) depends on r only
-    through (r), so each ideal is grown by each distinct principal ideal not
-    already inside it.  The sum is the union of the cosets b + ideal over b in
-    (r); a b already covered lies in a coset already taken, and is skipped.
+    through (r).  Each ideal I is grown only by the principal ideals that are
+    minimal among those it lacks: an ideal above I holds some lacking (r),
+    hence a minimal lacking (s) inside (r), and I + (s) stays inside it, so
+    every ideal is still reached.  The sum is the union of the cosets
+    b + I over b in (s); a b already covered lies in a coset already taken,
+    and is skipped.
     """
-    principal = set(_principal_table_ideals(ring))
+    principal = list(set(_principal_table_ideals(ring)))
+    masks = [sum(1 << e for e in p) for p in principal]
+    # inside[i]: the principal ideals strictly inside principal[i], by index
+    inside = [sum(1 << j for j, q in enumerate(masks) if q != p and not q & ~p) for p in masks]
     add = ring.add
     start = frozenset({ring.zero})
     seen = {start}
@@ -350,9 +356,11 @@ def _all_table_ideals(ring: FiniteRing) -> tuple[frozenset[int], ...]:
     while frontier:
         nxt = []
         for ideal in frontier:
+            held = sum(1 << e for e in ideal)
+            lacking = sum(1 << i for i, p in enumerate(masks) if p & ~held)
             coset = _row_getter(tuple(ideal))
-            for p in principal:
-                if p <= ideal:
+            for i, p in enumerate(principal):
+                if not lacking >> i & 1 or inside[i] & lacking:
                     continue
                 grown = set(ideal)
                 for b in p:

@@ -99,6 +99,14 @@ class SpecSpace:
     def __len__(self) -> int:
         return len(self.points)
 
+    @cached_property
+    def _up_tables(self) -> tuple[tuple[int, ...], ...]:
+        return _chunk_tables(self.up)
+
+    @cached_property
+    def _down_tables(self) -> tuple[tuple[int, ...], ...]:
+        return _chunk_tables(self.down)
+
     @property
     def full_mask(self) -> int:
         return (1 << len(self.points)) - 1
@@ -141,15 +149,13 @@ class Topology:
     neighbourhoods: tuple[int, ...]
 
     @cached_property
-    def _columns(self) -> tuple[int, ...]:
-        """columns[j]: the points i whose U_i holds point j."""
-        columns = [0] * max(u.bit_length() for u in self.neighbourhoods)
+    def _column_tables(self) -> tuple[tuple[int, ...], ...]:
+        """The chunk tables of the columns: columns[j] holds the points i whose U_i holds point j."""
+        columns = [0] * self.size
         for i, u in enumerate(self.neighbourhoods):
-            while u:
-                low = u & -u
-                columns[low.bit_length() - 1] |= 1 << i
-                u ^= low
-        return tuple(columns)
+            for j in _bits(u & (1 << self.size) - 1):
+                columns[j] |= 1 << i
+        return _chunk_tables(columns)
 
     def closure_of(self, ymask: int) -> int:
         """Smallest closed superset of Y: the points whose smallest open neighbourhood meets Y.
@@ -157,16 +163,10 @@ class Topology:
         A point lies outside the closure when some open around it avoids Y;
         every open around i contains U_i, and U_i is itself open, so that
         happens exactly when U_i avoids Y.  The closure is the OR of the
-        columns of the points of Y, kept on the topology.
+        columns of the points of Y, read from the chunk tables kept on the
+        topology.  A bit of Y at or past the size raises InputError.
         """
-        columns = self._columns
-        ymask &= (1 << len(columns)) - 1
-        m = 0
-        while ymask:
-            low = ymask & -ymask
-            m |= columns[low.bit_length() - 1]
-            ymask ^= low
-        return m
+        return _or_rows(self._column_tables, self.size, ymask)
 
     def specialization_leq(self, i: int, j: int) -> bool:
         """i <= j when j lies in the closure of {i}: opens around j all contain i.
@@ -230,13 +230,30 @@ def generate_topology(space: SpecSpace, kind: str) -> Topology:
     return Topology(size=n, origin=kind, neighbourhoods=tuple(meets.get(i, full) for i in range(n)))
 
 
-def _spread(rel, y: int) -> int:
-    """The OR of rel[j] over the points j of y."""
+def _chunk_tables(rel) -> tuple[tuple[int, ...], ...]:
+    """tables[c][k]: the OR of rel[4c + j] over the bits j of k, one table per 4 points."""
+    tables = []
+    for c in range(0, len(rel), 4):
+        row = [0]
+        for r in rel[c:c + 4]:
+            row += [v | r for v in row]
+        tables.append(tuple(row))
+    return tuple(tables)
+
+
+def _out_of_range(n: int, ymask: int) -> InputError:
+    high = ymask >> n
+    return InputError(f"point index {n + (high & -high).bit_length() - 1} out of range")
+
+
+def _or_rows(tables, n: int, ymask: int) -> int:
+    """The OR of the rows of an n-point relation at the points of ymask, one table entry per 4 points."""
+    if ymask >> n:
+        raise _out_of_range(n, ymask)
     m = 0
-    while y:
-        low = y & -y
-        m |= rel[low.bit_length() - 1]
-        y ^= low
+    for row in tables:
+        m |= row[ymask & 15]
+        ymask >>= 4
     return m
 
 
@@ -253,11 +270,11 @@ def _alone(rel, y: int) -> int:
 
 
 def up_mask(space: SpecSpace, ymask: int) -> int:
-    return _spread(space.up, ymask)
+    return _or_rows(space._up_tables, len(space.points), ymask)
 
 
 def down_mask(space: SpecSpace, ymask: int) -> int:
-    return _spread(space.down, ymask)
+    return _or_rows(space._down_tables, len(space.points), ymask)
 
 
 def min_mask(space: SpecSpace, ymask: int) -> int:
@@ -293,6 +310,8 @@ def closure_mask(space: SpecSpace, ymask: int, kind: str) -> int:
     if kind == INVERSE:
         return down_mask(space, ymask)
     if kind == PATCH:
+        if ymask >> len(space.points):
+            raise _out_of_range(len(space.points), ymask)
         return ymask
     raise InputError(f"unknown topology kind: {kind!r}")
 

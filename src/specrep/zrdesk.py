@@ -302,7 +302,8 @@ def _sliced_target(m: int, local, up, down) -> list[tuple]:
     ups = upset_masks(up)
     # b is a minimal point of y iff b is in y and in down[b] and no other
     # point of y is in down[b]; covered[y] holds the points that y rules out.
-    # spread[y] is the union of up[b] over the points b of y.
+    # spread[y] is the union of up[b] over the points b of y, and bits[y]
+    # lists the one-point masks of y.
     refl = 0
     below = [0] * m
     for b, d in enumerate(down):
@@ -312,9 +313,11 @@ def _sliced_target(m: int, local, up, down) -> list[tuple]:
                 below[c] |= 1 << b
     covered = [0]
     spread = [0]
+    bits = [()]
     for c in range(m):
         covered += [v | below[c] for v in covered]
         spread += [v | up[c] for v in spread]
+        bits += [v + (1 << c,) for v in bits]
 
     every = (1 << (1 << m)) - 1
     admissible = every ^ (1 << pts)  # S = T is no check
@@ -336,15 +339,20 @@ def _sliced_target(m: int, local, up, down) -> list[tuple]:
     faults = []  # (s where it fires, stage, y, check, message) in the per-check order
     for y in ups:
         z = y & refl & ~covered[y]  # each isolated in z too: covered[z] lies in covered[y]
+        # the s where z still represents without b (index z ^ b), or with b's
+        # cone in its place (index k); each index already read into lost is
+        # skipped, as closed avoids lost: both when z is y, since y is an
+        # up-set and holds b's cone
         lost = redundant = 0
-        zm = z
-        while zm:
-            low = zm & -zm
-            zm ^= low
+        for low in bits[z]:
             lost |= R[y ^ low]
-            # the s where z still represents without b, or with b's cone in its place
-            redundant |= R[z ^ low] | R[(z | spread[low]) & ~low]
-        closed = admissible & R[y] & ~lost
+            if z != y:
+                c = z ^ low
+                redundant |= R[c]
+                k = (z | spread[low]) ^ low
+                if k != c and k != y ^ low:
+                    redundant |= R[k]
+        closed = R[y] & ~lost & admissible
         if not closed:
             continue
         twice |= once & closed

@@ -12,7 +12,7 @@ import string
 
 from hypothesis import strategies as st
 
-from specrep import engine, rings, topology
+from specrep import engine, rings, topology, zrdesk
 from specrep.errors import ConsistencyError, SpecrepError
 from specrep.setsystems import ContextTriple, PointFamily, validate_representation
 from specrep.topology import SpecSpace, indices_of
@@ -679,3 +679,147 @@ def first_shared_or_lonely_by_loop(strong_reps, min_masks) -> str | None:
             if ca & cb:
                 return f"tight representations {za:b} and {zb:b} share a minimal representation"
     return None
+
+
+def sliced_target_by_three_reads(m: int, local, up, down) -> list[tuple]:
+    """zrdesk._sliced_target as it read R three times for each minimal point b of each up-set y.
+
+    The reference for the sweep, which skips a read whose index equals one
+    already made: R[y ^ b], R[z ^ b] and R[(z | cone of b) - b] are read for
+    every b here, whatever the order.
+    """
+    pts = (1 << m) - 1
+    has_target = 1 << m
+    excess = engine.subset_intersections(pts | has_target, local)
+    lacking = [[c for c in range(m) if not local[c] >> j & 1] for j in range(m)]
+    dead = [c for c in range(m) if not local[c] & has_target]
+
+    ups = engine.upset_masks(up)
+    # b is a minimal point of y iff b is in y and in down[b] and no other
+    # point of y is in down[b]; covered[y] holds the points that y rules out.
+    # spread[y] is the union of up[b] over the points b of y.
+    refl = 0
+    below = [0] * m
+    for b, d in enumerate(down):
+        refl |= (d >> b & 1) << b
+        if d & ~(1 << b):
+            for c in indices_of(d & ~(1 << b)):
+                below[c] |= 1 << b
+    covered = [0]
+    spread = [0]
+    for c in range(m):
+        covered += [v | below[c] for v in covered]
+        spread += [v | up[c] for v in spread]
+
+    every = (1 << (1 << m)) - 1
+    admissible = every ^ (1 << pts)  # S = T is no check
+    H, U = zrdesk._slice_basis(m)
+    R = [U[e & pts] if e & has_target else 0 for e in excess]
+
+    def represents(x):
+        """The s at which the points chosen by the per-point masks x represent."""
+        r = every
+        for h, cs in zip(H, lacking):
+            for c in cs:
+                h |= x[c]
+            r &= h
+        for c in dead:
+            r &= ~x[c]
+        return r
+
+    once = twice = 0  # s with at least one / two minimal closed representations
+    faults = []  # (s where it fires, stage, y, check, message) in the per-check order
+    for y in ups:
+        z = y & refl & ~covered[y]  # each isolated in z too: covered[z] lies in covered[y]
+        lost = redundant = 0
+        zm = z
+        while zm:
+            low = zm & -zm
+            zm ^= low
+            lost |= R[y ^ low]
+            # the s where z still represents without b, or with b's cone in its place
+            redundant |= R[z ^ low] | R[(z | spread[low]) & ~low]
+        closed = admissible & R[y] & ~lost
+        if not closed:
+            continue
+        twice |= once & closed
+        once |= closed
+        # _minimal_points_checked on the s where y is a minimal closed representation
+        if closed & ~R[z]:
+            faults.append((closed & ~R[z], 1, y, 0, "minimal points of a closed representation must represent"))
+        if closed & redundant:
+            faults.append((closed & redundant, 1, y, 1,
+                           "a minimal point of a minimal representation is redundant"))
+        if spread[z] != y:
+            faults.append((closed, 1, y, 2, "minimal points fail to regenerate their closed representation"))
+    if admissible & ~once:
+        faults.append((admissible & ~once, 0, 0, 0, "a representation must contain a minimal closed one"))
+
+    # analysis_core
+    crit = [admissible & ~R[pts ^ d] for d in down]
+    cset = []
+    for b, d in enumerate(down):
+        c = crit[b] if refl >> b & 1 else 0
+        if d & ~(1 << b):
+            for a in indices_of(d & ~(1 << b)):
+                c &= ~crit[a]
+        cset.append(c)
+    core = admissible & represents(cset)
+    single = once & ~twice
+    if single ^ core:
+        faults.append((single ^ core, 2, 0, 0,
+                       "critical-core representation does not match minimal-representation count"))
+    if faults:
+        # the per-check route stops at the greatest failing s, at its first check there
+        first_s = 1 << max(f[0] for f in faults).bit_length() - 1
+        first = min((f for f in faults if f[0] & first_s), key=lambda f: (f[1], indices_of(f[2]), f[3]))
+        raise ConsistencyError(first[4])
+    strong = []
+    for b in range(m):
+        x = [every if up[b] >> c & 1 else xc for c, xc in enumerate(cset)]
+        x[b] = 0
+        strong.append(core & cset[b] & ~represents(x))
+    expect = [every ^ h for h in H]  # the localization at prime j belongs to the answer
+    srep_ok = core & represents(strong)
+    for b in range(m):
+        srep_ok &= ~(strong[b] ^ expect[b])
+    witness_bad = []
+    for j in range(m):
+        gained = excess[pts ^ (1 << j)] & pts
+        exact = U[gained ^ (1 << j)] & expect[j] if gained >> j & 1 else 0
+        witness_bad.append(srep_ok & expect[j] & ~exact)
+    crit_bad = 0
+    for b in range(m):
+        crit_bad |= (crit[b] ^ expect[b]) | (cset[b] ^ expect[b])
+    unique_bad = admissible & ~(single & core)
+    srep_bad = admissible & ~srep_ok
+    crit_bad &= admissible
+    failing = unique_bad | srep_bad | crit_bad
+    for bad in witness_bad:
+        failing |= bad
+    records = []
+    while failing:
+        s = failing.bit_length() - 1
+        bit = 1 << s
+        failing ^= bit
+        records.append((s, bool(unique_bad & bit), bool(srep_bad & bit),
+                        tuple(j for j, bad in enumerate(witness_bad) if bad & bit), bool(crit_bad & bit)))
+    return records
+
+
+def or_of_rows(rel, ymask: int) -> int:
+    """The OR of rel[j] over the bits j of ymask, one bit at a time.
+
+    The reference for the 4-point chunk tables of topology.up_mask,
+    down_mask and closure_mask.
+    """
+    m = 0
+    for j, row in enumerate(rel):
+        if ymask >> j & 1:
+            m |= row
+    return m
+
+
+def closure_by_neighbourhoods(top, ymask: int) -> int:
+    """The points i whose U_i meets Y: the reference for Topology.closure_of, read from the neighbourhoods."""
+    return sum(1 << i for i, u in enumerate(top.neighbourhoods) if u & ymask)

@@ -28,6 +28,7 @@ from specrep.setsystems import ContextTriple, PointFamily
 
 from helpers import (Brute, bfs_table_ideals, families_of_size, family_from, i1_family,
                      pairwise_reducible, pairwise_strongly_irreducible, random_representation_family)
+from test_ring_lattice import dual_number_tables, f2xy_tables, product_tables, times, z4x_tables
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 FIXTURES = ROOT / "fixtures"
@@ -263,7 +264,7 @@ def test_a_non_unique_decomposition_still_raises(monkeypatch, at):
 
 
 def _table_rings():
-    """The f2xy fixture ring and every product ring shape of the ring-zr workload."""
+    """The f2xy fixture ring, every product ring shape of the ring-zr workload and the other non-arithmetical rings."""
     tables = json.loads((FIXTURES / "f2xy_tables.json").read_text(encoding="utf-8"))["ring"]["tables"]
     out = [pytest.param(R.FiniteRing.from_tables(tables["add"], tables["mul"]), id="f2xy")]
     shapes = sorted({spec for cls, _, spec in workloads.RING_ROUND if cls.endswith("-tables")})
@@ -271,6 +272,11 @@ def _table_rings():
         inst, _ = workloads.product_ring_instance(random.Random(0), moduli, gens)
         t = inst["ring"]["tables"]
         out.append(pytest.param(R.FiniteRing.from_tables(t["add"], t["mul"]), id="x".join(map(str, moduli))))
+    for name, tables in (("z4x", z4x_tables()), ("f2xy-x-z2", times(f2xy_tables(), product_tables((2,)))),
+                         ("z4x-x-z3", times(z4x_tables(), product_tables((3,)))),
+                         ("z2-x-z4x", times(product_tables((2,)), z4x_tables())),
+                         ("f2-dual-numbers", dual_number_tables())):
+        out.append(pytest.param(R.FiniteRing.from_tables(*tables), id=name))
     return out
 
 

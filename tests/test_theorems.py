@@ -22,8 +22,9 @@ from specrep.errors import ConsistencyError, SpecrepError
 from specrep.setsystems import PointFamily, represents_mask
 from specrep.topology import SpecSpace
 
-from helpers import (SUBFAMILY_CHECKS, closed_sets_check_by_loop, family_from, first_shared_or_lonely_by_loop,
-                     i1_family, random_representation_family, subfamily_checks_by_loop)
+from helpers import (SUBFAMILY_CHECKS, closed_sets_check_by_loop, closure_by_neighbourhoods, family_from,
+                     first_shared_or_lonely_by_loop, i1_family, or_of_rows, random_representation_family,
+                     subfamily_checks_by_loop)
 
 
 FIXTURES = pathlib.Path(__file__).resolve().parent.parent / "fixtures"
@@ -584,6 +585,58 @@ ROUTE_FAULTS = {
     "dropped-point-from-its-up-set": (T, "inclusion_order", _drop_from_own_up(1), "antichains-inverse-discrete",
                                       "antichain 10 not discrete"),
 }
+
+
+def _flip_neighbourhood(kind, i, j):
+    """generate_topology with bit j of U_i flipped in the `kind` topology."""
+    real = T.generate_topology
+
+    def faulty(space, k):
+        top = real(space, k)
+        if k != kind:
+            return top
+        us = list(top.neighbourhoods)
+        us[i] ^= 1 << j
+        return T.Topology(top.size, top.origin, tuple(us))
+    return faulty
+
+
+def _flip_order(side, i, j):
+    """inclusion_order with bit j of up[i] (side 0) or down[i] (side 1) flipped."""
+    real = T.inclusion_order
+
+    def faulty(points):
+        rels = [list(r) for r in real(points)]
+        rels[side][i] ^= 1 << j
+        return tuple(rels[0]), tuple(rels[1])
+    return faulty
+
+
+def test_closure_check_fails_at_the_first_subset_where_either_routes_own_data_differs(monkeypatch):
+    # one flipped bit in a generated topology's neighbourhoods, or in the
+    # space's order: the check must fail at the first (kind, subset) where
+    # the bit-walk references of the two routes, each read from its own
+    # data, differ
+    rng = random.Random(3311)
+    faults = 0
+    for _, clean in _fixture_families(10):
+        n = len(clean)
+        pairs = [(rng.randrange(n), rng.randrange(n)) for _ in range(4)]
+        cases = [(T, "generate_topology", _flip_neighbourhood(kind, i, j)) for kind in T.KINDS for i, j in pairs]
+        cases += [(T, "inclusion_order", _flip_order(side, i, j)) for side in (0, 1) for i, j in pairs]
+        for target, attr, faulty in cases:
+            with monkeypatch.context() as m:
+                m.setattr(target, attr, faulty)
+                family = PointFamily(context=clean.context, names=clean.names, members=clean.members)
+                space = family.space
+                tops = {kind: T.generate_topology(space, kind) for kind in T.KINDS}
+                got = {r.name: r for r in theorems.run_family_suite(family)}["closure-fast-path-vs-topology"]
+            rows = {T.SPECTRAL: space.up, T.INVERSE: space.down, T.PATCH: [1 << i for i in range(n)]}
+            kind, y = next((kind, y) for kind in T.KINDS for y in range(1 << n)
+                           if or_of_rows(rows[kind], y) != closure_by_neighbourhoods(tops[kind], y))
+            assert (got.status, got.detail) == ("fail", f"closure mismatch in {kind} at subset {y:b}")
+            faults += 1
+    assert faults >= 100
 
 
 @pytest.mark.parametrize("fault", ROUTE_FAULTS)

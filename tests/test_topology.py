@@ -10,7 +10,8 @@ from specrep.errors import InputError, NotAntichain
 from specrep import topology as T
 from specrep.setsystems import to_spec_space
 
-from helpers import i1_family, opens_of, random_spec_space, reference_opens
+from helpers import (closure_by_neighbourhoods, i1_family, opens_of, or_of_rows, random_spec_space,
+                     reference_opens)
 
 
 @pytest.fixture
@@ -233,5 +234,39 @@ def test_spread_and_alone_match_a_per_point_loop_on_any_relation():
         for j in range(n):
             if y >> j & 1:
                 spread |= rel[j]
-        assert T._spread(rel, y) == spread
+        assert T._or_rows(T._chunk_tables(rel), n, y) == spread
         assert T._alone(rel, y) == sum(1 << j for j in range(n) if y >> j & 1 and rel[j] & y == 1 << j)
+
+
+def test_chunk_tables_equal_a_bit_walk_on_random_spaces():
+    # every size from 1 to 24 points, most of them not a multiple of 4
+    rng = random.Random(3307)
+    for n in range(1, 25):
+        for _ in range(4):
+            universe = rng.randint(max(1, (n - 1).bit_length()), 9)
+            space = T.SpecSpace(points=tuple(rng.sample(range(1 << universe), n)), universe_size=universe)
+            tops = {kind: T.generate_topology(space, kind) for kind in T.KINDS}
+            # any neighbourhood vector, not only a topology's
+            loose = T.Topology(n, T.SPECTRAL, tuple(rng.getrandbits(n) for _ in range(n)))
+            for y in [0, space.full_mask] + [rng.getrandbits(n) for _ in range(30)]:
+                up, down = or_of_rows(space.up, y), or_of_rows(space.down, y)
+                assert (T.up_mask(space, y), T.down_mask(space, y)) == (up, down)
+                assert [T.closure_mask(space, y, kind) for kind in T.KINDS] == [up, down, y]
+                for top in (*tops.values(), loose):
+                    assert top.closure_of(y) == closure_by_neighbourhoods(top, y)
+
+
+@pytest.mark.parametrize("kind", T.KINDS)
+def test_both_closure_routes_refuse_a_mask_past_the_points(kind):
+    space = T.SpecSpace(points=(0b001, 0b011, 0b111), universe_size=3)
+    top = T.generate_topology(space, kind)
+    assert T.closure_mask(space, 0b111, kind) == top.closure_of(0b111)
+    for ymask, index in ((0b11000, 3), (0b1000, 3), (1 << 40 | 0b101, 40)):
+        for read in (lambda: T.closure_mask(space, ymask, kind), lambda: top.closure_of(ymask)):
+            with pytest.raises(InputError, match=f"^point index {index} out of range$"):
+                read()
+    with pytest.raises(InputError, match="^point index 3 out of range$"):
+        T.up_set(space, (3, 4))
+    for read in (T.up_mask, T.down_mask):
+        with pytest.raises(InputError, match="^point index 3 out of range$"):
+            read(space, 0b11000)

@@ -17,7 +17,7 @@ from specrep import engine as E
 from specrep import zrdesk as Z
 from specrep.errors import CapExceeded, ConsistencyError, InputError, NotARepresentation
 
-from helpers import i1_family, report_payload
+from helpers import i1_family, report_payload, sliced_target_by_three_reads
 
 FIXTURES = pathlib.Path(__file__).resolve().parent.parent / "fixtures"
 
@@ -508,3 +508,48 @@ def test_zr_check_oracle_output_is_the_golden(capsys):
         for extra in extras:
             assert cli.main(["zr-check", *pool, *extra]) == 0
             assert capsys.readouterr().out == golden
+
+
+def _sweep_outcome(route, m, local, up, down):
+    try:
+        return "records", route(m, local, up, down)
+    except Exception as exc:  # the two routes must raise alike, whatever they raise
+        return type(exc).__name__, str(exc)
+
+
+def test_sweep_equals_the_three_read_reference_on_faulty_orders(monkeypatch):
+    # the antichain of the real sweep with points put below others (nonempty
+    # cones, and up-sets whose minimal points z differ from y), a member with
+    # a flipped bit, and flipped bits of U, without which R is monotone and
+    # no read into redundant can fire
+    rng = random.Random(3309)
+    basis = Z._slice_basis
+    seen = collections.Counter()
+    for _ in range(2000):
+        m = rng.randint(1, 6)
+        local, up, down = (list(v) for v in Z._size_input(m))
+        for _ in range(rng.randint(0, 2)):
+            a, b = rng.randrange(m), rng.randrange(m)
+            up[a] |= 1 << b
+            down[b] |= 1 << a
+        if rng.random() < 0.3:
+            local[rng.randrange(m)] ^= 1 << rng.randint(0, m)
+        up, down = tuple(up), tuple(down)
+        flips = [(rng.randrange(1 << m), rng.randrange(1 << m)) for _ in range(rng.randint(0, 3))]
+
+        def faulty(w, flips=flips):
+            H, U = basis(w)
+            for e, s in flips:
+                U[e] ^= 1 << s
+            return H, U
+
+        monkeypatch.setattr(Z, "_slice_basis", faulty)
+        got = _sweep_outcome(Z._sliced_target, m, local, up, down)
+        assert got == _sweep_outcome(sliced_target_by_three_reads, m, local, up, down), (m, local, up, down, flips)
+        if any(u & ~(1 << b) for b, u in enumerate(up)):
+            seen["cone"] += 1
+        if any(down[b] & y & ~(1 << b) for y in E.upset_masks(up) for b in range(m) if y >> b & 1):
+            seen["z differs from y"] += 1
+        seen[got[1] if got[0] == "ConsistencyError" else got[0]] += 1
+    assert seen["records"] >= 300 and seen["a minimal point of a minimal representation is redundant"] >= 20, seen
+    assert min(seen["cone"], seen["z differs from y"]) >= 500, seen
