@@ -339,10 +339,10 @@ def _sliced_target(m: int, local, up, down) -> list[tuple]:
     faults = []  # (s where it fires, stage, y, check, message) in the per-check order
     for y in ups:
         z = y & refl & ~covered[y]  # each isolated in z too: covered[z] lies in covered[y]
-        # the s where z still represents without b (index z ^ b), or with b's
-        # cone in its place (index k); each index already read into lost is
-        # skipped, as closed avoids lost: both when z is y, since y is an
-        # up-set and holds b's cone
+        # redundant: the s where z still represents without b (index z ^ b)
+        # or with b's cone in its place (index k).  A read whose index lost
+        # already read is skipped, as closed avoids lost; when z is y both
+        # indices are y ^ b, since the up-set y holds b's cone.
         lost = redundant = 0
         for low in bits[z]:
             lost |= R[y ^ low]
